@@ -13,6 +13,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .terms import (
+    ARITH_OPS,
     Apply,
     Const,
     Div,
@@ -20,6 +21,7 @@ from .terms import (
     Quantifier,
     Script,
     Term,
+    apply_op,
     children,
 )
 
@@ -74,23 +76,11 @@ def fold_literal(term: Term) -> Fraction | None:
     match term:
         case Const(value, _) if not isinstance(value, bool):
             return value
-        case Apply("+" | "-" | "*" as op, args, _):
+        case Apply(op, args, _) if op in ARITH_OPS and args:
             vals = [fold_literal(a) for a in args]
             if any(v is None for v in vals):
                 return None
-            if op == "+":
-                return sum(vals, Fraction(0))
-            if op == "*":
-                out = Fraction(1)
-                for v in vals:
-                    out *= v
-                return out
-            if len(vals) == 1:
-                return -vals[0]
-            out = vals[0]
-            for v in vals[1:]:
-                out -= v
-            return out
+            return apply_op(op, vals)
         case Div(num, den):
             n = fold_literal(num)
             d = fold_literal(den)

@@ -36,7 +36,10 @@ _VERDICT_EXIT = {
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NradivError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_output(text: str, output: str | None) -> None:

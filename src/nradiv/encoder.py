@@ -86,7 +86,9 @@ class IntFormula:
         for t in subterms(self.body):
             match t:
                 case Const(value, sort):
-                    if not isinstance(value, bool) and sort is not Sort.INT:
+                    if not isinstance(value, bool) and (
+                        sort is not Sort.INT or value.denominator != 1
+                    ):
                         raise EncodeError(f"non-Int literal {value} in body")
                 case Var(name, sort):
                     if sort is not Sort.INT:

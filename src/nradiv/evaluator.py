@@ -1,6 +1,8 @@
 """Exact rational evaluation with a pluggable reading of division by zero.
 
-Every arithmetic step uses `fractions.Fraction`; nothing is rounded.
+Every arithmetic step is exact: `eval_term` works on
+`fractions.Fraction`, and a body compiled by `compile_int_body` on
+plain `int`s.  Both take each operator's meaning from `terms.OPS`.
 A `DivInterpretation` is consulted only when a divisor evaluates to
 exactly 0, so interpretations agree on every division with a nonzero
 divisor.
@@ -15,7 +17,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetExceededError, EvalError
-from .terms import Apply, Const, Div, Ite, Quantifier, Term, Var
+from .terms import OPS, Apply, Const, Div, Ite, OpMeaning, Quantifier, Term, Var, apply_op, op_source
 
 if TYPE_CHECKING:  # import only for annotations; encoder imports us at runtime
     from .encoder import IntFormula
@@ -89,7 +91,9 @@ def eval_term(
 
     `funcs` supplies meanings for declared non-nullary function symbols;
     `div` is consulted only at zero divisors.  `ite` evaluates a single
-    branch, so a division in the untaken branch is never touched.
+    branch, so a division in the untaken branch is never touched; every
+    other node evaluates all of its arguments.  This is the reference
+    interpreter: `compile_int_body` must agree with it.
     """
 
     match term:
@@ -114,56 +118,28 @@ def eval_term(
     raise EvalError(f"not a term: {term!r}")
 
 
-def _eval_apply(op, args, assignment, div, funcs) -> Value:
-    def rec(t: Term) -> Value:
-        return eval_term(t, assignment, div, funcs)
+_CHECK_ARG = {"num": _as_fraction, "bool": _as_bool}
 
-    if op == "and":
-        return all(_as_bool(rec(a), "'and' argument") for a in args)
-    if op == "or":
-        return any(_as_bool(rec(a), "'or' argument") for a in args)
-    if op == "not":
-        return not _as_bool(rec(args[0]), "'not' argument")
-    if op == "=>":
-        vals = [_as_bool(rec(a), "'=>' argument") for a in args]
-        out = vals[-1]
-        for v in reversed(vals[:-1]):  # right-associative
-            out = (not v) or out
-        return out
-    if op in ("=", "distinct"):
-        vals = [rec(a) for a in args]
-        if op == "=":
-            return all(v == vals[0] for v in vals[1:])
-        return all(vals[i] != vals[j] for i in range(len(vals)) for j in range(i + 1, len(vals)))
-    if op in ("<", "<=", ">", ">="):
-        vals = [_as_fraction(rec(a), f"'{op}' argument") for a in args]
-        pairs = zip(vals, vals[1:])
-        if op == "<":
-            return all(a < b for a, b in pairs)
-        if op == "<=":
-            return all(a <= b for a, b in pairs)
-        if op == ">":
-            return all(a > b for a, b in pairs)
-        return all(a >= b for a, b in pairs)
-    if op in ("+", "-", "*"):
-        vals = [_as_fraction(rec(a), f"'{op}' argument") for a in args]
-        if op == "+":
-            return sum(vals, Fraction(0))
-        if op == "*":
-            out = Fraction(1)
-            for v in vals:
-                out *= v
-            return out
-        if len(vals) == 1:
-            return -vals[0]
-        out = vals[0]
-        for v in vals[1:]:
-            out -= v
-        return out
-    if funcs is not None and op in funcs:
-        vals = [_as_fraction(rec(a), f"'{op}' argument") for a in args]
-        return funcs[op](*vals)
-    raise EvalError(f"no interpretation for function symbol '{op}'")
+
+def _meaning(op: str, n_args: int) -> OpMeaning:
+    m = OPS[op]
+    if not m.takes(n_args):
+        raise EvalError(f"'{op}' cannot take {n_args} arguments")
+    return m
+
+
+def _eval_apply(op, args, assignment, div, funcs) -> Value:
+    if op in OPS:
+        check = _CHECK_ARG.get(_meaning(op, len(args)).args)
+    elif funcs is not None and op in funcs:
+        check = _as_fraction
+    else:
+        raise EvalError(f"no interpretation for function symbol '{op}'")
+    vals = [eval_term(a, assignment, div, funcs) for a in args]
+    if check is not None:
+        for v in vals:
+            check(v, f"'{op}' argument")
+    return apply_op(op, vals) if op in OPS else funcs[op](*vals)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +197,82 @@ def check_axiom_samples(
 
 
 # ---------------------------------------------------------------------------
+# Compiling an integer body to a Python function.
+
+_KIND_NAME = {"num": "a rational", "bool": "a Boolean"}
+
+# Operands per statement of a long `+ - * and or`: Python's compiler
+# nests `a + b + c` one level per operand and gives up near 3000.
+_FOLD_CHUNK = 64
+
+
+def compile_int_body(body: Term, variables: Sequence[str]) -> Callable[..., Value]:
+    """Compile a term over Int variables, literals and builtins to a function.
+
+    The function takes one `int` per name in `variables`, in order, and
+    returns what `eval_term` returns at that point.  Its source has one
+    statement per distinct node, shared subterms computed once, and
+    names only the parameters `v0, v1, ...`, temporaries `t0, t1, ...`
+    and `repr`s of literals, so no symbol name reaches the source and
+    no term depth nests in it.  Argument sorts are checked here, once:
+    an ill-sorted node raises EvalError, as the interpreter would at
+    every point.  Division, `ite`, quantifiers and declared functions
+    are not supported.
+    """
+
+    params = {name: f"v{i}" for i, name in enumerate(variables)}
+    seen: dict[int, tuple[str, str]] = {}  # id(node) -> (expression, "num" | "bool")
+    lines: list[str] = []
+    stack: list[tuple[Term, bool]] = [(body, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in seen:
+            continue
+        match node:
+            case Const(value, _) if isinstance(value, bool):
+                seen[id(node)] = (repr(value), "bool")
+            case Const(value, _) if value.denominator == 1:
+                seen[id(node)] = (repr(value.numerator), "num")
+            case Var(name, _):
+                if name not in params:
+                    raise EvalError(f"no value for '{name}' in assignment")
+                seen[id(node)] = (params[name], "num")
+            case Apply(op, args, _) if op in OPS:
+                if not ready:
+                    stack.append((node, True))
+                    stack.extend((a, False) for a in reversed(args))
+                    continue
+                m = _meaning(op, len(args))
+                operands = []
+                for a in args:
+                    expr, kind = seen[id(a)]
+                    if m.args != "any" and kind != m.args:
+                        raise EvalError(f"'{op}' argument: expected {_KIND_NAME[m.args]}")
+                    operands.append(expr)
+                temp = f"t{len(lines)}"
+                if m.shape == "fold" and len(operands) > _FOLD_CHUNK:
+                    lines.append(f"{temp} = {op_source(op, operands[:_FOLD_CHUNK])}")
+                    for i in range(_FOLD_CHUNK, len(operands), _FOLD_CHUNK - 1):
+                        rest = operands[i : i + _FOLD_CHUNK - 1]
+                        lines.append(f"{temp} = {op_source(op, [temp] + rest)}")
+                else:
+                    lines.append(f"{temp} = {op_source(op, operands)}")
+                seen[id(node)] = (temp, m.result)
+            case Apply(op, _, _):
+                raise EvalError(f"no interpretation for function symbol '{op}'")
+            case _:
+                raise EvalError(f"cannot compile into an integer function: {node!r}")
+    source = "".join(
+        [f"def body({', '.join(params.values())}):\n"]
+        + [f"    {line}\n" for line in lines]
+        + [f"    return {seen[id(body)][0]}\n"]
+    )
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(source, "<integer body>", "exec"), namespace)
+    return namespace["body"]
+
+
+# ---------------------------------------------------------------------------
 # Brute-force integer satisfiability inside a box.
 
 
@@ -232,10 +284,12 @@ def brute_force_int_sat(
     Assignments are enumerated in lexicographic order over the variable
     list, each coordinate running from -bound to bound.  Returns None
     when no assignment in the box satisfies the body; raises
-    BudgetExceededError after `budget` assignments.
+    BudgetExceededError after `budget` assignments.  The body is
+    compiled once by `compile_int_body` and called on plain ints.
     """
 
     names = formula.variables
+    holds = compile_int_body(formula.body, names)
     steps = 0
     for combo in product(range(-bound, bound + 1), repeat=len(names)):
         steps += 1
@@ -243,7 +297,6 @@ def brute_force_int_sat(
             raise BudgetExceededError(
                 f"gave up after {budget} assignments (bound {bound}, {len(names)} variables)"
             )
-        assignment = {n: Fraction(v) for n, v in zip(names, combo)}
-        if eval_term(formula.body, assignment) is True:
+        if holds(*combo) is True:
             return dict(zip(names, combo))
     return None

@@ -122,6 +122,9 @@ def _tokenize(text: str) -> list[_Token]:
             end = text.find("|", i + 1)
             if end < 0:
                 raise ParseError("unterminated quoted symbol", loc)
+            backslash = text.find("\\", i + 1, end)
+            if backslash >= 0:  # SMT-LIB 2.6 section 3.1 forbids it
+                raise ParseError("'\\' is not allowed in a quoted symbol", loc_at(backslash))
             tokens.append(_Token("symbol", text[i + 1 : end], loc))
             i = end + 1
         elif c == ":":
@@ -570,7 +573,28 @@ class _ScriptBuilder:
         return Quantifier(head.text, tuple(bound), body, head.loc)
 
 
-def parse_script(text: str) -> Script:
-    """Parse a whole script; raises a ScriptError subclass with a location."""
+def _innermost_form_loc(tb) -> Loc:
+    """Location of the deepest list `_ScriptBuilder._term` was building."""
 
-    return _ScriptBuilder().run(_read_forms(_tokenize(text)))
+    loc = NO_LOC
+    while tb is not None:
+        if tb.tb_frame.f_code is _ScriptBuilder._term.__code__:
+            sx = tb.tb_frame.f_locals.get("sx")
+            if isinstance(sx, SList):
+                loc = sx.loc
+        tb = tb.tb_next
+    return loc
+
+
+def parse_script(text: str) -> Script:
+    """Parse a whole script; raises a ScriptError subclass with a location.
+
+    Terms are built recursively, so nesting deeper than the interpreter's
+    recursion limit allows raises ParseError("nesting too deep").
+    """
+
+    forms = _read_forms(_tokenize(text))
+    try:
+        return _ScriptBuilder().run(forms)
+    except RecursionError as exc:
+        raise ParseError("nesting too deep", _innermost_form_loc(exc.__traceback__)) from None

@@ -7,7 +7,6 @@ All passes are pure: they return new scripts and never mutate input.
 from __future__ import annotations
 
 import dataclasses
-import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +23,9 @@ from .terms import (
     Quantifier,
     Script,
     Sort,
+    OPS,
     Term,
+    apply_op,
     children,
     conj,
     const,
@@ -164,46 +165,14 @@ def fold_term(term: Term) -> Term:
 
     t = map_children(term, fold_term)
     match t:
-        case Apply(op, args, sort) if all(isinstance(a, Const) for a in args):
-            vals = [a.value for a in args]
-            if op in ("+", "-", "*") and not any(isinstance(v, bool) for v in vals):
-                if op == "+":
-                    out = sum(vals, Fraction(0))
-                elif op == "*":
-                    out = Fraction(1)
-                    for v in vals:
-                        out *= v
-                elif len(vals) == 1:
-                    out = -vals[0]
-                else:
-                    out = vals[0]
-                    for v in vals[1:]:
-                        out -= v
-                return Const(out, sort, t.loc)
-            if op in ("<", "<=", ">", ">=") and not any(isinstance(v, bool) for v in vals):
-                cmp = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}[op]
-                return Const(all(cmp(a, b) for a, b in zip(vals, vals[1:])), Sort.BOOL, t.loc)
-            if op == "=":
-                return Const(all(v == vals[0] for v in vals[1:]), Sort.BOOL, t.loc)
-            if op == "distinct":
-                ok = all(
-                    vals[i] != vals[j]
-                    for i in range(len(vals))
-                    for j in range(i + 1, len(vals))
-                )
-                return Const(ok, Sort.BOOL, t.loc)
-            if op == "not":
-                return Const(not vals[0], Sort.BOOL, t.loc)
-            if op == "and":
-                return Const(all(vals), Sort.BOOL, t.loc)
-            if op == "or":
-                return Const(any(vals), Sort.BOOL, t.loc)
-            if op == "=>":
-                out = vals[-1]
-                for v in reversed(vals[:-1]):
-                    out = (not v) or out
-                return Const(out, Sort.BOOL, t.loc)
-            return t
+        case Apply(op, args, sort) if op in OPS and all(isinstance(a, Const) for a in args):
+            meaning = OPS[op]
+            kinds = {"bool" if isinstance(a.value, bool) else "num" for a in args}
+            well_sorted = meaning.args == "any" or kinds == {meaning.args}
+            if not (well_sorted and meaning.takes(len(args))):
+                return t
+            out = apply_op(op, [a.value for a in args])
+            return Const(out, sort if meaning.result == "num" else Sort.BOOL, t.loc)
         case Div(Const(n, _), Const(d, _), sort) if not isinstance(n, bool) and d != 0:
             return Const(n / d, sort, t.loc)
         case Ite(Const(c, _), then, orelse) if isinstance(c, bool):
@@ -261,20 +230,27 @@ def lift_to_uf(script: Script) -> UfLiftResult:
     """Replace every division with a fresh binary function symbol.
 
     The symbol is axiomatized by `division_axiom`, so models may choose
-    any value at zero divisors.  Scripts with no division are returned
+    any value at zero divisors.  Its name avoids every declared and
+    every quantifier-bound name.  Scripts with no division are returned
     untouched with no symbol and no axiom.
     """
 
-    divs = [
-        t for a in script.assertions for t in subterms(a) if isinstance(t, Div)
+    found = [
+        t
+        for a in script.assertions
+        for t in subterms(a)
+        if isinstance(t, (Div, Quantifier))
     ]
+    divs = [t for t in found if isinstance(t, Div)]
     if not divs:
         return UfLiftResult(script, None, None)
     for d in divs:
         if d.sort is not Sort.REAL:
             raise SortError("cannot lift Int-sorted division to a Real function symbol")
 
-    name = fresh_name("udiv", {d.name for d in script.decls})
+    taken = {d.name for d in script.decls}
+    taken.update(n for t in found if isinstance(t, Quantifier) for n, _ in t.bound)
+    name = fresh_name("udiv", taken)
 
     def rewrite(term: Term) -> Term:
         if isinstance(term, Div):

@@ -37,8 +37,8 @@ def scan_directory(root: Path | str) -> dict:
     for path in paths:
         rel = path.relative_to(root).as_posix()
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             records.append({"path": rel, "status": "unreadable", "error": str(exc)})
             continue
         try:

@@ -8,10 +8,13 @@ programmatically or re-parsed from printed output.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import reduce
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SortError
 
@@ -32,6 +35,106 @@ COMPARISON_OPS = frozenset({"<", "<=", ">", ">="})
 EQUALITY_OPS = frozenset({"=", "distinct"})
 CONNECTIVE_OPS = frozenset({"not", "and", "or", "=>"})
 BUILTIN_OPS = ARITH_OPS | COMPARISON_OPS | EQUALITY_OPS | CONNECTIVE_OPS
+
+
+class OpMeaning(NamedTuple):
+    """What a builtin operator computes, in terms of one Python operator.
+
+    `args` is what every argument must be ("num", "bool" or "any") and
+    `result` what the application yields ("num" or "bool").  `infix`
+    combines the arguments according to `shape`:
+
+    - fold: left to right, `a0 + a1 + a2`;
+    - chain: each neighbouring pair, `a0 < a1 < a2`;
+    - pairwise: every pair, `a0 != a1 and a0 != a2 and a1 != a2`;
+    - implies: right-associative implication, `not a0 or not a1 or a2`.
+
+    With exactly one argument, `prefix` (when set) applies instead; an
+    operator with no `infix` takes exactly one argument.
+    """
+
+    args: str
+    result: str
+    shape: str
+    infix: str | None
+    prefix: str | None = None
+
+    def takes(self, n_args: int) -> bool:
+        """Whether an application to `n_args` arguments has a meaning."""
+
+        return n_args >= 1 and (self.infix is not None or n_args == 1)
+
+
+OPS: dict[str, OpMeaning] = {
+    "+": OpMeaning("num", "num", "fold", "+"),
+    "-": OpMeaning("num", "num", "fold", "-", prefix="-"),
+    "*": OpMeaning("num", "num", "fold", "*"),
+    "<": OpMeaning("num", "bool", "chain", "<"),
+    "<=": OpMeaning("num", "bool", "chain", "<="),
+    ">": OpMeaning("num", "bool", "chain", ">"),
+    ">=": OpMeaning("num", "bool", "chain", ">="),
+    "=": OpMeaning("any", "bool", "chain", "=="),
+    "distinct": OpMeaning("any", "bool", "pairwise", "!="),
+    "not": OpMeaning("bool", "bool", "fold", None, prefix="not"),
+    "and": OpMeaning("bool", "bool", "fold", "and"),
+    "or": OpMeaning("bool", "bool", "fold", "or"),
+    "=>": OpMeaning("bool", "bool", "implies", "or"),
+}
+
+_INFIX: dict[str, Callable] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+}
+_PREFIX: dict[str, Callable] = {"-": operator.neg, "not": operator.not_}
+
+
+def apply_op(op: str, values: Sequence) -> object:
+    """Value of builtin `op` applied to argument values, per `OPS`.
+
+    Arguments are not checked against `OPS[op].args`; callers do that
+    in whatever way suits them.
+    """
+
+    m = OPS[op]
+    if len(values) == 1 and m.prefix is not None:
+        return _PREFIX[m.prefix](values[0])
+    f = _INFIX[m.infix]
+    if m.shape == "fold":
+        return reduce(f, values)
+    if m.shape == "chain":
+        return all(f(a, b) for a, b in zip(values, values[1:]))
+    if m.shape == "pairwise":
+        return all(f(a, b) for a, b in combinations(values, 2))
+    return reduce(f, [not v for v in values[:-1]] + [values[-1]])  # implies
+
+
+def op_source(op: str, args: Sequence[str]) -> str:
+    """Python expression for builtin `op` over argument expressions, per `OPS`.
+
+    Mirrors `apply_op`: evaluating the result with each name bound to a
+    value gives what `apply_op` gives on those values.
+    """
+
+    m = OPS[op]
+    if len(args) == 1 and m.prefix is not None:
+        return f"({m.prefix} {args[0]})"
+    if m.shape == "fold":
+        return "(" + f" {m.infix} ".join(args) + ")"
+    if m.shape == "chain":
+        return "(" + f" {m.infix} ".join(args) + ")" if len(args) > 1 else "True"
+    if m.shape == "pairwise":
+        pairs = [f"{a} {m.infix} {b}" for a, b in combinations(args, 2)]
+        return "(" + " and ".join(pairs) + ")" if pairs else "True"
+    return "(" + " or ".join([f"not {a}" for a in args[:-1]] + [args[-1]]) + ")"
 
 
 class Loc(NamedTuple):

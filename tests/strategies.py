@@ -68,3 +68,47 @@ scripts = st.lists(bool_terms, min_size=1, max_size=4).map(
         check_sat=True,
     )
 )
+
+# ---------------------------------------------------------------------------
+# Integer bodies for brute force: Int variables, integer literals and every
+# builtin, with n-ary '-', chained comparisons, 'distinct', '=>' and Bool '='.
+
+INT_POOL = ("a", "b", "c")
+
+_int_base = st.one_of(
+    st.integers(-3, 3).map(lambda n: const(n, Sort.INT)),
+    st.sampled_from([var(name, Sort.INT) for name in INT_POOL]),
+)
+
+
+def _extend_int(children: st.SearchStrategy) -> st.SearchStrategy:
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=4).map(lambda args: add(*args)),
+        st.lists(children, min_size=1, max_size=4).map(lambda args: sub(*args)),
+        st.lists(children, min_size=2, max_size=3).map(lambda args: mul(*args)),
+    )
+
+
+int_terms = st.recursive(_int_base, _extend_int, max_leaves=8)
+
+
+def _nary(op: str, args: st.SearchStrategy, most: int) -> st.SearchStrategy:
+    return st.lists(args, min_size=2, max_size=most).map(
+        lambda items: Apply(op, tuple(items), Sort.BOOL)
+    )
+
+
+_int_atoms = st.one_of(
+    st.booleans().map(const),
+    *(_nary(op, int_terms, 4) for op in ("<", "<=", ">", ">=", "=", "distinct")),
+)
+
+
+def _extend_int_bool(children: st.SearchStrategy) -> st.SearchStrategy:
+    return st.one_of(
+        children.map(neg),
+        *(_nary(op, children, 3) for op in ("and", "or", "=>", "=", "distinct")),
+    )
+
+
+int_bodies = st.recursive(_int_atoms, _extend_int_bool, max_leaves=6)

@@ -66,6 +66,43 @@ def test_classify_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def write_latin1(path):
+    path.write_bytes(b"(declare-fun x () Real)\n; caf\xe9\n(assert (> x 0))\n")
+    return str(path)
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_non_utf8_input_exits_70(tmp_path, capsys):
+    path = write_latin1(tmp_path / "latin1.smt2")
+    assert main(["classify", path]) == 70
+    assert "not UTF-8" in one_line_error(capsys)
+    assert main(["transform", "totalize", path]) == 70
+    assert "not UTF-8" in one_line_error(capsys)
+
+
+def write_nested(path, depth: int) -> str:
+    path.write_text(
+        "(declare-fun x () Real)\n(assert (= x " + "(+ 1 " * depth + "x" + ")" * depth + "))\n"
+    )
+    return str(path)
+
+
+def test_nesting_too_deep_exits_65(tmp_path, capsys):
+    path = write_nested(tmp_path / "deep.smt2", 1000)
+    assert main(["classify", path]) == 65
+    assert "nesting too deep" in one_line_error(capsys)
+    assert main(["transform", "uf-lift", path]) == 65
+    assert "nesting too deep" in one_line_error(capsys)
+    assert main(["scan", str(tmp_path)]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["files"]
+    assert record["status"] == "parse-error" and "nesting too deep" in record["error"]
+
+
 # ---------------------------------------------------------------------------
 # scan
 

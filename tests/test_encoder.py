@@ -134,6 +134,8 @@ def test_int_formula_rejects_real_pieces():
     body = Apply("=", (ivar("x"), const(1)), Sort.BOOL)
     with pytest.raises(EncodeError, match="non-Int literal"):
         IntFormula(("x",), body)
+    with pytest.raises(EncodeError, match="non-Int literal"):
+        IntFormula(("x",), eq(ivar("x"), const(Fraction(1, 2), Sort.INT)))
     with pytest.raises(EncodeError, match="must be Int"):
         IntFormula(("x",), eq(var("x", Sort.REAL), var("x", Sort.REAL)))
 

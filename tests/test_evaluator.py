@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,8 @@ from nradiv import (
     forced_value,
     parse_script,
 )
-from nradiv.terms import Sort, const, eq, mul
+from nradiv.evaluator import compile_int_body
+from nradiv.terms import BUILTIN_OPS, OPS, Apply, Sort, add, const, eq, mul, sub, var
 
 
 def term_of(text: str, decls: str = "(declare-fun a () Real)(declare-fun b () Real)"):
@@ -220,3 +222,105 @@ def test_arithmetic_homomorphism(a, b, rng):
     assert eval_term(add(a, b), assignment, FLOOR) == va + vb
     assert eval_term(sub(a, b), assignment, FLOOR) == va - vb
     assert eval_term(mul(a, b), assignment, FLOOR) == va * vb
+
+
+# ---------------------------------------------------------------------------
+# The compiled integer body against the interpreter.
+
+
+def test_operator_table_covers_every_builtin():
+    assert OPS.keys() == BUILTIN_OPS
+
+
+SMALL_BOX = range(-2, 3)
+
+
+@given(strategies.int_bodies)
+def test_compiled_body_agrees_with_interpreter(body):
+    names = strategies.INT_POOL
+    holds = compile_int_body(body, names)
+    for point in product(SMALL_BOX, repeat=len(names)):
+        want = eval_term(body, {n: Fraction(v) for n, v in zip(names, point)})
+        got = holds(*point)
+        assert type(got) is bool and got == want
+
+
+def reference_brute_force(formula, bound, budget=10_000_000):
+    """The enumeration loop written over the interpreter."""
+
+    names = formula.variables
+    box = product(range(-bound, bound + 1), repeat=len(names))
+    for steps, combo in enumerate(box, start=1):
+        if budget is not None and steps > budget:
+            raise BudgetExceededError(
+                f"gave up after {budget} assignments (bound {bound}, {len(names)} variables)"
+            )
+        if eval_term(formula.body, {n: Fraction(v) for n, v in zip(names, combo)}) is True:
+            return dict(zip(names, combo))
+    return None
+
+
+def outcome(search, *args):
+    try:
+        return "found", search(*args)
+    except BudgetExceededError as exc:
+        return "budget", str(exc)
+
+
+@given(
+    strategies.int_bodies,
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(0, 130)),
+)
+def test_brute_force_matches_reference_loop(body, bound, budget):
+    formula = IntFormula(strategies.INT_POOL, body)
+    assert outcome(brute_force_int_sat, formula, bound, budget) == outcome(
+        reference_brute_force, formula, bound, budget
+    )
+
+
+def test_compiled_body_has_no_depth_limit():
+    a = var("a", Sort.INT)
+    t = a
+    for _ in range(5000):
+        t = add(t, const(1, Sort.INT))
+    holds = compile_int_body(eq(t, const(5003, Sort.INT)), ("a",))
+    assert holds(3) is True and holds(2) is False
+
+
+def test_compiled_body_handles_wide_applications():
+    a = var("a", Sort.INT)
+    wide = eq(sub(*[a] * 5000), mul(a, const(-4998, Sort.INT)))
+    holds = compile_int_body(wide, ("a",))
+    for x in (-2, 0, 3):
+        assert holds(x) is eval_term(wide, {"a": Fraction(x)}) is True
+
+
+def test_compiled_body_shares_repeated_subterms():
+    a = var("a", Sort.INT)
+    t = a
+    for _ in range(60):  # a tree of 2^60 nodes, a DAG of 61
+        t = add(t, t)
+    assert compile_int_body(eq(t, const(0, Sort.INT)), ("a",))(0) is True
+
+
+def test_compiled_body_rejects_what_the_interpreter_rejects():
+    a = var("a", Sort.INT)
+    ill_sorted = eq(Apply("+", (const(True), a), Sort.INT), a)
+    with pytest.raises(EvalError):
+        eval_term(ill_sorted, {"a": Fraction(1)})
+    with pytest.raises(EvalError):
+        compile_int_body(ill_sorted, ("a",))
+    with pytest.raises(EvalError):
+        compile_int_body(eq(a, var("b", Sort.INT)), ("a",))
+
+
+def test_brute_force_symbol_names_never_reach_the_source():
+    formula = int_formula(
+        "(set-logic QF_NIA)(declare-fun |def| () Int)(declare-fun |a b| () Int)"
+        "(declare-fun |__import__| () Int)(declare-fun v0 () Int)"
+        "(assert (and (= (+ |def| |a b|) 3) (< |__import__| v0) (= (* v0 |def|) 2)))"
+    )
+    want = {"def": 1, "a b": 2, "__import__": -3, "v0": 2}
+    assert reference_brute_force(formula, 3) == want
+    assert brute_force_int_sat(formula, 3) == want

@@ -202,6 +202,24 @@ def test_parse_errors(text):
         parse_script(text)
 
 
+def test_backslash_in_quoted_symbol_is_rejected():
+    with pytest.raises(ParseError, match="not allowed in a quoted symbol") as excinfo:
+        parse_script("(declare-fun x () Real)\n(declare-fun |a\\b| () Real)")
+    assert tuple(excinfo.value.loc) == (2, 16)
+
+
+def nested_script(depth: int) -> str:
+    return "(declare-fun x () Real)\n(assert (= x " + "(+ 1 " * depth + "x" + ")" * depth + "))"
+
+
+def test_nesting_too_deep_is_a_located_parse_error():
+    with pytest.raises(ParseError, match="nesting too deep") as excinfo:
+        parse_script(nested_script(1000))
+    line, col = excinfo.value.loc
+    assert line == 2 and col > len("(assert (= x ")
+    assert nested_script(1000)[len("(declare-fun x () Real)\n") + col - 1] == "("
+
+
 def test_unterminated_tokens():
     with pytest.raises(ParseError):
         parse_script('(set-info :note "oops)')

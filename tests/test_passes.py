@@ -265,6 +265,15 @@ def test_lift_avoids_name_collision():
     assert result.div_symbol == "udiv0"
 
 
+def test_lift_avoids_bound_names():
+    s = parse_script(
+        "(declare-fun x () Real)(assert (forall ((udiv Real)) (= (/ udiv x) 1)))"
+    )
+    result = lift_to_uf(s)
+    assert result.div_symbol == "udiv0"
+    assert parse_script(print_script(result.script)) == result.script
+
+
 def test_lift_rejects_int_division():
     body = eq(Div(var("i", Sort.INT), var("j", Sort.INT), Sort.INT), var("i", Sort.INT))
     s = Script(

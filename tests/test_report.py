@@ -93,6 +93,17 @@ def test_unreadable_file_is_recorded(tmp_path):
     assert report["totals"]["parsed"] == 1
 
 
+def test_non_utf8_file_is_recorded(tmp_path):
+    (tmp_path / "latin1.smt2").write_bytes(b"; caf\xe9\n(assert true)\n")
+    (tmp_path / "fine.smt2").write_text("(assert true)")
+    report = scan_directory(tmp_path)
+    by_path = {r["path"]: r for r in report["files"]}
+    assert by_path["latin1.smt2"]["status"] == "unreadable"
+    assert "utf-8" in by_path["latin1.smt2"]["error"]
+    assert by_path["fine.smt2"]["status"] == "ok"
+    assert report["totals"]["failures"] == 1
+
+
 def test_empty_directory(tmp_path):
     report = scan_directory(tmp_path)
     assert report["files"] == []
