@@ -1,4 +1,8 @@
-"""SMT-LIB2 reader: tokenizer, s-expression reader, sort-checking builder.
+"""SMT-LIB2 reader: one-pass scanner and s-expression reader, sort-checking builder.
+
+The reader matches one compiled pattern per token and builds s-expressions
+on an explicit stack, tracking line and column as it goes.  Numerals are
+ASCII digits only (SMT-LIB 2.6 section 3.1); other digits are rejected.
 
 Supported commands: set-logic, set-info, declare-fun, declare-const,
 define-fun, assert, check-sat, exit.  Anything else is preserved
@@ -11,13 +15,12 @@ inlined at each application, so the resulting AST contains neither.
 
 from __future__ import annotations
 
-import string
-from bisect import bisect_right
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError, SortError, UndeclaredSymbolError
-from .printer import format_symbol
+from .printer import SIMPLE_SYMBOL, SIMPLE_SYMBOL_CHARS, format_symbol
 from .terms import (
     BUILTIN_OPS,
     NUMERIC_SORTS,
@@ -38,9 +41,6 @@ from .terms import (
     substitute,
 )
 
-_SIMPLE_START = frozenset(string.ascii_letters + "~!@$%^&*_-+=<>.?/")
-_SIMPLE_CHARS = _SIMPLE_START | frozenset(string.digits)
-
 _RESERVED = frozenset(
     {"true", "false", "ite", "let", "forall", "exists", "as", "par", "_", "!"}
 ) | BUILTIN_OPS | {"/"}
@@ -51,131 +51,120 @@ _KNOWN_UNSUPPORTED_OPS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SAtom:
+class SAtom(NamedTuple):
     kind: str  # "symbol" | "keyword" | "numeral" | "decimal" | "string"
     text: str
     loc: Loc
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple
     loc: Loc
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    loc: Loc
+# One token per match; the name of the group that matched is its kind.
+# The lookaheads keep `12.x` and `"a""` from reading as two tokens: a
+# decimal point must be followed by a digit, and `""` inside a string is an
+# escaped quote, never its end.  Where nothing matches, `_scan_error` says why.
+_TOKEN = re.compile(
+    r"(?P<blank>(?:[ \t\r\n]+|;[^\n]*)+)"
+    r"|(?P<open>\()"
+    r"|(?P<close>\))"
+    rf"|(?P<symbol>{SIMPLE_SYMBOL.pattern})"
+    r"|(?P<decimal>[0-9]+\.[0-9]+)"
+    r"|(?P<numeral>[0-9]+)(?![.0-9])"
+    r"|\|(?P<quoted>[^|\\]*)\|"
+    rf"|:(?P<keyword>[{SIMPLE_SYMBOL_CHARS}]+)"
+    r'|"(?P<string>[^"]*(?:""[^"]*)*)"(?!")'
+)
 
 
-def _line_starts(text: str) -> list[int]:
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
+def _loc_at(text: str, pos: int) -> Loc:
+    return Loc(text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    starts = _line_starts(text)
+def _scan_error(text: str, pos: int) -> ParseError:
+    """The error for a position at which no token starts."""
 
-    def loc_at(pos: int) -> Loc:
-        line = bisect_right(starts, pos)
-        return Loc(line, pos - starts[line - 1] + 1)
-
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        loc = loc_at(i)
-        if c in "()":
-            tokens.append(_Token(c, c, loc))
-            i += 1
-        elif c == '"':
-            i += 1
-            chunk: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string literal", loc)
-                if text[i] == '"':
-                    if i + 1 < n and text[i + 1] == '"':  # "" escapes a quote
-                        chunk.append('"')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                chunk.append(text[i])
-                i += 1
-            tokens.append(_Token("string", "".join(chunk), loc))
-        elif c == "|":
-            end = text.find("|", i + 1)
-            if end < 0:
-                raise ParseError("unterminated quoted symbol", loc)
-            backslash = text.find("\\", i + 1, end)
-            if backslash >= 0:  # SMT-LIB 2.6 section 3.1 forbids it
-                raise ParseError("'\\' is not allowed in a quoted symbol", loc_at(backslash))
-            tokens.append(_Token("symbol", text[i + 1 : end], loc))
-            i = end + 1
-        elif c == ":":
-            j = i + 1
-            while j < n and text[j] in _SIMPLE_CHARS:
-                j += 1
-            if j == i + 1:
-                raise ParseError("malformed keyword", loc)
-            tokens.append(_Token("keyword", text[i + 1 : j], loc))
-            i = j
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("malformed decimal literal", loc)
-                tokens.append(_Token("decimal", text[i:k], loc))
-                i = k
-            else:
-                tokens.append(_Token("numeral", text[i:j], loc))
-                i = j
-        elif c in _SIMPLE_START:
-            j = i
-            while j < n and text[j] in _SIMPLE_CHARS:
-                j += 1
-            tokens.append(_Token("symbol", text[i:j], loc))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", loc)
-    return tokens
+    c = text[pos]
+    if c == '"':
+        message = "unterminated string literal"
+    elif c == "|":
+        end = text.find("|", pos + 1)
+        if end < 0:
+            message = "unterminated quoted symbol"
+        else:  # SMT-LIB 2.6 section 3.1 forbids it
+            message = "'\\' is not allowed in a quoted symbol"
+            pos = text.find("\\", pos + 1, end)
+    elif c == ":":
+        message = "malformed keyword"
+    elif c in "0123456789":
+        message = "malformed decimal literal"
+    else:
+        message = f"unexpected character {c!r}"
+    return ParseError(message, _loc_at(text, pos))
 
 
-def _read_forms(tokens: list[_Token]) -> list[SAtom | SList]:
+def _first_scan_error(text: str, pos: int) -> ParseError | None:
+    """The first lexical error at or after `pos`, if any."""
+
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            return _scan_error(text, pos)
+        pos = m.end()
+    return None
+
+
+def _read(text: str) -> list[SAtom | SList]:
+    """Scan and read `text` into top-level s-expressions in one pass.
+
+    A lexical error anywhere in the text is reported before an unbalanced
+    bracket, as if the whole text had been tokenized first.
+    """
+
     forms: list[SAtom | SList] = []
-    stack: list[tuple[list, Loc]] = []
-    for tok in tokens:
-        if tok.kind == "(":
-            stack.append(([], tok.loc))
-        elif tok.kind == ")":
+    items = forms
+    stack: list[tuple[list, Loc]] = []  # (enclosing items, loc of the open list)
+    line, line_start = 1, 0
+    pos, size = 0, len(text)
+    match = _TOKEN.match
+    while pos < size:
+        m = match(text, pos)
+        if m is None:
+            raise _scan_error(text, pos)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "blank":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, end) + 1
+        elif kind == "open":
+            stack.append((items, Loc(line, pos - line_start + 1)))
+            items = []
+        elif kind == "close":
             if not stack:
-                raise ParseError("unmatched ')'", tok.loc)
-            items, loc = stack.pop()
-            form = SList(tuple(items), loc)
-            (stack[-1][0] if stack else forms).append(form)
+                raise _first_scan_error(text, end) or ParseError(
+                    "unmatched ')'", Loc(line, pos - line_start + 1)
+                )
+            outer, loc = stack.pop()
+            outer.append(SList(tuple(items), loc))
+            items = outer
+        elif kind == "quoted" or kind == "string":  # may span lines
+            atom = m.group(kind)
+            loc = Loc(line, pos - line_start + 1)
+            if kind == "quoted":
+                items.append(SAtom("symbol", atom, loc))
+            else:
+                items.append(SAtom("string", atom.replace('""', '"'), loc))
+            newlines = atom.count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, end) + 1
         else:
-            atom = SAtom(tok.kind, tok.text, tok.loc)
-            (stack[-1][0] if stack else forms).append(atom)
+            items.append(SAtom(kind, m.group(kind), Loc(line, pos - line_start + 1)))
+        pos = end
     if stack:
         raise ParseError("unbalanced '(': input ended inside a list", stack[-1][1])
     return forms
@@ -232,6 +221,7 @@ class _ScriptBuilder:
         self.unsupported: list[Unsupported] = []
         self.check_sat = False
         self.exit_cmd = False
+        self.numbers: dict[str, Fraction] = {}  # literal text -> value
 
     # -- commands ----------------------------------------------------------
 
@@ -381,11 +371,17 @@ class _ScriptBuilder:
             raise ParseError(f"cannot apply {head.kind} '{head.text}'", head.loc)
         return self._application(head, sx.items[1:], scopes)
 
+    def _number(self, text: str) -> Fraction:
+        value = self.numbers.get(text)
+        if value is None:
+            value = self.numbers[text] = Fraction(text)
+        return value
+
     def _atom_term(self, sx: SAtom, scopes) -> Term:
         if sx.kind == "numeral":
-            return Const(Fraction(int(sx.text)), _numeral_sort(self.logic), sx.loc)
+            return Const(self._number(sx.text), _numeral_sort(self.logic), sx.loc)
         if sx.kind == "decimal":
-            return Const(Fraction(sx.text), Sort.REAL, sx.loc)
+            return Const(self._number(sx.text), Sort.REAL, sx.loc)
         if sx.kind != "symbol":
             raise ParseError(f"unexpected {sx.kind} in term position", sx.loc)
         name = sx.text
@@ -409,12 +405,12 @@ class _ScriptBuilder:
         raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.loc)
 
     def _built_args(self, items, scopes) -> tuple[Term, ...]:
-        return tuple(self._term(x, scopes) for x in items)
+        return tuple([self._term(x, scopes) for x in items])
 
     def _require_numeric(self, op: str, args: tuple[Term, ...], items) -> Sort:
-        sorts = {a.sort for a in args}
-        if len(sorts) == 1 and sorts <= NUMERIC_SORTS:
-            return args[0].sort
+        s0 = args[0].sort
+        if (s0 is Sort.REAL or s0 is Sort.INT) and all(a.sort is s0 for a in args):
+            return s0
         for a, sx in zip(args, items):
             if a.sort not in NUMERIC_SORTS:
                 raise SortError(f"'{op}' expects numeric arguments, got {a.sort}", sx.loc)
@@ -589,11 +585,13 @@ def _innermost_form_loc(tb) -> Loc:
 def parse_script(text: str) -> Script:
     """Parse a whole script; raises a ScriptError subclass with a location.
 
-    Terms are built recursively, so nesting deeper than the interpreter's
+    The text is first read into s-expressions in one iterative pass, so
+    lexical and bracket errors come before any sort or scope error.  Terms
+    are then built recursively, so nesting deeper than the interpreter's
     recursion limit allows raises ParseError("nesting too deep").
     """
 
-    forms = _read_forms(_tokenize(text))
+    forms = _read(text)
     try:
         return _ScriptBuilder().run(forms)
     except RecursionError as exc:

@@ -11,7 +11,7 @@ is exact; only hand-built terms can hit the caveat.
 
 from __future__ import annotations
 
-import string
+import re
 from fractions import Fraction
 
 from .terms import (
@@ -27,16 +27,16 @@ from .terms import (
     Var,
 )
 
-_SIMPLE_START = frozenset(string.ascii_letters + "~!@$%^&*_-+=<>.?/")
-_SIMPLE_CHARS = _SIMPLE_START | frozenset(string.digits)
+# SMT-LIB 2.6 section 3.1: a simple symbol is a non-empty run of ASCII
+# letters, digits and ~!@$%^&*_-+=<>.?/ that does not start with a digit.
+# The parser's scanner builds its symbol and keyword patterns from these.
+_SIMPLE_START = r"a-zA-Z~!@$%^&*_\-+=<>.?/"
+SIMPLE_SYMBOL_CHARS = _SIMPLE_START + "0-9"
+SIMPLE_SYMBOL = re.compile(f"[{_SIMPLE_START}][{SIMPLE_SYMBOL_CHARS}]*")
 
 
 def is_simple_symbol(name: str) -> bool:
-    return (
-        bool(name)
-        and name[0] in _SIMPLE_START
-        and all(c in _SIMPLE_CHARS for c in name)
-    )
+    return SIMPLE_SYMBOL.fullmatch(name) is not None
 
 
 def format_symbol(name: str) -> str:

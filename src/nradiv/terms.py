@@ -381,16 +381,29 @@ def count_nodes(term: Term) -> int:
 
 
 def free_vars(term: Term) -> frozenset[str]:
-    match term:
-        case Var(name, _):
-            return frozenset({name})
-        case Quantifier(_, bound, body):
-            return free_vars(body) - {name for name, _ in bound}
-        case _:
-            out: frozenset[str] = frozenset()
-            for c in children(term):
-                out |= free_vars(c)
-            return out
+    """Names occurring free in `term`; iterative, each shared node visited once."""
+
+    memo: dict[int, frozenset[str]] = {}
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        kids = children(node)
+        pending = [c for c in kids if id(c) not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if isinstance(node, Var):
+            out = frozenset({node.name})
+        else:
+            out = frozenset().union(*(memo[id(c)] for c in kids))
+            if isinstance(node, Quantifier):
+                out -= {name for name, _ in node.bound}
+        memo[id(node)] = out
+    return memo[id(term)]
 
 
 def substitute(term: Term, mapping: dict[str, Term]) -> Term:

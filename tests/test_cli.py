@@ -103,6 +103,15 @@ def test_nesting_too_deep_exits_65(tmp_path, capsys):
     assert record["status"] == "parse-error" and "nesting too deep" in record["error"]
 
 
+def test_non_ascii_digit_exits_65(tmp_path, capsys):
+    path = tmp_path / "digit.smt2"
+    path.write_text("(declare-fun x () Real)(assert (= x \u00b2))", encoding="utf-8")
+    assert main(["classify", str(path)]) == 65
+    assert "unexpected character" in one_line_error(capsys)
+    assert main(["transform", "totalize", str(path)]) == 65
+    assert "unexpected character" in one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # scan
 

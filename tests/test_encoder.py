@@ -18,7 +18,7 @@ from nradiv import (
     replace_uf_with_div0,
 )
 from nradiv.encoder import DIV_BY_ZERO_MARKER
-from nradiv.terms import Apply, Const, Div, Ite, const, eq, var
+from nradiv.terms import Apply, Const, Div, Ite, add, const, eq, free_vars, var
 
 
 def ivar(name: str):
@@ -149,6 +149,27 @@ def test_int_formula_rejects_division_ite_quantifiers():
     quantified = parse_script("(assert (forall ((q Real)) (= q q)))").assertions[0]
     with pytest.raises(EncodeError, match="not allowed"):
         IntFormula((), quantified)
+
+
+def test_int_formula_accepts_deep_bodies():
+    t = ivar("x")
+    for _ in range(5000):
+        t = add(t, iconst(1))
+    formula = IntFormula(("x",), eq(t, iconst(5000)))
+    assert free_vars(formula.body) == frozenset({"x"})
+    with pytest.raises(EncodeError, match="free variables not listed: \\['x'\\]"):
+        IntFormula((), formula.body)
+
+
+def test_free_vars_subtracts_bound_names_only_below_their_binder():
+    script = parse_script(
+        "(declare-fun x () Real)(declare-fun y () Real)"
+        "(assert (and (forall ((x Real)) (= x y)) (exists ((y Real)) (= x y)) (= x x)))"
+    )
+    forall, exists, _ = script.assertions[0].args
+    assert free_vars(forall) == frozenset({"y"})
+    assert free_vars(exists) == frozenset({"x"})
+    assert free_vars(script.assertions[0]) == frozenset({"x", "y"})
 
 
 def test_int_formula_rejects_function_calls():

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import strategies
 from nradiv import (
     Apply,
     Const,
@@ -15,7 +18,10 @@ from nradiv import (
     Var,
     free_vars,
     parse_script,
+    print_script,
 )
+from nradiv.printer import format_rational, format_symbol
+from nradiv.terms import subterms
 
 
 def first_assertion(text: str):
@@ -283,3 +289,107 @@ def test_locations_are_ignored_by_equality():
     b = parse_script("(declare-fun x () Real)\n\n(assert\n  (< x 1))")
     assert a == b
     assert hash(a.assertions[0]) == hash(b.assertions[0])
+
+
+# ---------------------------------------------------------------------------
+# Scanner contract: error messages and locations, and atom locations after
+# constructs that span lines or skip text.
+
+
+@pytest.mark.parametrize(
+    "text, message, where",
+    [
+        ('(set-info :note\n  "oops)', "unterminated string literal", (2, 3)),
+        ('(set-info :a "x"")\n(check-sat)', "unterminated string literal", (1, 14)),
+        ("(assert\n (= |x 1))", "unterminated quoted symbol", (2, 5)),
+        ("(assert (= |x| 1))\n|a\nb\\c|", "'\\' is not allowed in a quoted symbol", (3, 2)),
+        ("(set-info : x)", "malformed keyword", (1, 11)),
+        ("(set-info :(x))", "malformed keyword", (1, 11)),
+        ("(declare-fun x () Real)\n(assert (= x 1.))", "malformed decimal literal", (2, 14)),
+        ("(assert (< 12.x 1))", "malformed decimal literal", (1, 12)),
+        ("(assert #t)", "unexpected character '#'", (1, 9)),
+        ("(assert\r\n\t{})", "unexpected character '{'", (2, 2)),
+        ("(check-sat)\n (check-sat))", "unmatched ')'", (2, 13)),
+        ("(assert (and\n  (= 1 1)", "unbalanced '(': input ended inside a list", (1, 9)),
+        ("(assert (and (= 1 1)", "unbalanced '(': input ended inside a list", (1, 9)),
+        # every lexical error in the file is reported before any bracket error
+        (") #", "unexpected character '#'", (1, 3)),
+        ('(check-sat))\n"oops', "unterminated string literal", (2, 1)),
+        ("(assert (= 1 1)\n:", "malformed keyword", (2, 1)),
+    ],
+)
+def test_scanner_error_message_and_location(text, message, where):
+    with pytest.raises(ParseError) as excinfo:
+        parse_script(text)
+    assert str(excinfo.value) == f"{message} (line {where[0]}, column {where[1]})"
+
+
+def loc_of(text: str, index: int) -> tuple[int, int]:
+    line_start = text.rfind("\n", 0, index) + 1
+    return (text.count("\n", 0, index) + 1, index - line_start + 1)
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        "(declare-fun |multi\nline\n name| () Real)\n",
+        '(set-info :source "one ""two""\nthree ""\n"" four")\n',
+        "; a comment (with a paren\n  ;; and another\n",
+        "(set-logic QF_NRA)\r\n\r\n",
+    ],
+)
+def test_atom_locations_after_multiline_constructs(prefix):
+    text = prefix + "(declare-fun x () Real)\r\n  (assert\n\t(< x 1.5))\r\n"
+    script = parse_script(text)
+    (decl,) = [d for d in script.decls if d.name == "x"]
+    assert tuple(decl.loc) == loc_of(text, text.index("x () Real"))
+    (lt,) = script.assertions
+    assert tuple(lt.loc) == loc_of(text, text.index("< x"))
+    assert tuple(lt.args[0].loc) == loc_of(text, text.index("x 1.5"))
+    assert tuple(lt.args[1].loc) == loc_of(text, text.index("1.5"))
+
+
+def test_escaped_quotes_in_strings_survive():
+    script = parse_script('(set-info :source "one ""two""\nthree")')
+    assert script.metadata == (("source", '"one ""two""\nthree"'),)
+
+
+@pytest.mark.parametrize("digit", ["²", "٣", "１"])
+def test_non_ascii_digits_are_unexpected_characters(digit):
+    text = f"(declare-fun x () Real)\n(assert (= x {digit}))"
+    with pytest.raises(ParseError) as excinfo:
+        parse_script(text)
+    assert str(excinfo.value) == f"unexpected character {digit!r} (line 2, column 14)"
+
+
+@pytest.mark.parametrize(
+    "number, message",
+    [("1²", "unexpected character '²' (line 1, column 15)"), ("1.٣", "malformed decimal literal (line 1, column 14)")],
+)
+def test_non_ascii_digit_does_not_extend_a_number(number, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_script(f"(assert (= x {number}))")
+    assert str(excinfo.value) == message
+
+
+_SEPARATORS = st.lists(st.sampled_from([" ", "\n", "\r\n", "\t ", " ; note (\n", "\n\n  "]), min_size=1)
+
+
+@given(strategies.scripts, _SEPARATORS)
+def test_node_locations_point_at_their_source(script, separators):
+    words = print_script(script).split(" ")
+    text = words[0] + "".join(separators[i % len(separators)] + w for i, w in enumerate(words[1:]))
+    lines = text.split("\n")
+    for assertion in parse_script(text).assertions:
+        for node in subterms(assertion):
+            if isinstance(node, Var):
+                expected = format_symbol(node.name)
+            elif isinstance(node, Apply):
+                expected = format_symbol(node.op)
+            elif isinstance(node, Const):
+                value = node.value
+                expected = str(value).lower() if isinstance(value, bool) else format_rational(abs(value))
+            else:
+                continue
+            line, col = node.loc
+            assert lines[line - 1][col - 1 :].startswith(expected)

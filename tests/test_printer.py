@@ -1,13 +1,17 @@
 from fractions import Fraction
 
+import string
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import strategies
 from conftest import CORPUS_EXPECTED
 from nradiv import (
     Const,
     Div,
+    ParseError,
     Sort,
     division_axiom,
     format_rational,
@@ -15,6 +19,8 @@ from nradiv import (
     parse_script,
     print_script,
 )
+from nradiv.parser import _read
+from nradiv.printer import is_simple_symbol
 
 DIVISION_AXIOM_TEXT = (
     "(forall ((x Real) (y Real)) (=> (not (= y 0)) (= x (* (/ x y) y))))"
@@ -105,3 +111,18 @@ def test_round_trip_random_scripts(script):
 def test_decimal_friendly_rationals_round_trip(value):
     text = f"(declare-fun x () Real)(assert (= x {format_rational(value)}))"
     assert parse_script(text).assertions[0].args[1] == Const(value, Sort.REAL)
+
+
+@given(st.text(st.sampled_from(string.printable + "\u00b2\u0663\u00e9"), max_size=8))
+@example("x")
+@example("~!@$%^&*_-+=<>.?/09")
+@example("0x")
+@example("|x|")
+@example("x\n")
+@example("x\u00b2")
+def test_simple_symbol_is_what_the_scanner_reads_as_one_symbol(name):
+    try:
+        read = [(sx.kind, sx.text) for sx in _read(name)]
+    except ParseError:
+        read = None
+    assert is_simple_symbol(name) == (read == [("symbol", name)])

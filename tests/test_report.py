@@ -104,6 +104,19 @@ def test_non_utf8_file_is_recorded(tmp_path):
     assert report["totals"]["failures"] == 1
 
 
+def test_non_ascii_digit_is_a_parse_error_and_scan_continues(tmp_path):
+    (tmp_path / "a.smt2").write_text("(declare-fun x () Real)(assert (= x \u00b2))", encoding="utf-8")
+    (tmp_path / "b.smt2").write_text("(declare-fun x () Real)(assert (= x \u0663))", encoding="utf-8")
+    (tmp_path / "c.smt2").write_text("(assert true)")
+    report = scan_directory(tmp_path)
+    by_path = {r["path"]: r for r in report["files"]}
+    for name in ("a.smt2", "b.smt2"):
+        assert by_path[name]["status"] == "parse-error"
+        assert "unexpected character" in by_path[name]["error"]
+    assert by_path["c.smt2"]["status"] == "ok"
+    assert report["totals"]["failures"] == 2
+
+
 def test_empty_directory(tmp_path):
     report = scan_directory(tmp_path)
     assert report["files"] == []
