@@ -18,6 +18,7 @@ from .analyzer import (
     classify_divisor,
     classify_script,
     collect_divisions,
+    count_divisions,
     fold_literal,
 )
 from .encoder import (

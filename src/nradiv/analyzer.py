@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add
 
 from .terms import (
     ARITH_OPS,
@@ -23,6 +24,7 @@ from .terms import (
     Term,
     apply_op,
     children,
+    dag_fold,
 )
 
 
@@ -66,6 +68,30 @@ class FragmentVerdict:
     occurrences: tuple[DivOccurrence, ...]
 
 
+def _literal_parts(term: Term) -> tuple[Term, ...]:
+    if type(term) is Apply and term.op in ARITH_OPS:
+        return term.args
+    if type(term) is Div:
+        return (term.num, term.den)
+    return ()
+
+
+def _literal_value(term: Term, values: list) -> Fraction | None:
+    t = type(term)
+    if t is Const:
+        return None if isinstance(term.value, bool) else term.value
+    if t is Apply and term.op in ARITH_OPS and values:
+        if any(v is None for v in values):
+            return None
+        return apply_op(term.op, values)
+    if t is Div:
+        n, d = values
+        if n is None or d is None or d == 0:
+            return None
+        return n / d
+    return None
+
+
 def fold_literal(term: Term) -> Fraction | None:
     """Value of a term built from numeric literals and +, -, *, /.
 
@@ -73,22 +99,7 @@ def fold_literal(term: Term) -> Fraction | None:
     zero: such a node has no standard value to fold to.
     """
 
-    match term:
-        case Const(value, _) if not isinstance(value, bool):
-            return value
-        case Apply(op, args, _) if op in ARITH_OPS and args:
-            vals = [fold_literal(a) for a in args]
-            if any(v is None for v in vals):
-                return None
-            return apply_op(op, vals)
-        case Div(num, den):
-            n = fold_literal(num)
-            d = fold_literal(den)
-            if n is None or d is None or d == 0:
-                return None
-            return n / d
-        case _:
-            return None
+    return dag_fold(term, _literal_value, _literal_parts)
 
 
 def classify_divisor(divisor: Term) -> DivisorClass:
@@ -101,20 +112,63 @@ def classify_divisor(divisor: Term) -> DivisorClass:
 
 
 def collect_divisions(script: Script) -> list[DivOccurrence]:
-    """Every division node in assertion order, pre-order within a term."""
+    """Every division occurrence in assertion order, pre-order within a term.
+
+    A division reached by several paths is listed once per path; each
+    distinct divisor node is classified once.
+    """
 
     out: list[DivOccurrence] = []
-
-    def walk(term: Term, path: tuple[int, ...], under: bool) -> None:
-        if isinstance(term, Div):
-            out.append(DivOccurrence(path, classify_divisor(term.den), term.loc, under))
-        inside = under or isinstance(term, Quantifier)
-        for i, child in enumerate(children(term)):
-            walk(child, path + (i,), inside)
-
+    classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
     for i, assertion in enumerate(script.assertions):
-        walk(assertion, (i,), False)
+        stack = [(assertion, (i,), False)]
+        while stack:
+            term, path, under = stack.pop()
+            if type(term) is Div:
+                cls = classes.get(id(term.den))
+                if cls is None:
+                    cls = classes[id(term.den)] = classify_divisor(term.den)
+                out.append(DivOccurrence(path, cls, term.loc, under))
+            inside = under or type(term) is Quantifier
+            kids = children(term)
+            for j in range(len(kids) - 1, -1, -1):
+                stack.append((kids[j], path + (j,), inside))
     return out
+
+
+def count_divisions(script: Script, memo: dict | None = None) -> dict[DivisorKind, int]:
+    """Division occurrences per divisor class, as `collect_divisions`
+    would list them, without listing them: each distinct node is visited
+    once and a shared division counts once per path.  A `memo` passed to
+    several calls reuses the counts of the nodes their scripts share."""
+
+    kinds = tuple(DivisorKind)
+    none = (0,) * len(kinds)
+    one = {k: tuple(int(k is other) for other in kinds) for k in kinds}
+
+    def tally(node: Term, below: list[tuple[int, ...]]) -> tuple[int, ...]:
+        total = one[classify_divisor(node.den).kind] if type(node) is Div else none
+        for counts in below:
+            if counts is not none:
+                total = tuple(map(add, total, counts))
+        return total
+
+    if memo is None:
+        memo = {}
+    totals = none
+    for assertion in script.assertions:
+        totals = tuple(map(add, totals, dag_fold(assertion, tally, memo=memo)))
+    return dict(zip(kinds, totals))
+
+
+def fragment_label(counts: dict[DivisorKind, int]) -> FragmentLabel:
+    """The fragment of a script with these division counts per class."""
+
+    if not any(counts.values()):
+        return FragmentLabel.POLYNOMIAL_ONLY
+    if counts[DivisorKind.CONSTANT_NONZERO] == sum(counts.values()):
+        return FragmentLabel.CONSTANT_DIVISION_ONLY
+    return FragmentLabel.NON_CONSTANT_DIVISION
 
 
 def classify_script(script: Script) -> FragmentVerdict:
@@ -126,12 +180,7 @@ def classify_script(script: Script) -> FragmentVerdict:
     """
 
     occurrences = tuple(collect_divisions(script))
-    if not occurrences:
-        label = FragmentLabel.POLYNOMIAL_ONLY
-    elif all(
-        o.divisor_class.kind is DivisorKind.CONSTANT_NONZERO for o in occurrences
-    ):
-        label = FragmentLabel.CONSTANT_DIVISION_ONLY
-    else:
-        label = FragmentLabel.NON_CONSTANT_DIVISION
-    return FragmentVerdict(label, occurrences)
+    counts = dict.fromkeys(DivisorKind, 0)
+    for o in occurrences:
+        counts[o.divisor_class.kind] += 1
+    return FragmentVerdict(fragment_label(counts), occurrences)

@@ -14,7 +14,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .analyzer import DivisorKind, FragmentLabel, classify_script, collect_divisions
+# `collect_divisions` is not called here, but perfbench's tracer patches it
+# on this module by name, so it stays importable from it.
+from .analyzer import (
+    DivisorKind,
+    FragmentLabel,
+    classify_script,
+    collect_divisions,  # noqa: F401
+    count_divisions,
+)
 from .encoder import IntFormula, encode_integer_formula, encode_via_div0
 from .errors import NradivError, ScriptError
 from .evaluator import brute_force_int_sat
@@ -95,12 +103,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count_divisions(script: Script) -> int:
-    return len(collect_divisions(script))
+def _count_divisions(script: Script, memo: dict) -> int:
+    return sum(count_divisions(script, memo).values())
 
 
-def _script_nodes(script: Script) -> int:
-    return sum(count_nodes(a) for a in script.assertions)
+def _script_nodes(script: Script, memo: dict) -> int:
+    return sum(count_nodes(a, memo) for a in script.assertions)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -139,9 +147,15 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 notes.append(f"integer witness within {args.bound}: {rendered}")
 
     _write_output(print_script(out_script), args.output)
+    # The output keeps the input's unchanged subterms, so each count's memo
+    # serves both scripts.
+    sizes: dict = {}
+    divisions: dict = {}
     summary = (
-        f"[{args.transform_pass}] nodes {_script_nodes(script)} -> {_script_nodes(out_script)}; "
-        f"divisions {_count_divisions(script)} -> {_count_divisions(out_script)}"
+        f"[{args.transform_pass}] nodes {_script_nodes(script, sizes)} -> "
+        f"{_script_nodes(out_script, sizes)}; "
+        f"divisions {_count_divisions(script, divisions)} -> "
+        f"{_count_divisions(out_script, divisions)}"
     )
     for note in notes:
         summary += f"; {note}"

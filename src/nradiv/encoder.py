@@ -36,6 +36,9 @@ from .terms import (
     add,
     conj,
     const,
+    dag_fold,
+    dag_rewrite,
+    distinct_subterms,
     eq,
     forall,
     free_vars,
@@ -44,8 +47,6 @@ from .terms import (
     is_quantifier_free,
     le,
     lt,
-    map_children,
-    subterms,
     var,
 )
 
@@ -83,7 +84,7 @@ class IntFormula:
         loose = free_vars(self.body) - names
         if loose:
             raise EncodeError(f"free variables not listed: {sorted(loose)}")
-        for t in subterms(self.body):
+        for t in distinct_subterms(self.body):
             match t:
                 case Const(value, sort):
                     if not isinstance(value, bool) and (
@@ -154,21 +155,27 @@ class EncodedProblem:
     mode: EncodeMode
 
 
+def _int_body_parts(term: Term) -> tuple[Term, ...]:
+    if type(term) is Apply:
+        return term.args
+    if type(term) is Const or type(term) is Var:
+        return ()
+    raise EncodeError(f"construct not allowed in an integer body: {format_term(term)}")
+
+
+def _resorted(term: Term, args: list[Term]) -> Term:
+    if type(term) is Const:
+        return term if isinstance(term.value, bool) else Const(term.value, Sort.REAL, term.loc)
+    if type(term) is Var:
+        return Var(term.name, Sort.REAL, term.loc)
+    sort = Sort.REAL if term.op in ARITH_OPS else Sort.BOOL
+    return Apply(term.op, tuple(args), sort, term.loc)
+
+
 def _resort_real(term: Term) -> Term:
     """Rebuild an integer body with every numeric piece sorted Real."""
 
-    match term:
-        case Const(value, sort):
-            if isinstance(value, bool):
-                return term
-            return Const(value, Sort.REAL, term.loc)
-        case Var(name, _):
-            return Var(name, Sort.REAL, term.loc)
-        case Apply(op, args, _):
-            new_args = tuple(_resort_real(a) for a in args)
-            sort = Sort.REAL if op in ARITH_OPS else Sort.BOOL
-            return Apply(op, new_args, sort, term.loc)
-    raise EncodeError(f"construct not allowed in an integer body: {format_term(term)}")
+    return dag_fold(term, _resorted, _int_body_parts)
 
 
 def _encode(formula: IntFormula, mode: EncodeMode) -> EncodedProblem:
@@ -217,11 +224,12 @@ def replace_uf_with_div0(term: Term, f_name: str) -> Term:
     assertions exactly; tests use it to pin the two modes together.
     """
 
-    match term:
-        case Apply(op, (arg,), _) if op == f_name:
-            return Div(replace_uf_with_div0(arg, f_name), const(0), Sort.REAL, term.loc)
-        case _:
-            return map_children(term, lambda c: replace_uf_with_div0(c, f_name))
+    def spell(t: Term) -> Term:
+        if type(t) is Apply and t.op == f_name and len(t.args) == 1:
+            return Div(t.args[0], const(0), Sort.REAL, t.loc)
+        return t
+
+    return dag_rewrite(term, spell)
 
 
 def _uf_name(problem: EncodedProblem) -> str | None:

@@ -13,11 +13,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetExceededError, EvalError
-from .terms import OPS, Apply, Const, Div, Ite, OpMeaning, Quantifier, Term, Var, apply_op, op_source
+from .terms import (
+    AGAIN,
+    OPS,
+    Apply,
+    Const,
+    Div,
+    Ite,
+    OpMeaning,
+    Quantifier,
+    Term,
+    Var,
+    apply_op,
+    dag_fold,
+    op_source,
+)
 
 if TYPE_CHECKING:  # import only for annotations; encoder imports us at runtime
     from .encoder import IntFormula
@@ -81,6 +95,9 @@ def _as_bool(value: Value, context: str) -> bool:
     return value
 
 
+_UNKNOWN = object()
+
+
 def eval_term(
     term: Term,
     assignment: Assignment,
@@ -92,33 +109,69 @@ def eval_term(
     `funcs` supplies meanings for declared non-nullary function symbols;
     `div` is consulted only at zero divisors.  `ite` evaluates a single
     branch, so a division in the untaken branch is never touched; every
-    other node evaluates all of its arguments.  This is the reference
-    interpreter: `compile_int_body` must agree with it.
+    other node evaluates all of its arguments, a divisor before its
+    numerator.  A shared node is evaluated once per call.  This is the
+    reference interpreter: `compile_int_body` must agree with it.
     """
 
-    match term:
-        case Const(value, _):
-            return value
-        case Var(name, _):
-            if name not in assignment:
-                raise EvalError(f"no value for '{name}' in assignment")
-            return assignment[name]
-        case Div(num, den):
-            d = _as_fraction(eval_term(den, assignment, div, funcs), "divisor")
-            n = _as_fraction(eval_term(num, assignment, div, funcs), "numerator")
-            return div.at_zero(n) if d == 0 else n / d
-        case Ite(cond, then, orelse):
-            c = _as_bool(eval_term(cond, assignment, div, funcs), "ite condition")
-            branch = then if c else orelse
-            return eval_term(branch, assignment, div, funcs)
-        case Quantifier():
+    values: dict[int, Value] = {}
+
+    def needs(node: Term) -> tuple[Term, ...]:
+        """The children to evaluate next; checks that need no argument
+        values, and divisor and condition values, are made here."""
+
+        t = type(node)
+        if t is Apply:
+            if node.op in OPS:
+                _meaning(node.op, len(node.args))
+            elif funcs is None or node.op not in funcs:
+                raise EvalError(f"no interpretation for function symbol '{node.op}'")
+            return node.args
+        if t is Div:
+            d = values.get(id(node.den), _UNKNOWN)
+            if d is _UNKNOWN:
+                return (node.den,)
+            _as_fraction(d, "divisor")
+            return (node.den, node.num)
+        if t is Ite:
+            c = values.get(id(node.cond), _UNKNOWN)
+            if c is _UNKNOWN:
+                return (node.cond,)
+            return (node.cond, node.then if _as_bool(c, "ite condition") else node.orelse)
+        if t is Var:
+            if node.name not in assignment:
+                raise EvalError(f"no value for '{node.name}' in assignment")
+            return ()
+        if t is Quantifier:
             raise EvalError("cannot evaluate a quantified term")
-        case Apply(op, args, _):
-            return _eval_apply(op, args, assignment, div, funcs)
-    raise EvalError(f"not a term: {term!r}")
+        if t is Const:
+            return ()
+        raise EvalError(f"not a term: {node!r}")
+
+    def value(node: Term, args: list[Value]) -> Value:
+        t = type(node)
+        if t is Const:
+            return node.value
+        if t is Var:
+            return assignment[node.name]
+        if t is Div or t is Ite:
+            if len(args) == 1:
+                return AGAIN  # the numerator, or the branch, comes next
+            if t is Ite:
+                return args[1]
+            d, n = args[0], _as_fraction(args[1], "numerator")
+            return div.at_zero(n) if d == 0 else n / d
+        kind = OPS[node.op].args if node.op in OPS else "num"
+        if kind != "any" and not all(map(isinstance, args, repeat(_KIND_TYPE[kind]))):
+            for v in args:
+                _CHECK_ARG[kind](v, f"'{node.op}' argument")
+        return apply_op(node.op, args) if node.op in OPS else funcs[node.op](*args)
+
+    return dag_fold(term, value, needs, values)
 
 
 _CHECK_ARG = {"num": _as_fraction, "bool": _as_bool}
+_KIND_TYPE = {"num": Fraction, "bool": bool}  # what passes the check, as one isinstance
 
 
 def _meaning(op: str, n_args: int) -> OpMeaning:
@@ -126,20 +179,6 @@ def _meaning(op: str, n_args: int) -> OpMeaning:
     if not m.takes(n_args):
         raise EvalError(f"'{op}' cannot take {n_args} arguments")
     return m
-
-
-def _eval_apply(op, args, assignment, div, funcs) -> Value:
-    if op in OPS:
-        check = _CHECK_ARG.get(_meaning(op, len(args)).args)
-    elif funcs is not None and op in funcs:
-        check = _as_fraction
-    else:
-        raise EvalError(f"no interpretation for function symbol '{op}'")
-    vals = [eval_term(a, assignment, div, funcs) for a in args]
-    if check is not None:
-        for v in vals:
-            check(v, f"'{op}' argument")
-    return apply_op(op, vals) if op in OPS else funcs[op](*vals)
 
 
 # ---------------------------------------------------------------------------
@@ -221,51 +260,50 @@ def compile_int_body(body: Term, variables: Sequence[str]) -> Callable[..., Valu
     """
 
     params = {name: f"v{i}" for i, name in enumerate(variables)}
-    seen: dict[int, tuple[str, str]] = {}  # id(node) -> (expression, "num" | "bool")
     lines: list[str] = []
-    stack: list[tuple[Term, bool]] = [(body, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in seen:
-            continue
+
+    def operands(node: Term) -> tuple[Term, ...]:
+        if type(node) is Apply:
+            if node.op not in OPS:
+                raise EvalError(f"no interpretation for function symbol '{node.op}'")
+            return node.args
+        return ()
+
+    def compiled(node: Term, args: list[tuple[str, str]]) -> tuple[str, str]:
+        """The expression for a node, and whether it is "num" or "bool"."""
+
         match node:
             case Const(value, _) if isinstance(value, bool):
-                seen[id(node)] = (repr(value), "bool")
+                return (repr(value), "bool")
             case Const(value, _) if value.denominator == 1:
-                seen[id(node)] = (repr(value.numerator), "num")
+                return (repr(value.numerator), "num")
             case Var(name, _):
                 if name not in params:
                     raise EvalError(f"no value for '{name}' in assignment")
-                seen[id(node)] = (params[name], "num")
-            case Apply(op, args, _) if op in OPS:
-                if not ready:
-                    stack.append((node, True))
-                    stack.extend((a, False) for a in reversed(args))
-                    continue
+                return (params[name], "num")
+            case Apply(op, _, _):
                 m = _meaning(op, len(args))
-                operands = []
-                for a in args:
-                    expr, kind = seen[id(a)]
+                exprs = []
+                for expr, kind in args:
                     if m.args != "any" and kind != m.args:
                         raise EvalError(f"'{op}' argument: expected {_KIND_NAME[m.args]}")
-                    operands.append(expr)
+                    exprs.append(expr)
                 temp = f"t{len(lines)}"
-                if m.shape == "fold" and len(operands) > _FOLD_CHUNK:
-                    lines.append(f"{temp} = {op_source(op, operands[:_FOLD_CHUNK])}")
-                    for i in range(_FOLD_CHUNK, len(operands), _FOLD_CHUNK - 1):
-                        rest = operands[i : i + _FOLD_CHUNK - 1]
+                if m.shape == "fold" and len(exprs) > _FOLD_CHUNK:
+                    lines.append(f"{temp} = {op_source(op, exprs[:_FOLD_CHUNK])}")
+                    for i in range(_FOLD_CHUNK, len(exprs), _FOLD_CHUNK - 1):
+                        rest = exprs[i : i + _FOLD_CHUNK - 1]
                         lines.append(f"{temp} = {op_source(op, [temp] + rest)}")
                 else:
-                    lines.append(f"{temp} = {op_source(op, operands)}")
-                seen[id(node)] = (temp, m.result)
-            case Apply(op, _, _):
-                raise EvalError(f"no interpretation for function symbol '{op}'")
-            case _:
-                raise EvalError(f"cannot compile into an integer function: {node!r}")
+                    lines.append(f"{temp} = {op_source(op, exprs)}")
+                return (temp, m.result)
+        raise EvalError(f"cannot compile into an integer function: {node!r}")
+
+    result, _ = dag_fold(body, compiled, operands)
     source = "".join(
         [f"def body({', '.join(params.values())}):\n"]
         + [f"    {line}\n" for line in lines]
-        + [f"    return {seen[id(body)][0]}\n"]
+        + [f"    return {result}\n"]
     )
     namespace: dict = {"__builtins__": {}}
     exec(compile(source, "<integer body>", "exec"), namespace)

@@ -173,19 +173,32 @@ def _read(text: str) -> list[SAtom | SList]:
 def render_sexpr(sx: SAtom | SList) -> str:
     """Canonical one-line rendering, used for unsupported commands."""
 
-    match sx:
-        case SAtom("symbol", text, _):
-            return format_symbol(text)
-        case SAtom("string", text, _):
-            escaped = text.replace('"', '""')
-            return f'"{escaped}"'
-        case SAtom("keyword", text, _):
-            return f":{text}"
-        case SAtom(_, text, _):
-            return text
-        case SList(items, _):
-            return "(" + " ".join(render_sexpr(x) for x in items) + ")"
-    raise TypeError(f"not an s-expression: {sx!r}")
+    out: list[str] = []
+    stack: list = [sx]  # s-expressions and the literal text between them
+    while stack:
+        item = stack.pop()
+        match item:
+            case str():
+                out.append(item)
+            case SAtom("symbol", text, _):
+                out.append(format_symbol(text))
+            case SAtom("string", text, _):
+                escaped = text.replace('"', '""')
+                out.append(f'"{escaped}"')
+            case SAtom("keyword", text, _):
+                out.append(f":{text}")
+            case SAtom(_, text, _):
+                out.append(text)
+            case SList(items, _):
+                out.append("(")
+                stack.append(")")
+                for i in range(len(items) - 1, 0, -1):
+                    stack.append(items[i])
+                    stack.append(" ")
+                stack.extend(items[:1])
+            case _:
+                raise TypeError(f"not an s-expression: {item!r}")
+    return "".join(out)
 
 
 class _UnsupportedSort(Exception):

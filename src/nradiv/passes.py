@@ -25,19 +25,22 @@ from .terms import (
     Sort,
     OPS,
     Term,
+    Var,
     apply_op,
     children,
     conj,
     const,
+    dag_fold,
+    dag_rewrite,
+    distinct_subterms,
     eq,
     forall,
     fresh_name,
     implies,
-    map_children,
     mul,
     neg,
-    subterms,
     var,
+    with_children,
 )
 
 
@@ -61,9 +64,31 @@ def _is_guard(term: Term) -> bool:
 
     match term:
         case Ite(Apply("=", (u, Const(z, _)), _), _, Div(_, u2)):
-            return not isinstance(z, bool) and z == 0 and u == u2
+            return not isinstance(z, bool) and z == 0 and (u is u2 or u == u2)
         case _:
             return False
+
+
+def _guard_pieces(term: Term) -> tuple[Term, ...]:
+    """What totalize rewrites below a node: an existing guard keeps its
+    test and its division, so only their pieces are visited, divisor first."""
+
+    if type(term) is Ite and _is_guard(term):
+        return (term.orelse.den, term.orelse.num, term.then)
+    return children(term)
+
+
+def _rebuild_guard(guard: Ite, den: Term, num: Term, then: Term) -> Ite:
+    d = guard.orelse
+    if den is d.den and num is d.num and then is guard.then:
+        return guard
+    zero = guard.cond.args[1]
+    return Ite(
+        Apply("=", (den, zero), Sort.BOOL, guard.cond.loc),
+        then,
+        Div(num, den, d.sort, d.loc),
+        guard.loc,
+    )
 
 
 def totalize(
@@ -72,10 +97,11 @@ def totalize(
     """Give every division a value at zero divisors via an explicit branch.
 
     BRANCH_INLINE turns `(/ t u)` into `(ite (= u 0) c (/ t u))` in
-    place.  FRESH_SYMBOL instead names the guarded value with a fresh
-    constant and a defining assertion; divisions under a quantifier fall
-    back to the inline branch, since a script-level constant cannot
-    depend on bound variables.  The pass is idempotent either way.
+    place, rewriting each shared node once.  FRESH_SYMBOL instead names
+    the guarded value of each occurrence with a fresh constant and a
+    defining assertion; divisions under a quantifier fall back to the
+    inline branch, since a script-level constant cannot depend on bound
+    variables.  The pass is idempotent either way.
     """
 
     cfg = config or TotalizeConfig()
@@ -98,54 +124,67 @@ def totalize(
             )
         return const(cfg.div0_value, sort, loc)
 
+    guards: dict[int, Ite] = {}  # id(division) -> its guard, which holds it
+
     def guarded(d: Div) -> Ite:
-        zero = const(0, d.den.sort)
-        return Ite(eq(d.den, zero), guard_value(d.sort, d.loc), d, d.loc)
+        if id(d) not in guards:
+            zero = const(0, d.den.sort)
+            guards[id(d)] = Ite(eq(d.den, zero), guard_value(d.sort, d.loc), d, d.loc)
+        return guards[id(d)]
 
-    def rewrite(term: Term, under_quantifier: bool) -> Term:
-        if _is_guard(term):
-            # Keep the existing guard; rewrite inside its pieces only.
-            assert isinstance(term, Ite)
-            d = term.orelse
-            assert isinstance(d, Div)
-            den = rewrite(d.den, under_quantifier)
-            num = rewrite(d.num, under_quantifier)
-            zero = term.cond.args[1]
-            return Ite(
-                Apply("=", (den, zero), Sort.BOOL, term.cond.loc),
-                rewrite(term.then, under_quantifier),
-                Div(num, den, d.sort, d.loc),
-                term.loc,
+    def inline(node: Term, new: list[Term]) -> Term:
+        if type(node) is Ite and _is_guard(node):
+            return _rebuild_guard(node, *new)
+        t = with_children(node, new)
+        return guarded(t) if type(t) is Div else t
+
+    if cfg.style is TotalizeStyle.BRANCH_INLINE:
+        memo: dict[int, Term] = {}
+        assertions = tuple(
+            dag_fold(a, inline, _guard_pieces, memo) for a in script.assertions
+        )
+    else:
+        # Each occurrence gets its own name, so the walk goes over the tree:
+        # a non-leaf node is visited as a new (node, under a quantifier) pair
+        # per path, and every pair is kept to the end, so no id is reused.
+        # A leaf is its own rewrite and is visited once, as itself.
+        pairs: list[tuple[Term, bool]] = []
+
+        def pieces(p) -> tuple:
+            if type(p) is not tuple:
+                return ()
+            node, under = p
+            inner = under or type(node) is Quantifier
+            below = tuple(
+                c if type(c) is Var or type(c) is Const else (c, inner)
+                for c in _guard_pieces(node)
             )
-        match term:
-            case Div(num, den):
-                d = Div(
-                    rewrite(num, under_quantifier),
-                    rewrite(den, under_quantifier),
-                    term.sort,
-                    term.loc,
-                )
-                if cfg.style is TotalizeStyle.FRESH_SYMBOL:
-                    if under_quantifier:
-                        warnings.warn(
-                            "fresh-symbol totalization cannot name a division "
-                            "under a quantifier; falling back to an inline branch",
-                            stacklevel=2,
-                        )
-                        return guarded(d)
-                    name = next_fresh()
-                    taken.add(name)
-                    new_decls.append(FunDecl(name, (), d.sort))
-                    v = var(name, d.sort)
-                    defining.append(eq(v, guarded(d)))
-                    return v
-                return guarded(d)
-            case Quantifier():
-                return map_children(term, lambda c: rewrite(c, True))
-            case _:
-                return map_children(term, lambda c: rewrite(c, under_quantifier))
+            pairs.extend(below)
+            return below
 
-    assertions = tuple(rewrite(a, False) for a in script.assertions)
+        def named(p, new: list[Term]) -> Term:
+            if type(p) is not tuple:
+                return p
+            node, under = p
+            if type(node) is not Div:
+                return inline(node, new)
+            t = with_children(node, new)
+            if under:
+                warnings.warn(
+                    "fresh-symbol totalization cannot name a division "
+                    "under a quantifier; falling back to an inline branch",
+                    stacklevel=4,
+                )
+                return guarded(t)
+            name = next_fresh()
+            taken.add(name)
+            new_decls.append(FunDecl(name, (), t.sort))
+            v = var(name, t.sort)
+            defining.append(eq(v, guarded(t)))
+            return v
+
+        roots = [(a, False) for a in script.assertions]
+        assertions = tuple(dag_fold(p, named, pieces) for p in roots)
     out = dataclasses.replace(
         script,
         decls=tuple(new_decls),
@@ -160,12 +199,11 @@ def totalize(
 # Constant folding.
 
 
-def fold_term(term: Term) -> Term:
-    """Bottom-up literal folding; division by a literal zero is kept as is."""
+def _fold_node(t: Term) -> Term:
+    """Fold one node whose children are already folded."""
 
-    t = map_children(term, fold_term)
     match t:
-        case Apply(op, args, sort) if op in OPS and all(isinstance(a, Const) for a in args):
+        case Apply(op, args, sort) if op in OPS and all(type(a) is Const for a in args):
             meaning = OPS[op]
             kinds = {"bool" if isinstance(a.value, bool) else "num" for a in args}
             well_sorted = meaning.args == "any" or kinds == {meaning.args}
@@ -181,9 +219,17 @@ def fold_term(term: Term) -> Term:
             return t
 
 
+def fold_term(term: Term) -> Term:
+    """Bottom-up literal folding; division by a literal zero is kept as is."""
+
+    return dag_rewrite(term, _fold_node)
+
+
 def fold_script(script: Script) -> Script:
+    memo: dict[int, Term] = {}
     return dataclasses.replace(
-        script, assertions=tuple(fold_term(a) for a in script.assertions)
+        script,
+        assertions=tuple(dag_rewrite(a, _fold_node, memo) for a in script.assertions),
     )
 
 
@@ -238,7 +284,7 @@ def lift_to_uf(script: Script) -> UfLiftResult:
     found = [
         t
         for a in script.assertions
-        for t in subterms(a)
+        for t in distinct_subterms(a)
         if isinstance(t, (Div, Quantifier))
     ]
     divs = [t for t in found if isinstance(t, Div)]
@@ -252,19 +298,19 @@ def lift_to_uf(script: Script) -> UfLiftResult:
     taken.update(n for t in found if isinstance(t, Quantifier) for n, _ in t.bound)
     name = fresh_name("udiv", taken)
 
-    def rewrite(term: Term) -> Term:
-        if isinstance(term, Div):
-            return Apply(
-                name, (rewrite(term.num), rewrite(term.den)), Sort.REAL, term.loc
-            )
-        return map_children(term, rewrite)
+    def apply_symbol(t: Term) -> Term:
+        if type(t) is Div:
+            return Apply(name, (t.num, t.den), Sort.REAL, t.loc)
+        return t
 
+    memo: dict[int, Term] = {}
     axiom = division_axiom(name)
     out = dataclasses.replace(
         script,
         logic=_uf_logic(script.logic),
         decls=tuple(script.decls) + (FunDecl(name, (Sort.REAL, Sort.REAL), Sort.REAL),),
-        assertions=tuple(rewrite(a) for a in script.assertions) + (axiom,),
+        assertions=tuple(dag_rewrite(a, apply_symbol, memo) for a in script.assertions)
+        + (axiom,),
     )
     return UfLiftResult(out, name, axiom)
 
@@ -280,31 +326,68 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
     its own zero test yields a tautology.  A division under quantifiers
     is universally closed over the bound variables; for an `exists`
     binder this is stronger than necessary, erring toward soundness.
+    The list has one entry per occurrence, in pre-order; a shared node
+    reached under the same hypotheses and binders is visited once.
     """
 
+    # Outside every ite and quantifier a node is visited as itself.  Below
+    # one, it is visited as one (node, context) pair per context object it is
+    # reached under; a context (guards, binders) is new only below an ite
+    # branch or a quantifier.
+    top: tuple = ((), ())
+    pairs: dict[tuple[int, int], tuple] = {}
+
+    def below(item) -> tuple:
+        """The items to visit below one: a leaf holds no division, so no leaf."""
+
+        if type(item) is tuple:
+            node, context = item
+        elif type(item) is Ite or type(item) is Quantifier:
+            node, context = item, top
+        else:
+            return tuple([c for c in children(item) if type(c) is not Var and type(c) is not Const])
+        if type(node) is Ite:
+            guards, binders = context
+            kids = (
+                (node.cond, context),
+                (node.then, (guards + (node.cond,), binders)),
+                (node.orelse, (guards + (neg(node.cond),), binders)),
+            )
+        elif type(node) is Quantifier:
+            guards, binders = context
+            kids = ((node.body, (guards, binders + (node.bound,))),)
+        else:
+            kids = [(c, context) for c in children(node)]
+        return tuple([
+            c if cx is top else pairs.setdefault((id(c), id(cx)), (c, cx))
+            for c, cx in kids
+            if type(c) is not Var and type(c) is not Const
+        ])
+
+    def obligations(item, inner: list[tuple]) -> tuple:
+        """The VCs below an item, as nested tuples that share their parts."""
+
+        node = item[0] if type(item) is tuple else item
+        if type(node) is not Div and not any(inner):
+            return ()
+        guards, binders = item[1] if type(item) is tuple else top
+        parts = [b for b in inner if b]
+        if type(node) is Div:
+            body: Term = neg(eq(node.den, const(0, node.den.sort)))
+            if guards:
+                body = implies(conj(*guards), body)
+            for bound in reversed(binders):
+                body = forall(bound, body)
+            parts.insert(0, body)
+        return tuple(parts)
+
+    memo: dict[int, tuple] = {}
+    stack = [dag_fold(a, obligations, below, memo) for a in reversed(script.assertions)]
     vcs: list[Term] = []
-
-    def walk(term: Term, guards: tuple[Term, ...], binders) -> None:
-        match term:
-            case Div(num, den):
-                body: Term = neg(eq(den, const(0, den.sort)))
-                if guards:
-                    body = implies(conj(*guards), body)
-                for bound in reversed(binders):
-                    body = forall(bound, body)
-                vcs.append(body)
-                walk(num, guards, binders)
-                walk(den, guards, binders)
-            case Ite(cond, then, orelse):
-                walk(cond, guards, binders)
-                walk(then, guards + (cond,), binders)
-                walk(orelse, guards + (neg(cond),), binders)
-            case Quantifier(_, bound, qbody):
-                walk(qbody, guards, binders + (bound,))
-            case _:
-                for c in children(term):
-                    walk(c, guards, binders)
-
-    for assertion in script.assertions:
-        walk(assertion, (), ())
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            stack.extend(reversed(item))
+        else:
+            vcs.append(item)
     return vcs

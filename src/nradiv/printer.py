@@ -25,6 +25,7 @@ from .terms import (
     Sort,
     Term,
     Var,
+    children,
 )
 
 # SMT-LIB 2.6 section 3.1: a simple symbol is a non-empty run of ASCII
@@ -77,25 +78,109 @@ def format_sort(sort: Sort) -> str:
     return sort.value
 
 
+def _shared_nodes(term: Term) -> set[int]:
+    """Ids of the non-leaf nodes below `term` that have more than one parent."""
+
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [term]
+    while stack:
+        for c in children(stack.pop()):
+            if type(c) is Var or type(c) is Const:
+                continue
+            if id(c) in seen:
+                shared.add(id(c))
+            else:
+                seen.add(id(c))
+                stack.append(c)
+    return shared
+
+
+def _format_leaf(term: Term) -> str | None:
+    """Text of a variable or literal; None for any other node."""
+
+    t = type(term)
+    if t is Var:
+        return format_symbol(term.name)
+    if t is Const:
+        value = term.value
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format_rational(value)
+    return None
+
+
 def format_term(term: Term) -> str:
-    match term:
-        case Const(value, _):
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            return format_rational(value)
-        case Var(name, _):
-            return format_symbol(name)
-        case Div(num, den):
-            return f"(/ {format_term(num)} {format_term(den)})"
-        case Apply(op, args, _):
-            parts = " ".join(format_term(a) for a in args)
-            return f"({format_symbol(op)} {parts})"
-        case Ite(cond, then, orelse):
-            return f"(ite {format_term(cond)} {format_term(then)} {format_term(orelse)})"
-        case Quantifier(kind, bound, body):
-            binder = " ".join(f"({format_symbol(n)} {format_sort(s)})" for n, s in bound)
-            return f"({kind} ({binder}) {format_term(body)})"
-    raise TypeError(f"not a term: {term!r}")
+    """The term as SMT-LIB2 text, a shared node printed once per path.
+
+    Text is emitted left to right from an explicit stack, so depth costs
+    no recursion.  The text of a node with several parents is joined once
+    and reused; other nodes keep no text of their own.
+    """
+
+    leaf = _format_leaf(term)
+    if leaf is not None:
+        return leaf
+    shared = _shared_nodes(term)
+    texts: dict[int, str] = {}  # id(shared node) -> its text
+    out: list[str] = []
+    # Text, nodes, (id, start) at the end of a shared node's text, and the
+    # error of an unprintable operator, raised after its arguments' errors.
+    stack: list = [term]
+    while stack:
+        item = stack.pop()
+        t = type(item)
+        if t is str:
+            out.append(item)
+            continue
+        if t is tuple:
+            key, start = item
+            text = "".join(out[start:])
+            del out[start:]
+            out.append(text)
+            texts[key] = text
+            continue
+        if t is ValueError:
+            raise item
+        if id(item) in texts:
+            out.append(texts[id(item)])
+            continue
+        if id(item) in shared:
+            stack.append((id(item), len(out)))
+        stack.append(")")
+        if t is Apply:
+            try:
+                out.append(f"({format_symbol(item.op)} ")
+            except ValueError as exc:
+                stack.append(exc)
+            args = item.args
+        elif t is Div:
+            out.append("(/ ")
+            args = (item.num, item.den)
+        elif t is Ite:
+            out.append("(ite ")
+            args = (item.cond, item.then, item.orelse)
+        elif t is Quantifier:
+            binder = " ".join(f"({format_symbol(n)} {format_sort(s)})" for n, s in item.bound)
+            out.append(f"({item.kind} ({binder}) ")
+            args = (item.body,)
+        else:
+            raise TypeError(f"not a term: {item!r}")
+        # Arguments go on the stack last first; a leaf goes as its text,
+        # joined to the space before it, or as the error it raised.
+        for i in range(len(args) - 1, -1, -1):
+            a = args[i]
+            try:
+                leaf = _format_leaf(a)
+            except ValueError as exc:
+                leaf, a = None, exc
+            if leaf is None:
+                stack.append(a)
+                if i:
+                    stack.append(" ")
+            else:
+                stack.append(" " + leaf if i else leaf)
+    return "".join(out)
 
 
 def _format_decl(decl: FunDecl) -> str:

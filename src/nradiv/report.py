@@ -12,7 +12,15 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analyzer import DivisorKind, FragmentLabel, classify_script
+# `classify_script` is not called here, but perfbench's tracer patches it
+# on this module by name, so it stays importable from it.
+from .analyzer import (
+    DivisorKind,
+    FragmentLabel,
+    classify_script,  # noqa: F401
+    count_divisions,
+    fragment_label,
+)
 from .errors import ScriptError
 from .parser import parse_script
 
@@ -46,21 +54,21 @@ def scan_directory(root: Path | str) -> dict:
         except ScriptError as exc:
             records.append({"path": rel, "status": "parse-error", "error": str(exc)})
             continue
-        verdict = classify_script(script)
-        classes = _empty_class_counts()
-        for occ in verdict.occurrences:
-            classes[occ.divisor_class.kind.value] += 1
+        counts = count_divisions(script)
+        label = fragment_label(counts)
+        classes = {kind.value: n for kind, n in counts.items()}
+        occurrences = sum(counts.values())
         parsed += 1
-        occurrences_total += len(verdict.occurrences)
-        verdict_totals[verdict.label.value] += 1
+        occurrences_total += occurrences
+        verdict_totals[label.value] += 1
         for key in _CLASS_KEYS:
             class_totals[key] += classes[key]
         records.append(
             {
                 "path": rel,
                 "status": "ok",
-                "verdict": verdict.label.value,
-                "occurrences": len(verdict.occurrences),
+                "verdict": label.value,
+                "occurrences": occurrences,
                 "classes": classes,
             }
         )

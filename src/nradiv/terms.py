@@ -7,7 +7,6 @@ programmatically or re-parsed from printed output.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -329,45 +328,105 @@ def forall(bound: Iterable[tuple[str, Sort]], body: Term) -> Quantifier:
 
 # ---------------------------------------------------------------------------
 # Traversal.
+#
+# The parser expands `let` into shared objects, so a term is a DAG whose
+# tree can be exponentially larger.  Walkers go through `dag_fold` (or
+# `dag_rewrite`, built on it), which visits each distinct node once and
+# keeps its result keyed by `id(node)`: ids are unique only while the nodes
+# are alive, so a memo must not outlive the terms it was filled from.  Nodes
+# are never hashed or compared structurally, which would walk the tree.
 
 
 def children(term: Term) -> tuple[Term, ...]:
-    match term:
-        case Const() | Var():
-            return ()
-        case Apply(_, args, _):
-            return args
-        case Div(num, den):
-            return (num, den)
-        case Ite(cond, then, orelse):
-            return (cond, then, orelse)
-        case Quantifier(_, _, body):
-            return (body,)
+    t = type(term)
+    if t is Apply:
+        return term.args
+    if t is Var or t is Const:
+        return ()
+    if t is Div:
+        return (term.num, term.den)
+    if t is Ite:
+        return (term.cond, term.then, term.orelse)
+    if t is Quantifier:
+        return (term.body,)
     raise TypeError(f"not a term: {term!r}")
 
 
-def map_children(term: Term, fn: Callable[[Term], Term]) -> Term:
-    """Rebuild a node with `fn` applied to each child.
+def with_children(term: Term, new: Sequence[Term]) -> Term:
+    """`term` with its children replaced by `new`, in `children` order.
 
-    Sorts are carried over unchanged, so `fn` must be sort-preserving.
+    The node itself is returned when every child is the same object;
+    otherwise it is rebuilt with the same sort and location, so the new
+    children must have the sorts of the old ones.
     """
 
-    match term:
-        case Const() | Var():
-            return term
-        case Apply(_, args, _):
-            return dataclasses.replace(term, args=tuple(fn(a) for a in args))
-        case Div(num, den):
-            return dataclasses.replace(term, num=fn(num), den=fn(den))
-        case Ite(cond, then, orelse):
-            return dataclasses.replace(term, cond=fn(cond), then=fn(then), orelse=fn(orelse))
-        case Quantifier(_, _, body):
-            return dataclasses.replace(term, body=fn(body))
-    raise TypeError(f"not a term: {term!r}")
+    if all(map(operator.is_, new, children(term))):
+        return term
+    t = type(term)
+    if t is Apply:
+        return Apply(term.op, tuple(new), term.sort, term.loc)
+    if t is Div:
+        return Div(new[0], new[1], term.sort, term.loc)
+    if t is Ite:
+        return Ite(new[0], new[1], new[2], term.loc)
+    return Quantifier(term.kind, term.bound, new[0], term.loc)
+
+
+AGAIN = object()
+"""Returned by a `dag_fold` function: ask `kids` for more children first."""
+
+
+def dag_fold(term, fn: Callable, kids: Callable = children, memo: dict | None = None):
+    """Post-order fold, calling `fn` once per distinct node.
+
+    `fn(node, values)` gets the values of `kids(node)`, in that order, and
+    its result is stored in `memo` under `id(node)`.  Children are visited
+    left to right, and `kids(node)` is called when the node is first
+    reached, so checks made there run in pre-order.  `kids` may read
+    finished values from `memo`: when `fn` returns `AGAIN`, `kids(node)` is
+    asked again and the node waits for the children it names.  That is
+    how a condition is evaluated before the one branch it selects.
+
+    Pass `memo` to share results between calls over nodes that stay alive.
+    Nodes need not be terms: any objects that `kids` and `fn` understand.
+    """
+
+    if memo is None:
+        memo = {}
+    done = memo.__getitem__
+    stack = [term]
+    pop, push, push_all = stack.pop, stack.append, stack.extend
+    waiting: list[tuple[object, Sequence]] = []  # each `None` on `stack` finishes the last
+    while stack:
+        node = pop()
+        if node is None:
+            node, ks = waiting.pop()
+            value = fn(node, list(map(done, map(id, ks))))
+            if value is AGAIN:
+                push(node)
+            else:
+                memo[id(node)] = value
+        elif id(node) not in memo:
+            ks = kids(node)
+            if ks:
+                waiting.append((node, ks))
+                push(None)
+                push_all(reversed(ks))
+            else:
+                memo[id(node)] = fn(node, ())
+    return memo[id(term)]
+
+
+def dag_rewrite(term: Term, fn: Callable[[Term], Term], memo: dict | None = None) -> Term:
+    """Post-order rewrite: `fn` gets each distinct node once, after its
+    children are rewritten and put in (by `with_children`)."""
+
+    return dag_fold(term, lambda node, new: fn(with_children(node, new)), memo=memo)
 
 
 def subterms(term: Term) -> Iterator[Term]:
-    """Pre-order traversal, the node itself first."""
+    """Pre-order traversal of the tree, the node itself first: a node
+    reached by several paths is produced once per path."""
 
     stack = [term]
     while stack:
@@ -376,49 +435,72 @@ def subterms(term: Term) -> Iterator[Term]:
         stack.extend(reversed(children(t)))
 
 
-def count_nodes(term: Term) -> int:
-    return sum(1 for _ in subterms(term))
+def distinct_subterms(term: Term) -> Iterator[Term]:
+    """Pre-order traversal producing each distinct node once, at its first
+    visit: `subterms` with every repeat left out."""
+
+    seen: set[int] = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            yield t
+            stack.extend(reversed(children(t)))
+
+
+def count_nodes(term: Term, memo: dict | None = None) -> int:
+    """Size of `term` as a tree, counting a shared node once per path.
+
+    A `memo` passed to several calls reuses the sizes of the nodes their
+    terms share, as long as those terms stay alive.
+    """
+
+    return dag_fold(term, lambda node, sizes: 1 + sum(sizes), memo=memo)
 
 
 def free_vars(term: Term) -> frozenset[str]:
-    """Names occurring free in `term`; iterative, each shared node visited once."""
+    """Names occurring free in `term`."""
 
-    memo: dict[int, frozenset[str]] = {}
-    stack = [term]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        kids = children(node)
-        pending = [c for c in kids if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if isinstance(node, Var):
-            out = frozenset({node.name})
-        else:
-            out = frozenset().union(*(memo[id(c)] for c in kids))
-            if isinstance(node, Quantifier):
-                out -= {name for name, _ in node.bound}
-        memo[id(node)] = out
-    return memo[id(term)]
+    def free(node: Term, below: list[frozenset[str]]) -> frozenset[str]:
+        if type(node) is Var:
+            return frozenset({node.name})
+        out = frozenset().union(*below)
+        if type(node) is Quantifier:
+            out -= {name for name, _ in node.bound}
+        return out
+
+    return dag_fold(term, free)
 
 
 def substitute(term: Term, mapping: dict[str, Term]) -> Term:
-    """Capture-aware substitution of free variable occurrences."""
+    """Capture-aware substitution of free variable occurrences.
+
+    A quantifier hides the mappings of the names it binds from its body,
+    so a node is rewritten once per distinct mapping it is reached under.
+    """
 
     if not mapping:
         return term
-    match term:
-        case Var(name, _) if name in mapping:
-            return mapping[name]
-        case Quantifier(_, bound, _):
-            visible = {k: v for k, v in mapping.items() if k not in {n for n, _ in bound}}
-            return map_children(term, lambda c: substitute(c, visible))
-        case _:
-            return map_children(term, lambda c: substitute(c, mapping))
+    at: dict[tuple[int, int], tuple[Term, dict]] = {}  # one object per (node, mapping)
+
+    def pair(node: Term, m: dict) -> tuple[Term, dict]:
+        return at.setdefault((id(node), id(m)), (node, m))
+
+    def kids(p: tuple[Term, dict]) -> tuple:
+        node, m = p
+        if type(node) is Quantifier:
+            bound = {name for name, _ in node.bound}
+            return (pair(node.body, {k: v for k, v in m.items() if k not in bound}),)
+        return tuple(pair(c, m) for c in children(node))
+
+    def subst(p: tuple[Term, dict], new: list[Term]) -> Term:
+        node, m = p
+        if type(node) is Var and node.name in m:
+            return m[node.name]
+        return with_children(node, new)
+
+    return dag_fold(pair(term, mapping), subst, kids)
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -476,4 +558,4 @@ def term_at(script: Script, path: tuple[int, ...]) -> Term:
 
 
 def is_quantifier_free(term: Term) -> bool:
-    return not any(isinstance(t, Quantifier) for t in subterms(term))
+    return dag_fold(term, lambda node, below: type(node) is not Quantifier and all(below))

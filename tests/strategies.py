@@ -11,7 +11,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from nradiv import Apply, Script, Sort
-from nradiv.terms import FunDecl, add, conj, const, div, eq, implies, ite, le, lt, mul, neg, sub, var
+from nradiv.terms import FunDecl, add, conj, const, div, eq, forall, implies, ite, le, lt, mul, neg, sub, var
 
 VAR_POOL = ("x", "y", "z")
 
@@ -112,3 +112,42 @@ def _extend_int_bool(children: st.SearchStrategy) -> st.SearchStrategy:
 
 
 int_bodies = st.recursive(_int_atoms, _extend_int_bool, max_leaves=6)
+
+# ---------------------------------------------------------------------------
+# Scripts whose terms reuse generated subterms by identity, as the parser's
+# expansion of `let` does: each step combines nodes drawn from a pool that
+# already holds every earlier node, so one object can have many parents.
+
+
+@st.composite
+def shared_scripts(draw) -> Script:
+    def pick(pool: list):
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    nums = draw(st.lists(numeric_terms, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("+", "-", "*", "/", "guard")))
+        a, b = pick(nums), pick(nums)
+        if kind == "guard":  # the shape totalize emits, around shared pieces
+            nums.append(ite(eq(b, const(0)), const(0), div(a, b)))
+        else:
+            nums.append({"+": add, "-": sub, "*": mul, "/": div}[kind](a, b))
+    bools = [
+        draw(st.sampled_from((lt, le, eq)))(pick(nums), pick(nums))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("not", "and", "or", "=>", "ite", "forall")))
+        if kind == "not":
+            bools.append(neg(pick(bools)))
+        elif kind == "ite":  # a shared numeric term on both sides of a branch
+            cond, a = pick(bools), pick(nums)
+            bools.append(lt(ite(cond, a, pick(nums)), a))
+        elif kind == "forall":
+            bools.append(forall((("z", Sort.REAL),), pick(bools)))
+        else:
+            op = {"and": conj, "=>": implies}.get(kind)
+            a, b = pick(bools), pick(bools)
+            bools.append(op(a, b) if op else Apply("or", (a, b), Sort.BOOL))
+    assertions = draw(st.lists(st.sampled_from(bools), min_size=1, max_size=3))
+    return Script(logic="QF_NRA", decls=_DECLS, assertions=tuple(assertions), check_sat=True)

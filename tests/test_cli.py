@@ -276,3 +276,16 @@ def test_solve_missing_solver(tmp_path, capsys):
     missing = str(tmp_path / "no-such-binary")
     assert main(["solve", str(src), "--solver", missing]) == 70
     assert "cannot run solver" in capsys.readouterr().err
+
+
+def test_deeply_nested_metadata_and_unsupported_commands_pass_through(tmp_path, capsys):
+    value = "(a " * 3000 + "b" + ")" * 3000
+    text = f"(set-info :note {value})\n(push {value})\n(check-sat)\n"
+    path = tmp_path / "deep-info.smt2"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: polynomial-only\n"
+    assert main(["transform", "totalize", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == text
+    assert captured.err == "[totalize] nodes 0 -> 0; divisions 0 -> 0\n"

@@ -161,6 +161,30 @@ def test_int_formula_accepts_deep_bodies():
         IntFormula((), formula.body)
 
 
+def test_int_formula_checks_a_shared_body_once_per_node():
+    t = ivar("a")
+    for _ in range(60):  # a tree of 2^60 nodes, a DAG of 61
+        t = add(t, t)
+    formula = IntFormula(("a",), eq(t, iconst(0)))
+    assert encode_via_div0(formula).source is formula
+
+
+def test_int_formula_reports_the_first_bad_node_in_pre_order():
+    x = ivar("x")
+    shared = Ite(eq(x, x), x, Div(x, x, Sort.INT))
+    body = eq(add(shared, Div(shared, x, Sort.INT)), shared)
+    with pytest.raises(EncodeError) as excinfo:
+        IntFormula(("x",), body)
+    assert str(excinfo.value) == (
+        "construct not allowed in an integer body: (ite (= x x) x (/ x x))"
+    )
+    quantified = parse_script(
+        "(set-logic LIA)(assert (forall ((q Int)) (= (ite true q q) 1)))"
+    ).assertions[0]
+    with pytest.raises(EncodeError, match=r"^construct not allowed in an integer body: \(forall"):
+        IntFormula((), quantified)
+
+
 def test_free_vars_subtracts_bound_names_only_below_their_binder():
     script = parse_script(
         "(declare-fun x () Real)(declare-fun y () Real)"

@@ -324,3 +324,37 @@ def test_brute_force_symbol_names_never_reach_the_source():
     want = {"def": 1, "a b": 2, "__import__": -3, "v0": 2}
     assert reference_brute_force(formula, 3) == want
     assert brute_force_int_sat(formula, 3) == want
+
+
+def test_a_divisor_is_checked_before_its_numerator_also_when_shared():
+    from nradiv import Div
+
+    true = const(True)
+    bad = Div(var("missing"), true, Sort.REAL)
+    with pytest.raises(EvalError, match="^divisor: expected a rational, got True$"):
+        eval_term(bad, {})
+    seen_first = Apply("=", (true, true), Sort.BOOL)
+    both = Apply("and", (seen_first, Apply("=", (bad, const(0)), Sort.BOOL)), Sort.BOOL)
+    with pytest.raises(EvalError, match="^divisor: expected a rational, got True$"):
+        eval_term(both, {})
+
+
+def test_shared_nodes_are_evaluated_once_and_ite_takes_one_branch():
+    from nradiv.terms import ite, lt
+
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return v + 1
+
+    x = var("x")
+    fx = Apply("f", (x,), Sort.REAL)
+    t = add(fx, fx)
+    for _ in range(40):
+        t = add(t, t)
+    choice = ite(lt(x, const(0)), var("missing"), t)
+    assert eval_term(add(choice, choice), {"x": Fraction(1)}, funcs={"f": f}) == 2**43
+    assert calls == [Fraction(1)]
+    with pytest.raises(EvalError, match="no value for 'missing'"):
+        eval_term(choice, {"x": Fraction(-1)}, funcs={"f": f})

@@ -393,3 +393,12 @@ def test_node_locations_point_at_their_source(script, separators):
                 continue
             line, col = node.loc
             assert lines[line - 1][col - 1 :].startswith(expected)
+
+
+def test_deeply_nested_metadata_and_unsupported_commands_are_kept_verbatim():
+    value = "(a " * 3000 + "b" + ")" * 3000
+    text = f"(set-info :note {value})\n(push {value})\n(check-sat)\n"
+    script = parse_script(text)
+    assert script.metadata == (("note", value),)
+    assert [u.text for u in script.unsupported] == [f"(push {value})"]
+    assert print_script(script) == text

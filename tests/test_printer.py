@@ -19,7 +19,7 @@ from nradiv import (
     parse_script,
     print_script,
 )
-from nradiv.parser import _read
+from nradiv.parser import SAtom, _read
 from nradiv.printer import is_simple_symbol
 
 DIVISION_AXIOM_TEXT = (
@@ -120,9 +120,33 @@ def test_decimal_friendly_rationals_round_trip(value):
 @example("|x|")
 @example("x\n")
 @example("x\u00b2")
+@example("()")
 def test_simple_symbol_is_what_the_scanner_reads_as_one_symbol(name):
     try:
-        read = [(sx.kind, sx.text) for sx in _read(name)]
+        read = [(sx.kind, sx.text) if isinstance(sx, SAtom) else sx for sx in _read(name)]
     except ParseError:
         read = None
     assert is_simple_symbol(name) == (read == [("symbol", name)])
+
+
+def test_unprintable_symbols_are_reported_in_text_order():
+    from nradiv.terms import Apply, add, var
+
+    x = var("x")
+    shared = add(x, var("p|q"))
+    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'p\|q'$"):
+        format_term(Apply("f|g", (shared, var("r|s"), shared), Sort.REAL))
+    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'f\|g'$"):
+        format_term(Apply("f|g", (x, add(x, x)), Sort.REAL))
+    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'a\|b'$"):
+        format_term(add(x, var("a|b"), var("c|d")))
+
+
+def test_shared_subterms_print_once_per_occurrence():
+    from nradiv.terms import add, div, var
+
+    t = div(var("x"), var("y"))
+    for _ in range(3):
+        t = add(t, t)
+    inner = "(+ (+ (/ x y) (/ x y)) (+ (/ x y) (/ x y)))"
+    assert format_term(t) == f"(+ {inner} {inner})"
