@@ -14,14 +14,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-# `collect_divisions` is not called here, but perfbench's tracer patches it
-# on this module by name, so it stays importable from it.
+# `collect_divisions` and `count_nodes` are not called here, but perfbench's
+# tracer patches them on this module by name, so they stay importable from it.
 from .analyzer import (
     DivisorKind,
     FragmentLabel,
     classify_script,
     collect_divisions,  # noqa: F401
-    count_divisions,
 )
 from .encoder import IntFormula, encode_integer_formula, encode_via_div0
 from .errors import NradivError, ScriptError
@@ -31,7 +30,12 @@ from .passes import TotalizeConfig, TotalizeStyle, lift_to_uf, totalize
 from .printer import print_script
 from .report import render_report, scan_directory
 from .solver import run_solver
-from .terms import Script, count_nodes
+from .terms import (
+    Div,
+    Script,
+    count_nodes,  # noqa: F401
+    dag_fold,
+)
 
 EXIT_PARSE_ERROR = 65
 EXIT_INTERNAL_ERROR = 70
@@ -103,12 +107,24 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count_divisions(script: Script, memo: dict) -> int:
-    return sum(count_divisions(script, memo).values())
+def _size_and_divisions(node, below: list[tuple[int, int]]) -> tuple[int, int]:
+    nodes, divisions = 1, int(type(node) is Div)
+    for n, d in below:
+        nodes += n
+        divisions += d
+    return nodes, divisions
 
 
-def _script_nodes(script: Script, memo: dict) -> int:
-    return sum(count_nodes(a, memo) for a in script.assertions)
+def _summary_counts(script: Script, memo: dict) -> tuple[int, int]:
+    """Tree nodes and division occurrences over the script's assertions, a
+    shared node counting once per path."""
+
+    nodes = divisions = 0
+    for assertion in script.assertions:
+        n, d = dag_fold(assertion, _size_and_divisions, memo=memo)
+        nodes += n
+        divisions += d
+    return nodes, divisions
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -147,15 +163,14 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 notes.append(f"integer witness within {args.bound}: {rendered}")
 
     _write_output(print_script(out_script), args.output)
-    # The output keeps the input's unchanged subterms, so each count's memo
-    # serves both scripts.
-    sizes: dict = {}
-    divisions: dict = {}
+    # The output keeps the input's unchanged subterms, so one memo serves
+    # both scripts.
+    memo: dict = {}
+    nodes_in, divisions_in = _summary_counts(script, memo)
+    nodes_out, divisions_out = _summary_counts(out_script, memo)
     summary = (
-        f"[{args.transform_pass}] nodes {_script_nodes(script, sizes)} -> "
-        f"{_script_nodes(out_script, sizes)}; "
-        f"divisions {_count_divisions(script, divisions)} -> "
-        f"{_count_divisions(out_script, divisions)}"
+        f"[{args.transform_pass}] nodes {nodes_in} -> {nodes_out}; "
+        f"divisions {divisions_in} -> {divisions_out}"
     )
     for note in notes:
         summary += f"; {note}"

@@ -8,7 +8,7 @@ programmatically or re-parsed from printed output.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -152,7 +152,46 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _direct_init(cls: type) -> type:
+    """Give a frozen, slotted dataclass an `__init__` with the same
+    signature that stores each field through its slot descriptor.
+
+    The generated `__init__` of a frozen dataclass stores every field
+    through `object.__setattr__`, which costs about 1.7 times as much.
+    Assignment and deletion still raise `FrozenInstanceError`, for every
+    name: the dataclass's own frozen methods refer to the class that
+    `slots=True` replaced, and raise `TypeError` for a name that is not a
+    field.
+    """
+
+    env: dict[str, object] = {}
+    params, body = [], []
+    for f in fields(cls):
+        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = env["__init__"]
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+@_direct_init
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     """Literal: an exact rational (Real or Int sort) or a Boolean."""
 
@@ -161,7 +200,8 @@ class Const(Term):
     loc: Loc = field(default=NO_LOC, compare=False)
 
 
-@dataclass(frozen=True)
+@_direct_init
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     """Occurrence of a declared constant or a bound variable."""
 
@@ -170,7 +210,8 @@ class Var(Term):
     loc: Loc = field(default=NO_LOC, compare=False)
 
 
-@dataclass(frozen=True)
+@_direct_init
+@dataclass(frozen=True, slots=True)
 class Apply(Term):
     """Application of a builtin operator or a declared function symbol."""
 
@@ -180,7 +221,8 @@ class Apply(Term):
     loc: Loc = field(default=NO_LOC, compare=False)
 
 
-@dataclass(frozen=True)
+@_direct_init
+@dataclass(frozen=True, slots=True)
 class Div(Term):
     """Division `(/ num den)`; its value at a zero divisor is uninterpreted."""
 
@@ -190,7 +232,8 @@ class Div(Term):
     loc: Loc = field(default=NO_LOC, compare=False)
 
 
-@dataclass(frozen=True)
+@_direct_init
+@dataclass(frozen=True, slots=True)
 class Ite(Term):
     cond: Term
     then: Term
@@ -202,7 +245,8 @@ class Ite(Term):
         return self.then.sort
 
 
-@dataclass(frozen=True)
+@_direct_init
+@dataclass(frozen=True, slots=True)
 class Quantifier(Term):
     kind: str  # "forall" or "exists"
     bound: tuple[tuple[str, Sort], ...]
@@ -370,6 +414,42 @@ def with_children(term: Term, new: Sequence[Term]) -> Term:
     if t is Ite:
         return Ite(new[0], new[1], new[2], term.loc)
     return Quantifier(term.kind, term.bound, new[0], term.loc)
+
+
+# The fields `==` compares besides the children, per node class.
+_LABEL: dict[type, Callable[[Term], tuple]] = {
+    Const: lambda t: (t.value, t.sort),
+    Var: lambda t: (t.name, t.sort),
+    Apply: lambda t: (t.op, t.sort),
+    Div: lambda t: (t.sort,),
+    Ite: lambda t: (),
+    Quantifier: lambda t: (t.kind, t.bound),
+}
+
+
+def same_term(a: Term, b: Term) -> bool:
+    """`a == b`: structural equality ignoring locations, without recursion.
+
+    `==` walks both terms as trees.  This compares each pair of nodes
+    reached together once, so two separately built DAGs spelling the same
+    term cost their DAG size, and depth costs no stack.
+    """
+
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        t = type(x)
+        if t is not type(y) or _LABEL[t](x) != _LABEL[t](y):
+            return False
+        xs, ys = children(x), children(y)
+        if len(xs) != len(ys):
+            return False
+        stack.extend(zip(xs, ys))
+    return True
 
 
 AGAIN = object()

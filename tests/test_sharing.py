@@ -5,11 +5,17 @@ of the unshared script that the printed text parses back to."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
+import tempfile
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -37,7 +43,7 @@ from nradiv.analyzer import count_divisions
 from nradiv.cli import main
 from nradiv.terms import add, const, dag_fold, div, eq, lt, var
 
-from strategies import shared_scripts
+from strategies import scripts, shared_scripts
 
 TRANSFORMS = {
     "totalize": ["totalize"],
@@ -147,6 +153,39 @@ def test_transform_prints_the_tree(k, variant, tmp_path, capsys):
 @given(shared_scripts())
 def test_shared_scripts_walk_as_trees(script):
     assert library_results(script) == library_results(unshared(script))
+
+
+SUMMARY = re.compile(r"\] nodes (\d+) -> (\d+); divisions (\d+) -> (\d+)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scripts, shared_scripts()))
+def test_transform_summary_counts_what_the_library_counts(script):
+    """The summary line's tree nodes and division occurrences, for the
+    input and the output, are those `count_nodes` and `count_divisions`
+    give on the library's own result."""
+
+    fresh = TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        outputs = {
+            "totalize": totalize(script),
+            "totalize-fold": totalize(script, fold=True),
+            "totalize-fresh": totalize(script, fresh),
+            "uf-lift": lift_to_uf(script).script,
+        }
+        path = Path(tmp) / "script.smt2"
+        path.write_text(print_script(script))
+        for variant, argv in TRANSFORMS.items():
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(["transform", *argv, str(path)]) == 0
+            printed = tuple(map(int, SUMMARY.search(err.getvalue()).groups()))
+            pair = (script, outputs[variant])
+            assert printed == (
+                *(sum(count_nodes(a) for a in s.assertions) for s in pair),
+                *(sum(count_divisions(s).values()) for s in pair),
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,227 @@
+"""The term node contract: slotted, immutable, structurally equal and
+hashed without locations, and `same_term` as an iterative, shared-node
+aware `==`."""
+
+from __future__ import annotations
+
+import dataclasses
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from nradiv import (
+    Apply,
+    Const,
+    Div,
+    Ite,
+    Loc,
+    Quantifier,
+    Script,
+    Sort,
+    Term,
+    Var,
+    parse_script,
+    print_script,
+    totalize,
+)
+from nradiv.terms import add, const, dag_fold, div, eq, ite, lt, same_term, var
+
+from strategies import bool_terms, numeric_terms, shared_scripts
+
+HERE, THERE = Loc(3, 7), Loc(9, 1)
+
+
+def samples(loc: Loc) -> list[Term]:
+    """One node of each class, every field set, at `loc`."""
+
+    x = Var("x", Sort.REAL, loc)
+    half = Const(Fraction(1, 2), Sort.REAL, loc)
+    cond = Apply("<", (x, half), Sort.BOOL, loc)
+    return [
+        half,
+        x,
+        cond,
+        Div(x, half, Sort.REAL, loc),
+        Ite(cond, x, half, loc),
+        Quantifier("forall", (("x", Sort.REAL),), cond, loc),
+    ]
+
+
+def class_name(node: Term) -> str:
+    return type(node).__name__
+
+
+@pytest.mark.parametrize("node", samples(HERE), ids=class_name)
+def test_nodes_have_no_instance_dict(node):
+    assert not hasattr(node, "__dict__")
+
+
+@pytest.mark.parametrize("node", samples(HERE), ids=class_name)
+def test_nodes_are_frozen(node):
+    for f in dataclasses.fields(node):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, f.name, getattr(node, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, f.name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del node.extra
+
+
+@pytest.mark.parametrize("a, b", zip(samples(HERE), samples(THERE)), ids=map(class_name, samples(HERE)))
+def test_equality_and_hash_ignore_locations(a, b):
+    assert a.loc != b.loc and a is not b
+    assert a == b and hash(a) == hash(b) and same_term(a, b)
+
+
+def test_constructor_defaults():
+    d = Div(var("x"), var("y"))
+    assert d.sort is Sort.REAL and d.loc == Loc(0, 0)
+    assert Apply("+", (), Sort.INT).loc == Loc(0, 0)
+    assert Div(var("x"), var("y"), loc=HERE).loc == HERE
+
+
+def test_repr_is_unchanged():
+    expected = [
+        "Const(value=Fraction(1, 2), sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))",
+        "Var(name='x', sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))",
+        "Apply(op='<', args=(Var(name='x', sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7)),"
+        " Const(value=Fraction(1, 2), sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))),"
+        " sort=<Sort.BOOL: 'Bool'>, loc=Loc(line=3, col=7))",
+    ]
+    nodes = samples(HERE)
+    assert [repr(n) for n in nodes[:3]] == expected
+    x, half, cond = expected[1], expected[0], expected[2]
+    assert repr(nodes[3]) == f"Div(num={x}, den={half}, sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))"
+    assert repr(nodes[4]) == f"Ite(cond={cond}, then={x}, orelse={half}, loc=Loc(line=3, col=7))"
+    assert repr(nodes[5]) == (
+        f"Quantifier(kind='forall', bound=(('x', <Sort.REAL: 'Real'>),), body={cond},"
+        " loc=Loc(line=3, col=7))"
+    )
+
+
+def test_positional_match_patterns_bind():
+    """The shapes `passes.py`, `encoder.py` and `evaluator.py` match on."""
+
+    y = var("y")
+    guard = ite(eq(y, const(0)), const(0), div(var("x"), y))
+    match guard:
+        case Ite(Apply("=", (u, Const(z, _)), _), _, Div(_, u2)):
+            assert u is y and u2 is y and z == 0
+        case _:
+            pytest.fail("guard shape did not match")
+    match add(const(1), const(2)):
+        case Apply(op, args, sort) if all(type(a) is Const for a in args):
+            assert (op, sort) == ("+", Sort.REAL) and len(args) == 2
+        case _:
+            pytest.fail("Apply(op, args, sort) did not match")
+    match div(const(1), const(2)):
+        case Div(Const(n, _), Const(d, _), sort):
+            assert (n, d, sort) == (1, 2, Sort.REAL)
+        case _:
+            pytest.fail("Div(Const, Const, sort) did not match")
+    match Ite(const(True), y, const(0)):
+        case Ite(Const(c, _), then, orelse):
+            assert c is True and then is y and orelse == const(0)
+        case _:
+            pytest.fail("Ite(Const, then, orelse) did not match")
+    match const(3, Sort.INT):
+        case Const(value, sort):
+            assert (value, sort) == (3, Sort.INT)
+    match var("a", Sort.INT):
+        case Var(name, sort):
+            assert (name, sort) == ("a", Sort.INT)
+    match lt(y, y):
+        case Apply(op, _, _):
+            assert op == "<"
+
+
+# ---------------------------------------------------------------------------
+# same_term
+
+
+def doublings(k: int) -> Term:
+    """`x` doubled k times: 2^(k+1) - 1 tree nodes, k + 1 distinct ones."""
+
+    t = var("x")
+    for _ in range(k):
+        t = add(t, t)
+    return t
+
+
+def copy_term(term: Term) -> Term:
+    """An equal term sharing no node with `term`, every location moved."""
+
+    def rebuild(node: Term, new: list[Term]) -> Term:
+        if type(node) is Const:
+            return Const(node.value, node.sort, THERE)
+        if type(node) is Var:
+            return Var(node.name, node.sort, THERE)
+        if type(node) is Apply:
+            return Apply(node.op, tuple(new), node.sort, THERE)
+        if type(node) is Div:
+            return Div(new[0], new[1], node.sort, THERE)
+        if type(node) is Ite:
+            return Ite(*new, THERE)
+        return Quantifier(node.kind, node.bound, new[0], THERE)
+
+    return dag_fold(term, rebuild)
+
+
+def test_existing_guard_over_separately_built_dags_is_kept():
+    """`(ite (= A 0) 0 (/ x B))`, A and B equal but separate 2^41-node
+    trees: `==` would walk them; the guard is recognised in DAG time."""
+
+    a, b = doublings(40), doublings(40)
+    assert a is not b and same_term(a, b)
+    guard = ite(eq(a, const(0)), const(0), div(var("x"), b))
+    script = Script(logic="QF_NRA", assertions=(lt(guard, const(1)),))
+    kept = totalize(script).assertions[0].args[0] is guard  # no repr of 2^41 nodes on failure
+    assert kept
+
+
+def test_existing_guard_5000_deep_is_recognised_without_recursion():
+    def chain() -> Term:
+        t = var("y")
+        for i in range(5000):
+            t = add(t, const(i % 3))
+        return t
+
+    a, b = chain(), chain()
+    guard = ite(eq(a, const(0)), const(0), div(var("x"), b))
+    script = Script(logic="QF_NRA", assertions=(lt(guard, const(1)),))
+    kept = totalize(script).assertions[0].args[0] is guard
+    assert kept
+    assert not same_term(a, add(b.args[0], const(2)))
+
+
+def test_same_term_tells_near_misses_apart():
+    x, y = var("x"), var("y")
+    assert not same_term(add(x, y), add(y, x))
+    assert not same_term(add(x, y), add(x, y, y))
+    assert not same_term(add(x, y), Apply("+", (x, y), Sort.INT))
+    assert not same_term(const(1), const(1, Sort.INT))
+    assert not same_term(div(x, y), Apply("/", (x, y), Sort.REAL))
+    assert not same_term(x, var("x", Sort.INT))
+    q = Quantifier("forall", (("z", Sort.REAL),), lt(x, y))
+    assert not same_term(q, Quantifier("exists", q.bound, q.body))
+    assert not same_term(q, Quantifier("forall", (("w", Sort.REAL),), q.body))
+
+
+terms = st.one_of(numeric_terms, bool_terms)
+pairs = st.one_of(
+    st.tuples(terms, terms),
+    terms.map(lambda t: (t, copy_term(t))),
+    shared_scripts().map(lambda s: (s.assertions[0], parse_script(print_script(s)).assertions[0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs)
+def test_same_term_agrees_with_equality(pair):
+    a, b = pair
+    assert same_term(a, b) == (a == b)
+    assert same_term(b, a) == (a == b)
