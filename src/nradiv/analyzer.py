@@ -120,19 +120,22 @@ def collect_divisions(script: Script) -> list[DivOccurrence]:
 
     out: list[DivOccurrence] = []
     classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
+    path: list[int] = []  # the path of the node being visited
     for i, assertion in enumerate(script.assertions):
-        stack = [(assertion, (i,), False)]
+        stack = [(assertion, i, 0, False)]  # node, index in its parent, parent path length
         while stack:
-            term, path, under = stack.pop()
+            term, j, depth, under = stack.pop()
+            del path[depth:]
+            path.append(j)
             if type(term) is Div:
                 cls = classes.get(id(term.den))
                 if cls is None:
                     cls = classes[id(term.den)] = classify_divisor(term.den)
-                out.append(DivOccurrence(path, cls, term.loc, under))
+                out.append(DivOccurrence(tuple(path), cls, term.loc, under))
             inside = under or type(term) is Quantifier
             kids = children(term)
-            for j in range(len(kids) - 1, -1, -1):
-                stack.append((kids[j], path + (j,), inside))
+            for k in range(len(kids) - 1, -1, -1):
+                stack.append((kids[k], k, depth + 1, inside))
     return out
 
 

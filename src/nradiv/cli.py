@@ -253,10 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except NradivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
-    except OSError as exc:
+    except (NradivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 

@@ -155,14 +155,6 @@ class EncodedProblem:
     mode: EncodeMode
 
 
-def _int_body_parts(term: Term) -> tuple[Term, ...]:
-    if type(term) is Apply:
-        return term.args
-    if type(term) is Const or type(term) is Var:
-        return ()
-    raise EncodeError(f"construct not allowed in an integer body: {format_term(term)}")
-
-
 def _resorted(term: Term, args: list[Term]) -> Term:
     if type(term) is Const:
         return term if isinstance(term.value, bool) else Const(term.value, Sort.REAL, term.loc)
@@ -175,7 +167,7 @@ def _resorted(term: Term, args: list[Term]) -> Term:
 def _resort_real(term: Term) -> Term:
     """Rebuild an integer body with every numeric piece sorted Real."""
 
-    return dag_fold(term, _resorted, _int_body_parts)
+    return dag_fold(term, _resorted)
 
 
 def _encode(formula: IntFormula, mode: EncodeMode) -> EncodedProblem:

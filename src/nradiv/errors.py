@@ -22,7 +22,14 @@ class ParseError(ScriptError):
 
 
 class SortError(ScriptError):
-    """Term is not well-sorted (e.g. a Boolean where a Real is required)."""
+    """Term is not well-sorted (e.g. a Boolean where a Real is required).
+
+    `arg` is the index of the argument to blame, when one is.
+    """
+
+    def __init__(self, message: str, loc=None, arg: int | None = None):
+        self.arg = arg
+        super().__init__(message, loc)
 
 
 class UndeclaredSymbolError(ScriptError):

@@ -17,6 +17,7 @@ from itertools import product, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetExceededError, EvalError
+from .printer import format_term
 from .terms import (
     AGAIN,
     OPS,
@@ -297,7 +298,7 @@ def compile_int_body(body: Term, variables: Sequence[str]) -> Callable[..., Valu
                 else:
                     lines.append(f"{temp} = {op_source(op, exprs)}")
                 return (temp, m.result)
-        raise EvalError(f"cannot compile into an integer function: {node!r}")
+        raise EvalError(f"cannot compile into an integer function: {format_term(node)}")
 
     result, _ = dag_fold(body, compiled, operands)
     source = "".join(

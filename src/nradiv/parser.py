@@ -3,6 +3,8 @@
 The reader matches one compiled pattern per token and builds s-expressions
 on an explicit stack, tracking line and column as it goes.  Numerals are
 ASCII digits only (SMT-LIB 2.6 section 3.1); other digits are rejected.
+The term builder keeps its work on an explicit stack too, so depth has no
+limit, and checks builtin sorts with `terms.result_sort`, as constructors do.
 
 Supported commands: set-logic, set-info, declare-fun, declare-const,
 define-fun, assert, check-sat, exit.  Anything else is preserved
@@ -17,13 +19,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Generator, NamedTuple
 
 from .errors import ParseError, SortError, UndeclaredSymbolError
 from .printer import SIMPLE_SYMBOL, SIMPLE_SYMBOL_CHARS, format_symbol
 from .terms import (
     BUILTIN_OPS,
-    NUMERIC_SORTS,
     Apply,
     Const,
     Div,
@@ -37,13 +38,17 @@ from .terms import (
     Term,
     Unsupported,
     Var,
+    arity_error,
     neg_literal,
+    result_sort,
     substitute,
 )
 
 _RESERVED = frozenset(
     {"true", "false", "ite", "let", "forall", "exists", "as", "par", "_", "!"}
 ) | BUILTIN_OPS | {"/"}
+
+_SORT_RULE_OPS = BUILTIN_OPS | {"/", "ite"}  # the builtins `terms.result_sort` checks
 
 # Theory symbols we recognize as real SMT-LIB but do not model.
 _KNOWN_UNSUPPORTED_OPS = frozenset(
@@ -337,7 +342,7 @@ class _ScriptBuilder:
             self.unsupported.append(Unsupported(render_sexpr(form), form.loc))
             return
         scope = {pname: Var(pname, psort) for pname, psort in params}
-        body = self._term(args[3], [scope])
+        body = self._build(args[3], [scope])
         if body.sort is not result:
             raise SortError(
                 f"define-fun body has sort {body.sort}, declared {result}", args[3].loc
@@ -347,7 +352,7 @@ class _ScriptBuilder:
     def _cmd_assert(self, form: SList, args) -> None:
         if len(args) != 1:
             raise ParseError("assert takes one term", form.loc)
-        term = self._term(args[0], [])
+        term = self._build(args[0], [])
         if term.sort is not Sort.BOOL:
             raise SortError(f"assertion must be Bool, got {term.sort}", args[0].loc)
         self.assertions.append(term)
@@ -370,11 +375,30 @@ class _ScriptBuilder:
                 return scope[name]
         return None
 
-    def _term(self, sx, scopes: list[dict[str, Term]]) -> Term:
-        if isinstance(sx, SAtom):
-            return self._atom_term(sx, scopes)
-        if not isinstance(sx, SList):
-            raise ParseError("expected a term", NO_LOC)
+    def _build(self, sx, scopes: list[dict[str, Term]]) -> Term:
+        """The term `sx` denotes under `scopes`, built without recursion: each
+        `_term` generator yields the s-expression and scopes of each subterm
+        it needs, in order, and is sent the term built from it.  They wait on
+        one explicit stack, so every check runs in the order it is written."""
+
+        stack: list[Generator] = []
+        while True:
+            if type(sx) is SAtom:
+                term = self._atom_term(sx, scopes)
+            else:
+                stack.append(self._term(sx, scopes))
+                term = None
+            while stack:
+                try:
+                    sx, scopes = stack[-1].send(term)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    term = done.value
+            else:
+                return term
+
+    def _term(self, sx, scopes) -> Generator:
         if not sx.items:
             raise ParseError("empty application", sx.loc)
         head = sx.items[0]
@@ -417,108 +441,60 @@ class _ScriptBuilder:
             return Var(name, decl.result, sx.loc)
         raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.loc)
 
-    def _built_args(self, items, scopes) -> tuple[Term, ...]:
-        return tuple([self._term(x, scopes) for x in items])
+    def _built_args(self, items, scopes) -> Generator:
+        """The argument terms; an atom is built here, saving a trip through `_build`."""
 
-    def _require_numeric(self, op: str, args: tuple[Term, ...], items) -> Sort:
-        s0 = args[0].sort
-        if (s0 is Sort.REAL or s0 is Sort.INT) and all(a.sort is s0 for a in args):
-            return s0
-        for a, sx in zip(args, items):
-            if a.sort not in NUMERIC_SORTS:
-                raise SortError(f"'{op}' expects numeric arguments, got {a.sort}", sx.loc)
-        raise SortError(f"'{op}' mixes Real and Int arguments", items[0].loc)
+        args = []
+        for x in items:
+            args.append(self._atom_term(x, scopes) if type(x) is SAtom else (yield x, scopes))
+        return tuple(args)
 
-    def _require_bool(self, op: str, args: tuple[Term, ...], items) -> None:
-        for a, sx in zip(args, items):
-            if a.sort is not Sort.BOOL:
-                raise SortError(f"'{op}' expects Bool arguments, got {a.sort}", sx.loc)
-
-    def _arity(self, op: str, items, loc: Loc, least: int) -> None:
-        if len(items) < least:
-            raise ParseError(f"'{op}' needs at least {least} arguments", loc)
-
-    def _application(self, head: SAtom, items, scopes) -> Term:
+    def _application(self, head: SAtom, items, scopes) -> Generator:
         op = head.text
         loc = head.loc
 
         if op == "let":
-            return self._let(head, items, scopes)
+            return (yield from self._let(head, items, scopes))
         if op in ("forall", "exists"):
-            return self._quantifier(head, items, scopes)
-        if op == "ite":
-            if len(items) != 3:
-                raise ParseError("'ite' needs exactly 3 arguments", loc)
-            cond, then, orelse = self._built_args(items, scopes)
-            if cond.sort is not Sort.BOOL:
-                raise SortError("'ite' condition must be Bool", items[0].loc)
-            if then.sort is not orelse.sort:
-                raise SortError(
-                    f"'ite' branches disagree: {then.sort} vs {orelse.sort}", items[2].loc
-                )
-            return Ite(cond, then, orelse, loc)
-
-        if op == "/":
-            self._arity(op, items, loc, 2)
-            args = self._built_args(items, scopes)
-            sort = self._require_numeric(op, args, items)
-            if sort is Sort.INT and _numeral_sort(self.logic) is not Sort.INT:
-                raise SortError("'/' on Int arguments outside an integer logic", loc)
-            term = args[0]
-            for arg in args[1:]:  # n-ary division associates to the left
-                term = Div(term, arg, sort, loc)
-            return term
-
-        if op in ("+", "*"):
-            self._arity(op, items, loc, 2)
-            args = self._built_args(items, scopes)
-            return Apply(op, args, self._require_numeric(op, args, items), loc)
-        if op == "-":
-            self._arity(op, items, loc, 1)
-            args = self._built_args(items, scopes)
-            sort = self._require_numeric(op, args, items)
-            if len(args) == 1 and isinstance(args[0], Const):
+            return (yield from self._quantifier(head, items, scopes))
+        if op in _SORT_RULE_OPS:
+            why = arity_error(op, len(items))
+            if why is not None:
+                raise ParseError(why, loc)
+            args = yield from self._built_args(items, scopes)
+            try:
+                sort = result_sort(op, args)
+            except SortError as exc:  # located at the argument to blame
+                at = loc if exc.arg is None else items[exc.arg].loc
+                raise SortError(exc.args[0], at) from None
+            if op == "ite":
+                return Ite(*args, loc)
+            if op == "/":
+                if sort is Sort.INT and _numeral_sort(self.logic) is not Sort.INT:
+                    raise SortError("'/' on Int arguments outside an integer logic", loc)
+                term = args[0]
+                for arg in args[1:]:  # n-ary division associates to the left
+                    term = Div(term, arg, sort, loc)
+                return term
+            if op == "-" and len(args) == 1 and isinstance(args[0], Const):
                 return neg_literal(args[0])
             return Apply(op, args, sort, loc)
-        if op in ("<", "<=", ">", ">="):
-            self._arity(op, items, loc, 2)
-            args = self._built_args(items, scopes)
-            self._require_numeric(op, args, items)
-            return Apply(op, args, Sort.BOOL, loc)
-        if op in ("=", "distinct"):
-            self._arity(op, items, loc, 2)
-            args = self._built_args(items, scopes)
-            sorts = {a.sort for a in args}
-            if len(sorts) != 1:
-                raise SortError(f"'{op}' mixes sorts {sorted(s.value for s in sorts)}", loc)
-            return Apply(op, args, Sort.BOOL, loc)
-        if op == "not":
-            if len(items) != 1:
-                raise ParseError("'not' needs exactly 1 argument", loc)
-            args = self._built_args(items, scopes)
-            self._require_bool(op, args, items)
-            return Apply(op, args, Sort.BOOL, loc)
-        if op in ("and", "or", "=>"):
-            self._arity(op, items, loc, 2)
-            args = self._built_args(items, scopes)
-            self._require_bool(op, args, items)
-            return Apply(op, args, Sort.BOOL, loc)
 
         if op in self.macros and self._lookup(op, scopes) is None:
-            return self._macro_call(head, items, scopes)
+            return (yield from self._macro_call(head, items, scopes))
         if op in self.decls and self._lookup(op, scopes) is None:
-            return self._declared_call(head, items, scopes)
+            return (yield from self._declared_call(head, items, scopes))
         if op in _KNOWN_UNSUPPORTED_OPS:
             raise ParseError(f"unsupported operator '{op}'", loc)
         raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", loc)
 
-    def _macro_call(self, head: SAtom, items, scopes) -> Term:
+    def _macro_call(self, head: SAtom, items, scopes) -> Generator:
         params, body = self.macros[head.text]
         if len(items) != len(params):
             raise SortError(
                 f"'{head.text}' expects {len(params)} arguments, got {len(items)}", head.loc
             )
-        args = self._built_args(items, scopes)
+        args = yield from self._built_args(items, scopes)
         for arg, (pname, psort), sx in zip(args, params, items):
             if arg.sort is not psort:
                 raise SortError(
@@ -527,7 +503,7 @@ class _ScriptBuilder:
                 )
         return substitute(body, {p: a for (p, _), a in zip(params, args)})
 
-    def _declared_call(self, head: SAtom, items, scopes) -> Term:
+    def _declared_call(self, head: SAtom, items, scopes) -> Generator:
         decl = self.decls[head.text]
         if not decl.params:
             raise ParseError(f"'{head.text}' is a constant, not a function", head.loc)
@@ -536,7 +512,7 @@ class _ScriptBuilder:
                 f"'{head.text}' expects {len(decl.params)} arguments, got {len(items)}",
                 head.loc,
             )
-        args = self._built_args(items, scopes)
+        args = yield from self._built_args(items, scopes)
         for i, (arg, psort, sx) in enumerate(zip(args, decl.params, items)):
             if arg.sort is not psort:
                 raise SortError(
@@ -545,7 +521,7 @@ class _ScriptBuilder:
                 )
         return Apply(head.text, args, decl.result, head.loc)
 
-    def _let(self, head: SAtom, items, scopes) -> Term:
+    def _let(self, head: SAtom, items, scopes) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList):
             raise ParseError("malformed let", head.loc)
         bindings: dict[str, Term] = {}
@@ -556,10 +532,10 @@ class _ScriptBuilder:
             if name.text in bindings:
                 raise ParseError(f"duplicate let binding '{name.text}'", name.loc)
             # Bindings are parallel: right-hand sides see the outer scope.
-            bindings[name.text] = self._term(b.items[1], scopes)
-        return self._term(items[1], scopes + [bindings])
+            bindings[name.text] = yield b.items[1], scopes
+        return (yield items[1], scopes + [bindings])
 
-    def _quantifier(self, head: SAtom, items, scopes) -> Term:
+    def _quantifier(self, head: SAtom, items, scopes) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList) or not items[0].items:
             raise ParseError(f"malformed {head.text}", head.loc)
         bound: list[tuple[str, Sort]] = []
@@ -576,23 +552,10 @@ class _ScriptBuilder:
                 raise ParseError("unsupported sort in binder", b.items[1].loc)
             bound.append((name.text, sort))
             scope[name.text] = Var(name.text, sort, name.loc)
-        body = self._term(items[1], scopes + [scope])
+        body = yield items[1], scopes + [scope]
         if body.sort is not Sort.BOOL:
             raise SortError(f"{head.text} body must be Bool, got {body.sort}", items[1].loc)
         return Quantifier(head.text, tuple(bound), body, head.loc)
-
-
-def _innermost_form_loc(tb) -> Loc:
-    """Location of the deepest list `_ScriptBuilder._term` was building."""
-
-    loc = NO_LOC
-    while tb is not None:
-        if tb.tb_frame.f_code is _ScriptBuilder._term.__code__:
-            sx = tb.tb_frame.f_locals.get("sx")
-            if isinstance(sx, SList):
-                loc = sx.loc
-        tb = tb.tb_next
-    return loc
 
 
 def parse_script(text: str) -> Script:
@@ -600,12 +563,7 @@ def parse_script(text: str) -> Script:
 
     The text is first read into s-expressions in one iterative pass, so
     lexical and bracket errors come before any sort or scope error.  Terms
-    are then built recursively, so nesting deeper than the interpreter's
-    recursion limit allows raises ParseError("nesting too deep").
+    are then built on an explicit stack, so nesting has no depth limit.
     """
 
-    forms = _read(text)
-    try:
-        return _ScriptBuilder().run(forms)
-    except RecursionError as exc:
-        raise ParseError("nesting too deep", _innermost_form_loc(exc.__traceback__)) from None
+    return _ScriptBuilder().run(_read(text))

@@ -39,7 +39,6 @@ from .terms import (
     implies,
     mul,
     neg,
-    same_term,
     var,
     with_children,
 )
@@ -65,7 +64,7 @@ def _is_guard(term: Term) -> bool:
 
     match term:
         case Ite(Apply("=", (u, Const(z, _)), _), _, Div(_, u2)):
-            return not isinstance(z, bool) and z == 0 and (u is u2 or same_term(u, u2))
+            return not isinstance(z, bool) and z == 0 and u == u2
         case _:
             return False
 

@@ -147,9 +147,21 @@ NO_LOC = Loc(0, 0)
 
 
 class Term:
-    """Base class of all term nodes."""
+    """Base class of all term nodes.
+
+    `==` is structural and ignores locations (`same_term`), and `hash`
+    agrees with it.  Neither recurses: both cost the DAG, not the tree.
+    """
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        return same_term(self, other)
+
+    def __hash__(self) -> int:
+        return dag_fold(self, lambda t, below: hash((type(t), *_LABEL[type(t)](t), *below)))
 
 
 def _frozen_setattr(self, name: str, value: object) -> None:
@@ -191,54 +203,54 @@ def _direct_init(cls: type) -> type:
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Const(Term):
     """Literal: an exact rational (Real or Int sort) or a Boolean."""
 
     value: Fraction | bool
     sort: Sort
-    loc: Loc = field(default=NO_LOC, compare=False)
+    loc: Loc = NO_LOC
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Term):
     """Occurrence of a declared constant or a bound variable."""
 
     name: str
     sort: Sort
-    loc: Loc = field(default=NO_LOC, compare=False)
+    loc: Loc = NO_LOC
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Apply(Term):
     """Application of a builtin operator or a declared function symbol."""
 
     op: str
     args: tuple[Term, ...]
     sort: Sort
-    loc: Loc = field(default=NO_LOC, compare=False)
+    loc: Loc = NO_LOC
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Div(Term):
     """Division `(/ num den)`; its value at a zero divisor is uninterpreted."""
 
     num: Term
     den: Term
     sort: Sort = Sort.REAL
-    loc: Loc = field(default=NO_LOC, compare=False)
+    loc: Loc = NO_LOC
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Ite(Term):
     cond: Term
     then: Term
     orelse: Term
-    loc: Loc = field(default=NO_LOC, compare=False)
+    loc: Loc = NO_LOC
 
     @property
     def sort(self) -> Sort:
@@ -246,12 +258,12 @@ class Ite(Term):
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Quantifier(Term):
     kind: str  # "forall" or "exists"
     bound: tuple[tuple[str, Sort], ...]
     body: Term
-    loc: Loc = field(default=NO_LOC, compare=False)
+    loc: Loc = NO_LOC
 
     @property
     def sort(self) -> Sort:
@@ -263,8 +275,8 @@ def sort_of(term: Term) -> Sort:
 
 
 # ---------------------------------------------------------------------------
-# Construction helpers.  These compute result sorts and reject ill-sorted
-# combinations, so terms built in code satisfy the same invariants as
+# Construction helpers.  They take result sorts from `result_sort`, the rule
+# the parser applies, so terms built in code satisfy the same invariants as
 # parsed ones.
 
 
@@ -280,93 +292,125 @@ def var(name: str, sort: Sort = Sort.REAL, loc: Loc = NO_LOC) -> Var:
     return Var(name, sort, loc)
 
 
-def _common_numeric_sort(op: str, args: tuple[Term, ...]) -> Sort:
-    sorts = {a.sort for a in args}
-    if len(sorts) != 1 or not sorts <= NUMERIC_SORTS:
-        raise SortError(f"'{op}' needs arguments of one numeric sort, got {sorted(s.value for s in sorts)}")
-    return args[0].sort
-
-
 def neg_literal(c: Const) -> Const:
-    """Negate a numeric literal in place of building `(- c)`."""
+    """Negate a numeric literal in place of building `(- c)`; the caller
+    has checked the sort with `result_sort`."""
 
-    if isinstance(c.value, bool):
-        raise SortError("'-' applied to a Boolean literal")
     return Const(-c.value, c.sort, c.loc)
 
 
+# Each builtin's fewest arguments, whether that is also the most, and its
+# argument and result kinds, from `OPS`: an operator with no infix form takes
+# exactly one argument, one with a prefix form at least one, others two.
+_SIGNATURES: dict[str, tuple[int, bool, str, str]] = {
+    "ite": (3, True, "ite", "ite"),
+    "/": (2, False, "num", "num"),
+} | {op: (1 if m.prefix else 2, m.infix is None, m.args, m.result) for op, m in OPS.items()}
+_KIND_SORTS = {"num": ((Sort.REAL, Sort.INT), "numeric"), "bool": ((Sort.BOOL,), "Bool")}
+
+
+def arity_error(op: str, n_args: int) -> str | None:
+    """Why builtin `op` cannot take `n_args` arguments, or None if it can."""
+
+    least, exact = _SIGNATURES[op][:2]
+    if n_args == least or n_args > least and not exact:
+        return None
+    how = "exactly" if exact else "at least"
+    return f"'{op}' needs {how} {least} argument" + "s" * (least > 1 or not exact)
+
+
+def result_sort(op: str, args: Sequence[Term]) -> Sort:
+    """Sort of builtin `op` (an `OPS` operator, `/` or `ite`) applied to `args`.
+
+    The one sort rule of SMT-LIB applications, for the parser and the
+    constructors alike.  An ill-sorted application raises SortError whose
+    `arg` is the index of the argument to blame, or None when it is the
+    application as a whole.
+    """
+
+    why = arity_error(op, len(args))
+    if why is not None:
+        raise SortError(why)
+    _, _, kind, result = _SIGNATURES[op]
+    sorts = [a.sort for a in args]
+    if kind == "ite":
+        if sorts[0] is not Sort.BOOL:
+            raise SortError("'ite' condition must be Bool", arg=0)
+        if sorts[1] is not sorts[2]:
+            raise SortError(f"'ite' branches disagree: {sorts[1]} vs {sorts[2]}", arg=2)
+        return sorts[1]
+    s0 = sorts[0]
+    same = sorts.count(s0) == len(sorts)
+    if kind == "any":
+        if not same:
+            raise SortError(f"'{op}' mixes sorts {sorted({s.value for s in sorts})}")
+        return Sort.BOOL
+    allowed, name = _KIND_SORTS[kind]
+    if not (same and s0 in allowed):
+        for i, s in enumerate(sorts):
+            if s not in allowed:
+                raise SortError(f"'{op}' expects {name} arguments, got {s}", arg=i)
+        raise SortError(f"'{op}' mixes Real and Int arguments", arg=0)
+    return s0 if result == "num" else Sort.BOOL
+
+
 def add(*args: Term) -> Apply:
-    return Apply("+", tuple(args), _common_numeric_sort("+", tuple(args)))
+    return Apply("+", args, result_sort("+", args))
 
 
 def sub(*args: Term) -> Term:
     """n-ary subtraction; unary minus of a literal folds to the literal."""
 
+    sort = result_sort("-", args)
     if len(args) == 1 and isinstance(args[0], Const):
         return neg_literal(args[0])
-    return Apply("-", tuple(args), _common_numeric_sort("-", tuple(args)))
+    return Apply("-", args, sort)
 
 
 def mul(*args: Term) -> Apply:
-    return Apply("*", tuple(args), _common_numeric_sort("*", tuple(args)))
+    return Apply("*", args, result_sort("*", args))
 
 
 def div(num: Term, den: Term) -> Div:
-    return Div(num, den, _common_numeric_sort("/", (num, den)))
-
-
-def _comparison(op: str, a: Term, b: Term) -> Apply:
-    _common_numeric_sort(op, (a, b))
-    return Apply(op, (a, b), Sort.BOOL)
+    return Div(num, den, result_sort("/", (num, den)))
 
 
 def lt(a: Term, b: Term) -> Apply:
-    return _comparison("<", a, b)
+    return Apply("<", (a, b), result_sort("<", (a, b)))
 
 
 def le(a: Term, b: Term) -> Apply:
-    return _comparison("<=", a, b)
+    return Apply("<=", (a, b), result_sort("<=", (a, b)))
 
 
 def eq(a: Term, b: Term) -> Apply:
-    if a.sort is not b.sort:
-        raise SortError(f"'=' needs arguments of one sort, got {a.sort} and {b.sort}")
-    return Apply("=", (a, b), Sort.BOOL)
-
-
-def _check_bool(op: str, args: Iterable[Term]) -> None:
-    for a in args:
-        if a.sort is not Sort.BOOL:
-            raise SortError(f"'{op}' needs Boolean arguments, got {a.sort}")
+    return Apply("=", (a, b), result_sort("=", (a, b)))
 
 
 def neg(a: Term) -> Apply:
-    _check_bool("not", (a,))
-    return Apply("not", (a,), Sort.BOOL)
+    return Apply("not", (a,), result_sort("not", (a,)))
 
 
 def conj(*args: Term) -> Term:
-    _check_bool("and", args)
-    if len(args) == 1:
+    """`(and ...)`; a single Boolean argument is returned as it is."""
+
+    if len(args) == 1 and args[0].sort is Sort.BOOL:
         return args[0]
-    return Apply("and", tuple(args), Sort.BOOL)
+    return Apply("and", args, result_sort("and", args))
 
 
 def implies(a: Term, b: Term) -> Apply:
-    _check_bool("=>", (a, b))
-    return Apply("=>", (a, b), Sort.BOOL)
+    return Apply("=>", (a, b), result_sort("=>", (a, b)))
 
 
 def ite(cond: Term, then: Term, orelse: Term) -> Ite:
-    if cond.sort is not Sort.BOOL:
-        raise SortError("'ite' condition must be Boolean")
-    if then.sort is not orelse.sort:
-        raise SortError(f"'ite' branches disagree: {then.sort} vs {orelse.sort}")
+    result_sort("ite", (cond, then, orelse))
     return Ite(cond, then, orelse)
 
 
 def forall(bound: Iterable[tuple[str, Sort]], body: Term) -> Quantifier:
-    _check_bool("forall", (body,))
+    if body.sort is not Sort.BOOL:
+        raise SortError(f"forall body must be Bool, got {body.sort}")
     return Quantifier("forall", tuple(bound), body)
 
 
@@ -377,8 +421,7 @@ def forall(bound: Iterable[tuple[str, Sort]], body: Term) -> Quantifier:
 # tree can be exponentially larger.  Walkers go through `dag_fold` (or
 # `dag_rewrite`, built on it), which visits each distinct node once and
 # keeps its result keyed by `id(node)`: ids are unique only while the nodes
-# are alive, so a memo must not outlive the terms it was filled from.  Nodes
-# are never hashed or compared structurally, which would walk the tree.
+# are alive, so a memo must not outlive the terms it was filled from.
 
 
 def children(term: Term) -> tuple[Term, ...]:
@@ -430,9 +473,9 @@ _LABEL: dict[type, Callable[[Term], tuple]] = {
 def same_term(a: Term, b: Term) -> bool:
     """`a == b`: structural equality ignoring locations, without recursion.
 
-    `==` walks both terms as trees.  This compares each pair of nodes
-    reached together once, so two separately built DAGs spelling the same
-    term cost their DAG size, and depth costs no stack.
+    Each pair of nodes reached together is compared once, so two
+    separately built DAGs spelling the same term cost their DAG size, and
+    depth costs no stack.
     """
 
     seen: set[tuple[int, int]] = set()

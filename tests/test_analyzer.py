@@ -7,6 +7,7 @@ import strategies
 from conftest import CORPUS_EXPECTED
 from nradiv import (
     Div,
+    DivisorClass,
     DivisorKind,
     FragmentLabel,
     classify_divisor,
@@ -147,3 +148,13 @@ def test_constant_verdicts_match_evaluation(term):
     elif got.kind is CZ:
         assert eval_term(term, {}, FLOOR) == 0
         assert eval_term(term, {}, IDENTITY) == 0
+
+
+def test_division_20000_deep_keeps_its_path_class_and_location():
+    depth = 20_000
+    text = "(declare-fun x () Real)\n(assert (= x " + "(+ 1 " * depth + "(/ x 2)" + ")" * depth + "))"
+    (occurrence,) = collect_divisions(parse_script(text))
+    assert occurrence.path == (0, 1) + (1,) * depth
+    assert occurrence.divisor_class == DivisorClass(CN, Fraction(2))
+    assert tuple(occurrence.loc) == (2, len("(assert (= x ") + len("(+ 1 ") * depth + 2)  # at its /
+    assert not occurrence.under_quantifier

@@ -85,22 +85,20 @@ def test_non_utf8_input_exits_70(tmp_path, capsys):
     assert "not UTF-8" in one_line_error(capsys)
 
 
-def write_nested(path, depth: int) -> str:
+def test_depth_10000_goes_through_classify_transform_and_scan(tmp_path, capsys):
+    path = tmp_path / "deep.smt2"
+    depth = 10_000
     path.write_text(
-        "(declare-fun x () Real)\n(assert (= x " + "(+ 1 " * depth + "x" + ")" * depth + "))\n"
+        "(declare-fun x () Real)\n(assert (= x " + "(+ 1 " * depth + "(/ x 2)" + ")" * depth + "))\n"
     )
-    return str(path)
-
-
-def test_nesting_too_deep_exits_65(tmp_path, capsys):
-    path = write_nested(tmp_path / "deep.smt2", 1000)
-    assert main(["classify", path]) == 65
-    assert "nesting too deep" in one_line_error(capsys)
-    assert main(["transform", "uf-lift", path]) == 65
-    assert "nesting too deep" in one_line_error(capsys)
+    assert main(["classify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"{path}: constant-division-only"
+    assert main(["transform", "totalize", str(path)]) == 0
+    assert main(["transform", "uf-lift", str(path)]) == 0
+    capsys.readouterr()
     assert main(["scan", str(tmp_path)]) == 0
     (record,) = json.loads(capsys.readouterr().out)["files"]
-    assert record["status"] == "parse-error" and "nesting too deep" in record["error"]
+    assert record["status"] == "ok"
 
 
 def test_non_ascii_digit_exits_65(tmp_path, capsys):

@@ -25,7 +25,7 @@ from nradiv import (
     parse_script,
 )
 from nradiv.evaluator import compile_int_body
-from nradiv.terms import BUILTIN_OPS, OPS, Apply, Sort, add, const, eq, mul, sub, var
+from nradiv.terms import BUILTIN_OPS, OPS, Apply, Div, Sort, add, const, eq, mul, sub, var
 
 
 def term_of(text: str, decls: str = "(declare-fun a () Real)(declare-fun b () Real)"):
@@ -313,6 +313,19 @@ def test_compiled_body_rejects_what_the_interpreter_rejects():
         compile_int_body(ill_sorted, ("a",))
     with pytest.raises(EvalError):
         compile_int_body(eq(a, var("b", Sort.INT)), ("a",))
+
+
+def test_compile_error_prints_the_node_also_when_it_is_deep():
+    a = var("a", Sort.INT)
+    t = a
+    for _ in range(3000):
+        t = add(t, const(1, Sort.INT))
+    body = eq(Div(t, a, Sort.INT), a)
+    with pytest.raises(EvalError) as excinfo:
+        compile_int_body(body, ("a",))
+    message = str(excinfo.value)
+    assert message.startswith("cannot compile into an integer function: (/ (+ (+ ")
+    assert message.endswith(" 1) 1) a)")
 
 
 def test_brute_force_symbol_names_never_reach_the_source():

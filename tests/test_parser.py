@@ -214,16 +214,70 @@ def test_backslash_in_quoted_symbol_is_rejected():
     assert tuple(excinfo.value.loc) == (2, 16)
 
 
-def nested_script(depth: int) -> str:
-    return "(declare-fun x () Real)\n(assert (= x " + "(+ 1 " * depth + "x" + ")" * depth + "))"
+def nested_script(depth: int, bottom: str = "(/ x 2)") -> str:
+    """`bottom` under `depth` nested `(+ 1 ...)`, as the printer lays it out."""
+
+    return (
+        "(set-logic QF_NRA)\n(declare-fun x () Real)\n(assert (= x "
+        + "(+ 1 " * depth + bottom + ")" * depth + "))\n"
+    )
 
 
-def test_nesting_too_deep_is_a_located_parse_error():
-    with pytest.raises(ParseError, match="nesting too deep") as excinfo:
-        parse_script(nested_script(1000))
-    line, col = excinfo.value.loc
-    assert line == 2 and col > len("(assert (= x ")
-    assert nested_script(1000)[len("(declare-fun x () Real)\n") + col - 1] == "("
+def test_depth_10000_parses_and_prints_back():
+    text = nested_script(10_000)
+    assert print_script(parse_script(text)) == text
+
+
+def test_error_10000_deep_is_located():
+    with pytest.raises(SortError) as excinfo:
+        parse_script(nested_script(10_000, "true"))
+    col = len("(assert (= x ") + len("(+ 1 ") * 10_000 + 1
+    assert str(excinfo.value) == f"'+' expects numeric arguments, got Bool (line 3, column {col})"
+
+
+SORT_HEADER = "(declare-fun x () Real)(declare-fun n () Int)(declare-fun p () Bool)\n"
+
+
+@pytest.mark.parametrize(
+    "assertion, error, message, col",
+    [
+        ("(assert (ite p x))", ParseError, "'ite' needs exactly 3 arguments", 10),
+        ("(assert (= (ite x x x) x))", SortError, "'ite' condition must be Bool", 17),
+        ("(assert (= (ite p x p) x))", SortError, "'ite' branches disagree: Real vs Bool", 21),
+        ("(assert (= (/ x) x))", ParseError, "'/' needs at least 2 arguments", 13),
+        ("(assert (= (/ x p) x))", SortError, "'/' expects numeric arguments, got Bool", 17),
+        ("(assert (= (/ x n) x))", SortError, "'/' mixes Real and Int arguments", 15),
+        ("(assert (= (/ n n) n))", SortError, "'/' on Int arguments outside an integer logic", 13),
+        ("(assert (= (+ x) x))", ParseError, "'+' needs at least 2 arguments", 13),
+        ("(assert (= (* x 2 p) x))", SortError, "'*' expects numeric arguments, got Bool", 19),
+        ("(assert (= (-) x))", ParseError, "'-' needs at least 1 arguments", 13),
+        ("(assert (= (- p) x))", SortError, "'-' expects numeric arguments, got Bool", 15),
+        ("(assert (= (- n x) n))", SortError, "'-' mixes Real and Int arguments", 15),
+        ("(assert (< x))", ParseError, "'<' needs at least 2 arguments", 10),
+        ("(assert (<= x p))", SortError, "'<=' expects numeric arguments, got Bool", 15),
+        ("(assert (> n x))", SortError, "'>' mixes Real and Int arguments", 12),
+        ("(assert (>= p x))", SortError, "'>=' expects numeric arguments, got Bool", 13),
+        ("(assert (= x))", ParseError, "'=' needs at least 2 arguments", 10),
+        ("(assert (= x p))", SortError, "'=' mixes sorts ['Bool', 'Real']", 10),
+        ("(assert (distinct n n x))", SortError, "'distinct' mixes sorts ['Int', 'Real']", 10),
+        ("(assert (not p p))", ParseError, "'not' needs exactly 1 argument", 10),
+        ("(assert (not))", ParseError, "'not' needs exactly 1 argument", 10),
+        ("(assert (not x))", SortError, "'not' expects Bool arguments, got Real", 14),
+        ("(assert (and p))", ParseError, "'and' needs at least 2 arguments", 10),
+        ("(assert (or p x))", SortError, "'or' expects Bool arguments, got Real", 15),
+        ("(assert (=> p n))", SortError, "'=>' expects Bool arguments, got Int", 15),
+    ],
+)
+def test_builtin_sort_and_arity_errors(assertion, error, message, col):
+    with pytest.raises(error) as excinfo:
+        parse_script(SORT_HEADER + assertion)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{message} (line 2, column {col})"
+
+
+def test_arity_is_checked_before_the_arguments_are_built():
+    with pytest.raises(ParseError, match="^'not' needs exactly 1 argument"):
+        parse_script(SORT_HEADER + "(assert (not (+ p p) q))")
 
 
 def test_unterminated_tokens():

@@ -1,10 +1,11 @@
 """The term node contract: slotted, immutable, structurally equal and
-hashed without locations, and `same_term` as an iterative, shared-node
-aware `==`."""
+hashed without locations and without recursion (`==` is `same_term`, an
+iterative, shared-node aware walk), and the constructors' sort rule."""
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -19,14 +20,32 @@ from nradiv import (
     Loc,
     Quantifier,
     Script,
+    ScriptError,
     Sort,
+    SortError,
     Term,
     Var,
     parse_script,
     print_script,
     totalize,
 )
-from nradiv.terms import add, const, dag_fold, div, eq, ite, lt, same_term, var
+from nradiv.terms import (
+    add,
+    conj,
+    const,
+    dag_fold,
+    div,
+    eq,
+    implies,
+    ite,
+    le,
+    lt,
+    mul,
+    neg,
+    same_term,
+    sub,
+    var,
+)
 
 from strategies import bool_terms, numeric_terms, shared_scripts
 
@@ -209,6 +228,77 @@ def test_same_term_tells_near_misses_apart():
     q = Quantifier("forall", (("z", Sort.REAL),), lt(x, y))
     assert not same_term(q, Quantifier("exists", q.bound, q.body))
     assert not same_term(q, Quantifier("forall", (("w", Sort.REAL),), q.body))
+
+
+def deep_term(depth: int, bottom: str = "x") -> Term:
+    text = "(declare-fun x () Real)(assert (= x " + "(+ 1 " * depth + bottom + ")" * depth + "))"
+    return parse_script(text).assertions[0]
+
+
+def test_deep_terms_compare_and_hash_without_recursion():
+    a, b = deep_term(10_000), deep_term(10_000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    near_miss = deep_term(10_000, "2")
+    assert a != near_miss and not same_term(a, near_miss)
+
+
+def test_hash_tells_small_terms_apart():
+    x, y = var("x"), var("y")
+    distinct = [x, y, const(1), const(1, Sort.INT), add(x, y), add(y, x), add(x, x, y), lt(x, y)]
+    distinct += [div(x, y), div(y, x), ite(lt(x, y), x, y), ite(lt(x, y), y, x)]
+    assert len({hash(t) for t in distinct}) == len(distinct)
+
+
+def test_separately_built_dags_compare_and_hash_in_dag_time():
+    a, b = doublings(40), doublings(40)  # 2^41 - 1 tree nodes each
+    start = time.perf_counter()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != doublings(39)
+    assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# The constructors apply the parser's sort rule (`terms.result_sort`).
+
+X, N, P = var("x"), var("n", Sort.INT), var("p", Sort.BOOL)
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: add(X, P), "(+ x p)"),
+        (lambda: add(X), "(+ x)"),
+        (lambda: sub(N, X), "(- n x)"),
+        (lambda: sub(P), "(- p)"),
+        (lambda: sub(const(True)), "(- true)"),
+        (lambda: mul(X, N), "(* x n)"),
+        (lambda: div(P, X), "(/ p x)"),
+        (lambda: lt(X, P), "(< x p)"),
+        (lambda: le(N, X), "(<= n x)"),
+        (lambda: eq(X, P), "(= x p)"),
+        (lambda: neg(X), "(not x)"),
+        (lambda: conj(P, X), "(and p x)"),
+        (lambda: implies(N, P), "(=> n p)"),
+        (lambda: ite(X, X, X), "(ite x x x)"),
+        (lambda: ite(P, X, P), "(ite p x p)"),
+    ],
+)
+def test_constructors_raise_what_the_parser_raises(build, text):
+    header = "(declare-fun x () Real)(declare-fun n () Int)(declare-fun p () Bool)"
+    with pytest.raises(ScriptError) as parsed:
+        parse_script(f"{header}(assert {text})")
+    with pytest.raises(SortError) as built:
+        build()
+    assert str(parsed.value).startswith(f"{built.value} (line 1, column ")
+
+
+def test_sort_errors_name_the_argument_to_blame():
+    with pytest.raises(SortError) as excinfo:
+        add(X, X, P)
+    assert excinfo.value.arg == 2
+    with pytest.raises(SortError) as excinfo:
+        eq(X, P)
+    assert excinfo.value.arg is None
 
 
 terms = st.one_of(numeric_terms, bool_terms)
