@@ -22,9 +22,10 @@ from .terms import (
     Quantifier,
     Script,
     Term,
-    apply_op,
     children,
     dag_fold,
+    fold_node,
+    with_children,
 )
 
 
@@ -76,30 +77,20 @@ def _literal_parts(term: Term) -> tuple[Term, ...]:
     return ()
 
 
-def _literal_value(term: Term, values: list) -> Fraction | None:
-    t = type(term)
-    if t is Const:
-        return None if isinstance(term.value, bool) else term.value
-    if t is Apply and term.op in ARITH_OPS and values:
-        if any(v is None for v in values):
-            return None
-        return apply_op(term.op, values)
-    if t is Div:
-        n, d = values
-        if n is None or d is None or d == 0:
-            return None
-        return n / d
-    return None
+def _fold_literal_parts(term: Term, parts: list[Term]) -> Term:
+    return fold_node(with_children(term, parts)) if parts else term
 
 
 def fold_literal(term: Term) -> Fraction | None:
     """Value of a term built from numeric literals and +, -, *, /.
 
     Returns None for anything else, including division by a literal
-    zero: such a node has no standard value to fold to.
+    zero: such a node has no standard value to fold to.  Each node is
+    folded by `fold_node`, as `fold_term` folds it.
     """
 
-    return dag_fold(term, _literal_value, _literal_parts)
+    out = dag_fold(term, _fold_literal_parts, _literal_parts)
+    return out.value if type(out) is Const and type(out.value) is not bool else None
 
 
 def classify_divisor(divisor: Term) -> DivisorClass:
@@ -139,11 +130,10 @@ def collect_divisions(script: Script) -> list[DivOccurrence]:
     return out
 
 
-def count_divisions(script: Script, memo: dict | None = None) -> dict[DivisorKind, int]:
+def count_divisions(script: Script) -> dict[DivisorKind, int]:
     """Division occurrences per divisor class, as `collect_divisions`
     would list them, without listing them: each distinct node is visited
-    once and a shared division counts once per path.  A `memo` passed to
-    several calls reuses the counts of the nodes their scripts share."""
+    once and a shared division counts once per path."""
 
     kinds = tuple(DivisorKind)
     none = (0,) * len(kinds)
@@ -156,8 +146,7 @@ def count_divisions(script: Script, memo: dict | None = None) -> dict[DivisorKin
                 total = tuple(map(add, total, counts))
         return total
 
-    if memo is None:
-        memo = {}
+    memo: dict[int, tuple[int, ...]] = {}
     totals = none
     for assertion in script.assertions:
         totals = tuple(map(add, totals, dag_fold(assertion, tally, memo=memo)))

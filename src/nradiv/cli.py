@@ -72,8 +72,7 @@ def _occurrence_line(occ) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    script = parse_script(_read(args.path))
-    verdict = classify_script(script)
+    verdict = classify_script(args.script)
     if args.json:
         payload = {
             "path": args.path,
@@ -128,7 +127,7 @@ def _summary_counts(script: Script, memo: dict) -> tuple[int, int]:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    script = parse_script(_read(args.path))
+    script = args.script
     notes: list[str] = []
 
     if args.transform_pass == "totalize":
@@ -185,6 +184,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sys.stderr.write(verdict.raw_output)
         return EXIT_INTERNAL_ERROR
     return 0
+
+
+# Commands that take `args.script`, parsed by `main` from `args.path`.
+_TAKES_SCRIPT = (cmd_classify, cmd_transform)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -249,10 +252,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        if args.func in _TAKES_SCRIPT:
+            try:
+                args.script = parse_script(_read(args.path))
+            except ScriptError as exc:  # the one failure that is the input's
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_PARSE_ERROR
         return args.func(args)
-    except ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     except (NradivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

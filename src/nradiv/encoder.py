@@ -21,10 +21,7 @@ from .errors import DecodeError, EncodeError
 from .evaluator import FLOOR, eval_term, floor_oracle
 from .printer import format_term
 from .terms import (
-    ARITH_OPS,
-    COMPARISON_OPS,
-    CONNECTIVE_OPS,
-    EQUALITY_OPS,
+    OPS,
     Apply,
     Const,
     Div,
@@ -47,6 +44,7 @@ from .terms import (
     is_quantifier_free,
     le,
     lt,
+    result_sort,
     var,
 )
 
@@ -60,9 +58,6 @@ class EncodeMode(Enum):
 
 
 DIV_BY_ZERO_MARKER = "div-by-zero"
-
-_ALLOWED_OPS = ARITH_OPS | COMPARISON_OPS | EQUALITY_OPS | CONNECTIVE_OPS
-
 
 @dataclass(frozen=True)
 class IntFormula:
@@ -95,7 +90,7 @@ class IntFormula:
                     if sort is not Sort.INT:
                         raise EncodeError(f"variable '{name}' must be Int, got {sort}")
                 case Apply(op, _, _):
-                    if op not in _ALLOWED_OPS:
+                    if op not in OPS:
                         raise EncodeError(f"operator '{op}' not allowed in an integer body")
                 case _:
                     raise EncodeError(
@@ -160,8 +155,7 @@ def _resorted(term: Term, args: list[Term]) -> Term:
         return term if isinstance(term.value, bool) else Const(term.value, Sort.REAL, term.loc)
     if type(term) is Var:
         return Var(term.name, Sort.REAL, term.loc)
-    sort = Sort.REAL if term.op in ARITH_OPS else Sort.BOOL
-    return Apply(term.op, tuple(args), sort, term.loc)
+    return Apply(term.op, tuple(args), result_sort(term.op, args), term.loc)
 
 
 def _resort_real(term: Term) -> Term:

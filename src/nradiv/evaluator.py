@@ -25,11 +25,11 @@ from .terms import (
     Const,
     Div,
     Ite,
-    OpMeaning,
     Quantifier,
     Term,
     Var,
     apply_op,
+    arity_error,
     dag_fold,
     op_source,
 )
@@ -84,15 +84,14 @@ def constant_interpretation(value: Fraction | int) -> DivInterpretation:
     return DivInterpretation(f"constant({c})", lambda _x: c)
 
 
-def _as_fraction(value: Value, context: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, Fraction):
-        raise EvalError(f"{context}: expected a rational, got {value!r}")
-    return value
+# What a value of each argument kind of `OPS` is, and what it is called.
+_KINDS = {"num": (Fraction, "a rational"), "bool": (bool, "a Boolean")}
 
 
-def _as_bool(value: Value, context: str) -> bool:
-    if not isinstance(value, bool):
-        raise EvalError(f"{context}: expected a Boolean, got {value!r}")
+def _checked(kind: str, value: Value, context: str) -> Value:
+    typ, name = _KINDS[kind]
+    if not isinstance(value, typ):
+        raise EvalError(f"{context}: expected {name}, got {value!r}")
     return value
 
 
@@ -124,7 +123,7 @@ def eval_term(
         t = type(node)
         if t is Apply:
             if node.op in OPS:
-                _meaning(node.op, len(node.args))
+                _check_arity(node.op, len(node.args))
             elif funcs is None or node.op not in funcs:
                 raise EvalError(f"no interpretation for function symbol '{node.op}'")
             return node.args
@@ -132,13 +131,13 @@ def eval_term(
             d = values.get(id(node.den), _UNKNOWN)
             if d is _UNKNOWN:
                 return (node.den,)
-            _as_fraction(d, "divisor")
+            _checked("num", d, "divisor")
             return (node.den, node.num)
         if t is Ite:
             c = values.get(id(node.cond), _UNKNOWN)
             if c is _UNKNOWN:
                 return (node.cond,)
-            return (node.cond, node.then if _as_bool(c, "ite condition") else node.orelse)
+            return (node.cond, node.then if _checked("bool", c, "ite condition") else node.orelse)
         if t is Var:
             if node.name not in assignment:
                 raise EvalError(f"no value for '{node.name}' in assignment")
@@ -160,26 +159,20 @@ def eval_term(
                 return AGAIN  # the numerator, or the branch, comes next
             if t is Ite:
                 return args[1]
-            d, n = args[0], _as_fraction(args[1], "numerator")
+            d, n = args[0], _checked("num", args[1], "numerator")
             return div.at_zero(n) if d == 0 else n / d
         kind = OPS[node.op].args if node.op in OPS else "num"
-        if kind != "any" and not all(map(isinstance, args, repeat(_KIND_TYPE[kind]))):
+        if kind != "any" and not all(map(isinstance, args, repeat(_KINDS[kind][0]))):
             for v in args:
-                _CHECK_ARG[kind](v, f"'{node.op}' argument")
+                _checked(kind, v, f"'{node.op}' argument")
         return apply_op(node.op, args) if node.op in OPS else funcs[node.op](*args)
 
     return dag_fold(term, value, needs, values)
 
 
-_CHECK_ARG = {"num": _as_fraction, "bool": _as_bool}
-_KIND_TYPE = {"num": Fraction, "bool": bool}  # what passes the check, as one isinstance
-
-
-def _meaning(op: str, n_args: int) -> OpMeaning:
-    m = OPS[op]
-    if not m.takes(n_args):
+def _check_arity(op: str, n_args: int) -> None:
+    if arity_error(op, n_args) is not None:
         raise EvalError(f"'{op}' cannot take {n_args} arguments")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +232,6 @@ def check_axiom_samples(
 # ---------------------------------------------------------------------------
 # Compiling an integer body to a Python function.
 
-_KIND_NAME = {"num": "a rational", "bool": "a Boolean"}
-
 # Operands per statement of a long `+ - * and or`: Python's compiler
 # nests `a + b + c` one level per operand and gives up near 3000.
 _FOLD_CHUNK = 64
@@ -283,11 +274,12 @@ def compile_int_body(body: Term, variables: Sequence[str]) -> Callable[..., Valu
                     raise EvalError(f"no value for '{name}' in assignment")
                 return (params[name], "num")
             case Apply(op, _, _):
-                m = _meaning(op, len(args))
+                _check_arity(op, len(args))
+                m = OPS[op]
                 exprs = []
                 for expr, kind in args:
                     if m.args != "any" and kind != m.args:
-                        raise EvalError(f"'{op}' argument: expected {_KIND_NAME[m.args]}")
+                        raise EvalError(f"'{op}' argument: expected {_KINDS[m.args][1]}")
                     exprs.append(expr)
                 temp = f"t{len(lines)}"
                 if m.shape == "fold" and len(exprs) > _FOLD_CHUNK:

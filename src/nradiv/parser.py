@@ -24,7 +24,7 @@ from typing import Generator, NamedTuple
 from .errors import ParseError, SortError, UndeclaredSymbolError
 from .printer import SIMPLE_SYMBOL, SIMPLE_SYMBOL_CHARS, format_symbol
 from .terms import (
-    BUILTIN_OPS,
+    OPS,
     Apply,
     Const,
     Div,
@@ -44,11 +44,9 @@ from .terms import (
     substitute,
 )
 
-_RESERVED = frozenset(
-    {"true", "false", "ite", "let", "forall", "exists", "as", "par", "_", "!"}
-) | BUILTIN_OPS | {"/"}
+_SORT_RULE_OPS = frozenset(OPS) | {"/", "ite"}  # the builtins `terms.result_sort` checks
 
-_SORT_RULE_OPS = BUILTIN_OPS | {"/", "ite"}  # the builtins `terms.result_sort` checks
+_RESERVED = _SORT_RULE_OPS | {"true", "false", "let", "forall", "exists", "as", "par", "_", "!"}
 
 # Theory symbols we recognize as real SMT-LIB but do not model.
 _KNOWN_UNSUPPORTED_OPS = frozenset(
@@ -240,6 +238,7 @@ class _ScriptBuilder:
         self.check_sat = False
         self.exit_cmd = False
         self.numbers: dict[str, Fraction] = {}  # literal text -> value
+        self.bound: dict[str, Term] = {}  # name -> its innermost binding in scope
 
     # -- commands ----------------------------------------------------------
 
@@ -341,8 +340,9 @@ class _ScriptBuilder:
         except _UnsupportedSort:
             self.unsupported.append(Unsupported(render_sexpr(form), form.loc))
             return
-        scope = {pname: Var(pname, psort) for pname, psort in params}
-        body = self._build(args[3], [scope])
+        shadowed = self._bind({pname: Var(pname, psort) for pname, psort in params})
+        body = self._build(args[3])
+        self._unbind(shadowed)
         if body.sort is not result:
             raise SortError(
                 f"define-fun body has sort {body.sort}, declared {result}", args[3].loc
@@ -352,7 +352,7 @@ class _ScriptBuilder:
     def _cmd_assert(self, form: SList, args) -> None:
         if len(args) != 1:
             raise ParseError("assert takes one term", form.loc)
-        term = self._build(args[0], [])
+        term = self._build(args[0])
         if term.sort is not Sort.BOOL:
             raise SortError(f"assertion must be Bool, got {term.sort}", args[0].loc)
         self.assertions.append(term)
@@ -369,28 +369,22 @@ class _ScriptBuilder:
 
     # -- terms -------------------------------------------------------------
 
-    def _lookup(self, name: str, scopes: list[dict[str, Term]]) -> Term | None:
-        for scope in reversed(scopes):
-            if name in scope:
-                return scope[name]
-        return None
-
-    def _build(self, sx, scopes: list[dict[str, Term]]) -> Term:
-        """The term `sx` denotes under `scopes`, built without recursion: each
-        `_term` generator yields the s-expression and scopes of each subterm
-        it needs, in order, and is sent the term built from it.  They wait on
+    def _build(self, sx) -> Term:
+        """The term `sx` denotes under `self.bound`, built without recursion:
+        each `_term` generator yields the s-expression of each subterm it
+        needs, in order, and is sent the term built from it.  They wait on
         one explicit stack, so every check runs in the order it is written."""
 
         stack: list[Generator] = []
         while True:
             if type(sx) is SAtom:
-                term = self._atom_term(sx, scopes)
+                term = self._atom_term(sx)
             else:
-                stack.append(self._term(sx, scopes))
+                stack.append(self._term(sx))
                 term = None
             while stack:
                 try:
-                    sx, scopes = stack[-1].send(term)
+                    sx = stack[-1].send(term)
                     break
                 except StopIteration as done:
                     stack.pop()
@@ -398,7 +392,7 @@ class _ScriptBuilder:
             else:
                 return term
 
-    def _term(self, sx, scopes) -> Generator:
+    def _term(self, sx) -> Generator:
         if not sx.items:
             raise ParseError("empty application", sx.loc)
         head = sx.items[0]
@@ -406,7 +400,11 @@ class _ScriptBuilder:
             raise ParseError("unsupported construct in term position", head.loc)
         if head.kind != "symbol":
             raise ParseError(f"cannot apply {head.kind} '{head.text}'", head.loc)
-        return self._application(head, sx.items[1:], scopes)
+        if head.text == "let":
+            return self._let(head, sx.items[1:])
+        if head.text in ("forall", "exists"):
+            return self._quantifier(head, sx.items[1:])
+        return self._application(head, sx.items[1:])
 
     def _number(self, text: str) -> Fraction:
         value = self.numbers.get(text)
@@ -414,7 +412,7 @@ class _ScriptBuilder:
             value = self.numbers[text] = Fraction(text)
         return value
 
-    def _atom_term(self, sx: SAtom, scopes) -> Term:
+    def _atom_term(self, sx: SAtom) -> Term:
         if sx.kind == "numeral":
             return Const(self._number(sx.text), _numeral_sort(self.logic), sx.loc)
         if sx.kind == "decimal":
@@ -426,7 +424,7 @@ class _ScriptBuilder:
             return Const(True, Sort.BOOL, sx.loc)
         if name == "false":
             return Const(False, Sort.BOOL, sx.loc)
-        bound = self._lookup(name, scopes)
+        bound = self.bound.get(name)
         if bound is not None:
             return bound
         if name in self.macros:
@@ -441,27 +439,37 @@ class _ScriptBuilder:
             return Var(name, decl.result, sx.loc)
         raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.loc)
 
-    def _built_args(self, items, scopes) -> Generator:
+    def _built_args(self, items) -> Generator:
         """The argument terms; an atom is built here, saving a trip through `_build`."""
 
         args = []
         for x in items:
-            args.append(self._atom_term(x, scopes) if type(x) is SAtom else (yield x, scopes))
+            args.append(self._atom_term(x) if type(x) is SAtom else (yield x))
         return tuple(args)
 
-    def _application(self, head: SAtom, items, scopes) -> Generator:
+    def _bind(self, names: dict[str, Term]) -> list[tuple[str, Term | None]]:
+        """Bind `names` over the bindings in scope; returns what `_unbind` restores."""
+
+        shadowed = [(name, self.bound.get(name)) for name in names]
+        self.bound.update(names)
+        return shadowed
+
+    def _unbind(self, shadowed: list[tuple[str, Term | None]]) -> None:
+        for name, old in shadowed:
+            if old is None:
+                del self.bound[name]
+            else:
+                self.bound[name] = old
+
+    def _application(self, head: SAtom, items) -> Generator:
         op = head.text
         loc = head.loc
 
-        if op == "let":
-            return (yield from self._let(head, items, scopes))
-        if op in ("forall", "exists"):
-            return (yield from self._quantifier(head, items, scopes))
         if op in _SORT_RULE_OPS:
             why = arity_error(op, len(items))
             if why is not None:
                 raise ParseError(why, loc)
-            args = yield from self._built_args(items, scopes)
+            args = yield from self._built_args(items)
             try:
                 sort = result_sort(op, args)
             except SortError as exc:  # located at the argument to blame
@@ -480,21 +488,21 @@ class _ScriptBuilder:
                 return neg_literal(args[0])
             return Apply(op, args, sort, loc)
 
-        if op in self.macros and self._lookup(op, scopes) is None:
-            return (yield from self._macro_call(head, items, scopes))
-        if op in self.decls and self._lookup(op, scopes) is None:
-            return (yield from self._declared_call(head, items, scopes))
+        if op in self.macros and op not in self.bound:
+            return (yield from self._macro_call(head, items))
+        if op in self.decls and op not in self.bound:
+            return (yield from self._declared_call(head, items))
         if op in _KNOWN_UNSUPPORTED_OPS:
             raise ParseError(f"unsupported operator '{op}'", loc)
         raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", loc)
 
-    def _macro_call(self, head: SAtom, items, scopes) -> Generator:
+    def _macro_call(self, head: SAtom, items) -> Generator:
         params, body = self.macros[head.text]
         if len(items) != len(params):
             raise SortError(
                 f"'{head.text}' expects {len(params)} arguments, got {len(items)}", head.loc
             )
-        args = yield from self._built_args(items, scopes)
+        args = yield from self._built_args(items)
         for arg, (pname, psort), sx in zip(args, params, items):
             if arg.sort is not psort:
                 raise SortError(
@@ -503,7 +511,7 @@ class _ScriptBuilder:
                 )
         return substitute(body, {p: a for (p, _), a in zip(params, args)})
 
-    def _declared_call(self, head: SAtom, items, scopes) -> Generator:
+    def _declared_call(self, head: SAtom, items) -> Generator:
         decl = self.decls[head.text]
         if not decl.params:
             raise ParseError(f"'{head.text}' is a constant, not a function", head.loc)
@@ -512,7 +520,7 @@ class _ScriptBuilder:
                 f"'{head.text}' expects {len(decl.params)} arguments, got {len(items)}",
                 head.loc,
             )
-        args = yield from self._built_args(items, scopes)
+        args = yield from self._built_args(items)
         for i, (arg, psort, sx) in enumerate(zip(args, decl.params, items)):
             if arg.sort is not psort:
                 raise SortError(
@@ -521,7 +529,7 @@ class _ScriptBuilder:
                 )
         return Apply(head.text, args, decl.result, head.loc)
 
-    def _let(self, head: SAtom, items, scopes) -> Generator:
+    def _let(self, head: SAtom, items) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList):
             raise ParseError("malformed let", head.loc)
         bindings: dict[str, Term] = {}
@@ -532,10 +540,13 @@ class _ScriptBuilder:
             if name.text in bindings:
                 raise ParseError(f"duplicate let binding '{name.text}'", name.loc)
             # Bindings are parallel: right-hand sides see the outer scope.
-            bindings[name.text] = yield b.items[1], scopes
-        return (yield items[1], scopes + [bindings])
+            bindings[name.text] = yield b.items[1]
+        shadowed = self._bind(bindings)
+        body = yield items[1]
+        self._unbind(shadowed)
+        return body
 
-    def _quantifier(self, head: SAtom, items, scopes) -> Generator:
+    def _quantifier(self, head: SAtom, items) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList) or not items[0].items:
             raise ParseError(f"malformed {head.text}", head.loc)
         bound: list[tuple[str, Sort]] = []
@@ -552,7 +563,9 @@ class _ScriptBuilder:
                 raise ParseError("unsupported sort in binder", b.items[1].loc)
             bound.append((name.text, sort))
             scope[name.text] = Var(name.text, sort, name.loc)
-        body = yield items[1], scopes + [scope]
+        shadowed = self._bind(scope)
+        body = yield items[1]
+        self._unbind(shadowed)
         if body.sort is not Sort.BOOL:
             raise SortError(f"{head.text} body must be Bool, got {body.sort}", items[1].loc)
         return Quantifier(head.text, tuple(bound), body, head.loc)

@@ -23,10 +23,8 @@ from .terms import (
     Quantifier,
     Script,
     Sort,
-    OPS,
     Term,
     Var,
-    apply_op,
     children,
     conj,
     const,
@@ -35,6 +33,7 @@ from .terms import (
     distinct_subterms,
     eq,
     forall,
+    fold_node,
     fresh_name,
     implies,
     mul,
@@ -199,37 +198,18 @@ def totalize(
 # Constant folding.
 
 
-def _fold_node(t: Term) -> Term:
-    """Fold one node whose children are already folded."""
-
-    match t:
-        case Apply(op, args, sort) if op in OPS and all(type(a) is Const for a in args):
-            meaning = OPS[op]
-            kinds = {"bool" if isinstance(a.value, bool) else "num" for a in args}
-            well_sorted = meaning.args == "any" or kinds == {meaning.args}
-            if not (well_sorted and meaning.takes(len(args))):
-                return t
-            out = apply_op(op, [a.value for a in args])
-            return Const(out, sort if meaning.result == "num" else Sort.BOOL, t.loc)
-        case Div(Const(n, _), Const(d, _), sort) if not isinstance(n, bool) and d != 0:
-            return Const(n / d, sort, t.loc)
-        case Ite(Const(c, _), then, orelse) if isinstance(c, bool):
-            return then if c else orelse
-        case _:
-            return t
-
-
 def fold_term(term: Term) -> Term:
-    """Bottom-up literal folding; division by a literal zero is kept as is."""
+    """Bottom-up literal folding by `fold_node`; division by a literal zero
+    is kept as is."""
 
-    return dag_rewrite(term, _fold_node)
+    return dag_rewrite(term, fold_node)
 
 
 def fold_script(script: Script) -> Script:
     memo: dict[int, Term] = {}
     return dataclasses.replace(
         script,
-        assertions=tuple(dag_rewrite(a, _fold_node, memo) for a in script.assertions),
+        assertions=tuple(dag_rewrite(a, fold_node, memo) for a in script.assertions),
     )
 
 

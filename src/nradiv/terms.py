@@ -29,13 +29,6 @@ class Sort(Enum):
 
 NUMERIC_SORTS = frozenset({Sort.REAL, Sort.INT})
 
-ARITH_OPS = frozenset({"+", "-", "*"})
-COMPARISON_OPS = frozenset({"<", "<=", ">", ">="})
-EQUALITY_OPS = frozenset({"=", "distinct"})
-CONNECTIVE_OPS = frozenset({"not", "and", "or", "=>"})
-BUILTIN_OPS = ARITH_OPS | COMPARISON_OPS | EQUALITY_OPS | CONNECTIVE_OPS
-
-
 class OpMeaning(NamedTuple):
     """What a builtin operator computes, in terms of one Python operator.
 
@@ -48,8 +41,8 @@ class OpMeaning(NamedTuple):
     - pairwise: every pair, `a0 != a1 and a0 != a2 and a1 != a2`;
     - implies: right-associative implication, `not a0 or not a1 or a2`.
 
-    With exactly one argument, `prefix` (when set) applies instead; an
-    operator with no `infix` takes exactly one argument.
+    With exactly one argument, `prefix` (when set) applies instead.  How
+    many arguments an operator takes is `arity_error`'s to say.
     """
 
     args: str
@@ -57,11 +50,6 @@ class OpMeaning(NamedTuple):
     shape: str
     infix: str | None
     prefix: str | None = None
-
-    def takes(self, n_args: int) -> bool:
-        """Whether an application to `n_args` arguments has a meaning."""
-
-        return n_args >= 1 and (self.infix is not None or n_args == 1)
 
 
 OPS: dict[str, OpMeaning] = {
@@ -79,6 +67,8 @@ OPS: dict[str, OpMeaning] = {
     "or": OpMeaning("bool", "bool", "fold", "or"),
     "=>": OpMeaning("bool", "bool", "implies", "or"),
 }
+
+ARITH_OPS = frozenset(op for op, m in OPS.items() if m.result == "num")
 
 _INFIX: dict[str, Callable] = {
     "+": operator.add,
@@ -99,8 +89,8 @@ _PREFIX: dict[str, Callable] = {"-": operator.neg, "not": operator.not_}
 def apply_op(op: str, values: Sequence) -> object:
     """Value of builtin `op` applied to argument values, per `OPS`.
 
-    Arguments are not checked against `OPS[op].args`; callers do that
-    in whatever way suits them.
+    Neither the number of arguments nor their kinds are checked; callers
+    do that with `arity_error` and `OPS[op].args`.
     """
 
     m = OPS[op]
@@ -126,14 +116,37 @@ def op_source(op: str, args: Sequence[str]) -> str:
     m = OPS[op]
     if len(args) == 1 and m.prefix is not None:
         return f"({m.prefix} {args[0]})"
-    if m.shape == "fold":
-        return "(" + f" {m.infix} ".join(args) + ")"
-    if m.shape == "chain":
-        return "(" + f" {m.infix} ".join(args) + ")" if len(args) > 1 else "True"
     if m.shape == "pairwise":
-        pairs = [f"{a} {m.infix} {b}" for a, b in combinations(args, 2)]
-        return "(" + " and ".join(pairs) + ")" if pairs else "True"
-    return "(" + " or ".join([f"not {a}" for a in args[:-1]] + [args[-1]]) + ")"
+        return "(" + " and ".join(f"{a} {m.infix} {b}" for a, b in combinations(args, 2)) + ")"
+    if m.shape == "implies":
+        return "(" + " or ".join([f"not {a}" for a in args[:-1]] + [args[-1]]) + ")"
+    return "(" + f" {m.infix} ".join(args) + ")"  # a fold, or a Python comparison chain
+
+
+def fold_node(t: Term) -> Term:
+    """One node whose children are already folded, folded over literals.
+
+    A builtin application to literals becomes its value, per `apply_op`,
+    when `arity_error` and `OPS[op].args` accept it; a division of
+    numeric literals by a nonzero literal becomes its quotient; an `ite`
+    with a literal condition becomes the branch it selects.  Any other
+    node is returned as it is.
+    """
+
+    match t:
+        case Apply(op, args, sort) if op in OPS and all(type(a) is Const for a in args):
+            m = OPS[op]
+            kinds = {"bool" if isinstance(a.value, bool) else "num" for a in args}
+            if arity_error(op, len(args)) or not (m.args == "any" or kinds == {m.args}):
+                return t
+            out = apply_op(op, [a.value for a in args])
+            return Const(out, sort if m.result == "num" else Sort.BOOL, t.loc)
+        case Div(Const(n, _), Const(d, _), sort) if bool not in (type(n), type(d)) and d != 0:
+            return Const(n / d, sort, t.loc)
+        case Ite(Const(c, _), then, orelse) if isinstance(c, bool):
+            return then if c else orelse
+        case _:
+            return t
 
 
 class Loc(NamedTuple):
@@ -572,14 +585,10 @@ def distinct_subterms(term: Term) -> Iterator[Term]:
             stack.extend(reversed(children(t)))
 
 
-def count_nodes(term: Term, memo: dict | None = None) -> int:
-    """Size of `term` as a tree, counting a shared node once per path.
+def count_nodes(term: Term) -> int:
+    """Size of `term` as a tree, counting a shared node once per path."""
 
-    A `memo` passed to several calls reuses the sizes of the nodes their
-    terms share, as long as those terms stay alive.
-    """
-
-    return dag_fold(term, lambda node, sizes: 1 + sum(sizes), memo=memo)
+    return dag_fold(term, lambda node, sizes: 1 + sum(sizes))
 
 
 def free_vars(term: Term) -> frozenset[str]:

@@ -38,6 +38,12 @@ def _extend_numeric(children: st.SearchStrategy) -> st.SearchStrategy:
 
 numeric_terms = st.recursive(_numeric_base, _extend_numeric, max_leaves=12)
 
+# Numeric literals, zero often, under + - * /: terms that fold to a value
+# unless they divide by zero.
+literal_terms = st.recursive(
+    st.one_of(st.just(const(0)), st.builds(const, rationals)), _extend_numeric, max_leaves=8
+)
+
 _bool_base = st.one_of(
     st.tuples(numeric_terms, numeric_terms).map(lambda ab: lt(*ab)),
     st.tuples(numeric_terms, numeric_terms).map(lambda ab: le(*ab)),

@@ -6,6 +6,7 @@ from hypothesis import given
 import strategies
 from conftest import CORPUS_EXPECTED
 from nradiv import (
+    Const,
     Div,
     DivisorClass,
     DivisorKind,
@@ -15,6 +16,7 @@ from nradiv import (
     collect_divisions,
     encode_via_div0,
     fold_literal,
+    fold_term,
     parse_script,
     subterms,
     term_at,
@@ -62,6 +64,13 @@ def test_fold_literal():
     assert fold_literal(divisor_of("(/ (/ 8 2) 2)")) == Fraction(2)
     assert fold_literal(divisor_of("(/ 1 0)")) is None
     assert fold_literal(divisor_of("x")) is None
+
+
+@given(strategies.literal_terms)
+def test_fold_literal_is_what_fold_term_folds_to(term):
+    folded = fold_term(term)
+    numeric = type(folded) is Const and type(folded.value) is not bool
+    assert fold_literal(term) == (folded.value if numeric else None)
 
 
 def test_nested_divisions_in_source_order():

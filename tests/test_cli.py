@@ -232,6 +232,20 @@ def test_transform_encode_rejects_real_script(corpus_dir, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["totalize", "--div0-value", "1/2"], "error: total-division value 1/2 is not an integer\n"),
+        (["uf-lift"], "error: cannot lift Int-sorted division to a Real function symbol\n"),
+    ],
+)
+def test_a_pass_error_on_parsed_input_exits_70(tmp_path, capsys, argv, message):
+    src = tmp_path / "intdiv.smt2"
+    src.write_text("(set-logic QF_NIA)(declare-fun x () Int)(assert (= (/ x 2) 1))\n")
+    assert main(["transform", argv[0], str(src), *argv[1:]]) == 70
+    assert capsys.readouterr() == ("", message)
+
+
 def test_transform_rejects_unknown_pass(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["transform", "mystery", str(tmp_path / "x.smt2")])

@@ -128,6 +128,30 @@ def test_quantifier_binder_shadows_declaration():
     assert free_vars(script.assertions[0]) == frozenset()
 
 
+def test_a_binding_ends_with_its_body():
+    x, y = Var("x", Sort.REAL), Var("y", Sort.REAL)
+    t = first_assertion(
+        "(declare-fun x () Real)(declare-fun y () Real)"
+        "(assert (let ((a x)) (= (let ((a y) (x y)) (+ a x)) (+ a x))))"
+    )
+    assert t.args == (Apply("+", (y, y), Sort.REAL), Apply("+", (x, x), Sort.REAL))
+    t = first_assertion("(declare-fun x () Real)(assert (= (forall ((x Bool)) x) (> x 0)))")
+    assert t.args[1].args[0] == x
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(assert (let ((a 1)) true))(assert (= a 1))",
+        "(define-fun f ((v Real)) Real v)(assert (= v 1))",
+        "(assert (forall ((v Real)) true))(assert (= v 1))",
+    ],
+)
+def test_a_binding_does_not_outlive_its_command(text):
+    with pytest.raises(UndeclaredSymbolError, match="'v'|'a'"):
+        parse_script(text)
+
+
 def test_declared_function_application():
     script = parse_script(
         "(set-logic QF_UFNRA)(declare-fun f (Real Real) Real)(declare-fun x () Real)"
@@ -226,6 +250,20 @@ def nested_script(depth: int, bottom: str = "(/ x 2)") -> str:
 def test_depth_10000_parses_and_prints_back():
     text = nested_script(10_000)
     assert print_script(parse_script(text)) == text
+
+
+def test_10000_nested_lets_each_using_the_one_before():
+    depth = 10_000
+    text = (
+        "(declare-fun x () Real)(assert (= x (let ((a0 (+ x x))) "
+        + "".join(f"(let ((a{i} (+ a{i - 1} x))) " for i in range(1, depth))
+        + f"(/ a{depth - 1} 2)" + ")" * depth + "))"
+    )
+    t = first_assertion(text).args[1].num
+    for _ in range(depth - 1):
+        assert t.args[1] == Var("x", Sort.REAL)
+        t = t.args[0]
+    assert t == Apply("+", (Var("x", Sort.REAL),) * 2, Sort.REAL)
 
 
 def test_error_10000_deep_is_located():
