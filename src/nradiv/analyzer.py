@@ -24,6 +24,7 @@ from .terms import (
     Term,
     children,
     dag_fold,
+    division_free_repeats,
     fold_node,
     with_children,
 )
@@ -106,16 +107,20 @@ def collect_divisions(script: Script) -> list[DivOccurrence]:
     """Every division occurrence in assertion order, pre-order within a term.
 
     A division reached by several paths is listed once per path; each
-    distinct divisor node is classified once.
+    distinct divisor node is classified once.  A node is entered again
+    only when it holds a division.
     """
 
     out: list[DivOccurrence] = []
     classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
     path: list[int] = []  # the path of the node being visited
+    skip = division_free_repeats()
     for i, assertion in enumerate(script.assertions):
         stack = [(assertion, i, 0, False)]  # node, index in its parent, parent path length
         while stack:
             term, j, depth, under = stack.pop()
+            if skip(term):
+                continue
             del path[depth:]
             path.append(j)
             if type(term) is Div:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,7 +137,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise NradivError(f"bad --div0-value {args.div0_value!r}: {exc}") from exc
         cfg = TotalizeConfig(div0_value=value, style=TotalizeStyle(args.style))
-        out_script = totalize(script, cfg, fold=args.fold)
+        with warnings.catch_warnings(record=True) as caught:
+            out_script = totalize(script, cfg, fold=args.fold)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
     elif args.transform_pass == "uf-lift":
         result = lift_to_uf(script)
         out_script = result.script

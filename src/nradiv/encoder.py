@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import DecodeError, EncodeError
+from .errors import DecodeError, EncodeError, SortError
 from .evaluator import FLOOR, eval_term, floor_oracle
 from .printer import format_term
 from .terms import (
@@ -96,6 +96,12 @@ class IntFormula:
                     raise EncodeError(
                         f"construct not allowed in an integer body: {format_term(t)}"
                     )
+        for t in distinct_subterms(self.body):  # the sort rule, once every piece is allowed
+            if type(t) is Apply:
+                try:
+                    result_sort(t.op, t.args)
+                except SortError as exc:
+                    raise EncodeError(str(exc)) from None
 
     @staticmethod
     def from_script(script: Script) -> IntFormula:

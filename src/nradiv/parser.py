@@ -13,13 +13,15 @@ unsupported construct inside an assertion is an error.
 
 `let` bindings are expanded during parsing and `define-fun` bodies are
 inlined at each application, so the resulting AST contains neither.
+Every name resolves through one scope, in which the innermost binder of
+a name hides everything outside it (SMT-LIB 2.6 section 3.6).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Generator, NamedTuple
+from typing import Generator, Iterator, NamedTuple
 
 from .errors import ParseError, SortError, UndeclaredSymbolError
 from .printer import SIMPLE_SYMBOL, SIMPLE_SYMBOL_CHARS, format_symbol
@@ -204,41 +206,43 @@ def render_sexpr(sx: SAtom | SList) -> str:
     return "".join(out)
 
 
-class _UnsupportedSort(Exception):
-    pass
+class _Unsupported(Exception):
+    """A command or sort outside the subset."""
+
+
+_SORTS = {s.value: s for s in Sort}
 
 
 def _parse_sort(sx) -> Sort:
-    if isinstance(sx, SAtom) and sx.kind == "symbol":
-        try:
-            return Sort(sx.text)
-        except ValueError:
-            raise _UnsupportedSort()
-    raise _UnsupportedSort()
+    if isinstance(sx, SAtom) and sx.kind == "symbol" and sx.text in _SORTS:
+        return _SORTS[sx.text]
+    raise _Unsupported()
+
+
+# A define-fun: its parameters and its body, inlined at each application.
+_Defined = tuple[tuple[tuple[str, Sort], ...], Term]
 
 
 def _numeral_sort(logic: str | None) -> Sort:
-    """Numerals are Int in integer logics, Real otherwise."""
+    """Numerals are Int in integer logics and Real in all others, mixed ones too."""
 
-    if logic and "RA" in logic:
-        return Sort.REAL
-    if logic and "IA" in logic:
-        return Sort.INT
-    return Sort.REAL
+    return Sort.INT if logic and "IA" in logic and "RA" not in logic else Sort.REAL
 
 
 class _ScriptBuilder:
     def __init__(self) -> None:
         self.logic: str | None = None
         self.metadata: list[tuple[str, str]] = []
-        self.decls: dict[str, FunDecl] = {}
-        self.macros: dict[str, tuple[tuple[tuple[str, Sort], ...], Term]] = {}
+        # Each name in scope -> what it means here: its FunDecl, its
+        # define-fun's (params, body), or the term of its innermost let,
+        # quantifier or parameter binding.  A binder shadows an entry in
+        # place and restores it, so the FunDecls keep declaration order.
+        self.scope: dict[str, FunDecl | _Defined | Term] = {}
         self.assertions: list[Term] = []
         self.unsupported: list[Unsupported] = []
         self.check_sat = False
         self.exit_cmd = False
         self.numbers: dict[str, Fraction] = {}  # literal text -> value
-        self.bound: dict[str, Term] = {}  # name -> its innermost binding in scope
 
     # -- commands ----------------------------------------------------------
 
@@ -253,16 +257,18 @@ class _ScriptBuilder:
             head = form.items[0].text
             args = form.items[1:]
             handler = getattr(self, "_cmd_" + head.replace("-", "_"), None)
-            if handler is None:
+            try:
+                if handler is None:
+                    raise _Unsupported()
+                handler(form, args)
+            except _Unsupported:  # kept verbatim
                 self.unsupported.append(Unsupported(render_sexpr(form), form.loc))
-                continue
-            handler(form, args)
             if self.exit_cmd:
                 break
         return Script(
             logic=self.logic,
             metadata=tuple(self.metadata),
-            decls=tuple(self.decls.values()),
+            decls=tuple(m for m in self.scope.values() if type(m) is FunDecl),
             assertions=tuple(self.assertions),
             unsupported=tuple(self.unsupported),
             check_sat=self.check_sat,
@@ -278,7 +284,7 @@ class _ScriptBuilder:
     def _register(self, name: SAtom) -> None:
         if name.text in _RESERVED:
             raise ParseError(f"cannot redefine builtin symbol '{name.text}'", name.loc)
-        if name.text in self.decls or name.text in self.macros:
+        if name.text in self.scope:
             raise ParseError(f"symbol '{name.text}' is already declared", name.loc)
 
     def _cmd_set_logic(self, form: SList, args) -> None:
@@ -300,54 +306,32 @@ class _ScriptBuilder:
     def _cmd_declare_fun(self, form: SList, args) -> None:
         if len(args) != 3 or not isinstance(args[1], SList):
             raise ParseError("malformed declare-fun", form.loc)
-        name = self._symbol(args[0], "a function name")
-        self._register(name)
-        try:
-            params = tuple(_parse_sort(p) for p in args[1].items)
-            result = _parse_sort(args[2])
-        except _UnsupportedSort:
-            self.unsupported.append(Unsupported(render_sexpr(form), form.loc))
-            return
-        self.decls[name.text] = FunDecl(name.text, params, result, name.loc)
+        self._declare(self._symbol(args[0], "a function name"), args[1].items, args[2])
 
     def _cmd_declare_const(self, form: SList, args) -> None:
         if len(args) != 2:
             raise ParseError("malformed declare-const", form.loc)
-        name = self._symbol(args[0], "a constant name")
+        self._declare(self._symbol(args[0], "a constant name"), (), args[1])
+
+    def _declare(self, name: SAtom, params, result) -> None:
         self._register(name)
-        try:
-            result = _parse_sort(args[1])
-        except _UnsupportedSort:
-            self.unsupported.append(Unsupported(render_sexpr(form), form.loc))
-            return
-        self.decls[name.text] = FunDecl(name.text, (), result, name.loc)
+        sorts = tuple(_parse_sort(p) for p in params)
+        self.scope[name.text] = FunDecl(name.text, sorts, _parse_sort(result), name.loc)
 
     def _cmd_define_fun(self, form: SList, args) -> None:
         if len(args) != 4 or not isinstance(args[1], SList):
             raise ParseError("malformed define-fun", form.loc)
         name = self._symbol(args[0], "a function name")
         self._register(name)
-        params: list[tuple[str, Sort]] = []
-        try:
-            for p in args[1].items:
-                if not (isinstance(p, SList) and len(p.items) == 2):
-                    raise ParseError("malformed parameter list", args[1].loc)
-                pname = self._symbol(p.items[0], "a parameter name")
-                if any(pname.text == seen for seen, _ in params):
-                    raise ParseError(f"duplicate parameter '{pname.text}'", pname.loc)
-                params.append((pname.text, _parse_sort(p.items[1])))
-            result = _parse_sort(args[2])
-        except _UnsupportedSort:
-            self.unsupported.append(Unsupported(render_sexpr(form), form.loc))
-            return
+        pairs = self._pairs(args[1], "parameter list", "a parameter name", "parameter")
+        params = tuple((p.text, _parse_sort(sx)) for p, sx in pairs)
+        result = _parse_sort(args[2])
         shadowed = self._bind({pname: Var(pname, psort) for pname, psort in params})
         body = self._build(args[3])
         self._unbind(shadowed)
         if body.sort is not result:
-            raise SortError(
-                f"define-fun body has sort {body.sort}, declared {result}", args[3].loc
-            )
-        self.macros[name.text] = (tuple(params), body)
+            raise SortError(f"define-fun body has sort {body.sort}, declared {result}", args[3].loc)
+        self.scope[name.text] = (params, body)
 
     def _cmd_assert(self, form: SList, args) -> None:
         if len(args) != 1:
@@ -370,7 +354,7 @@ class _ScriptBuilder:
     # -- terms -------------------------------------------------------------
 
     def _build(self, sx) -> Term:
-        """The term `sx` denotes under `self.bound`, built without recursion:
+        """The term `sx` denotes under `self.scope`, built without recursion:
         each `_term` generator yields the s-expression of each subterm it
         needs, in order, and is sent the term built from it.  They wait on
         one explicit stack, so every check runs in the order it is written."""
@@ -420,24 +404,20 @@ class _ScriptBuilder:
         if sx.kind != "symbol":
             raise ParseError(f"unexpected {sx.kind} in term position", sx.loc)
         name = sx.text
-        if name == "true":
-            return Const(True, Sort.BOOL, sx.loc)
-        if name == "false":
-            return Const(False, Sort.BOOL, sx.loc)
-        bound = self.bound.get(name)
-        if bound is not None:
-            return bound
-        if name in self.macros:
-            params, body = self.macros[name]
-            if params:
-                raise SortError(f"'{name}' expects {len(params)} arguments", sx.loc)
-            return body
-        if name in self.decls:
-            decl = self.decls[name]
-            if decl.params:
-                raise SortError(f"'{name}' expects {len(decl.params)} arguments", sx.loc)
-            return Var(name, decl.result, sx.loc)
-        raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.loc)
+        if name == "true" or name == "false":
+            return Const(name == "true", Sort.BOOL, sx.loc)
+        meaning = self.scope.get(name)
+        if type(meaning) is FunDecl:
+            params, term = meaning.params, Var(name, meaning.result, sx.loc)
+        elif type(meaning) is tuple:
+            params, term = meaning
+        elif meaning is None:
+            raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.loc)
+        else:  # a bound name
+            return meaning
+        if params:
+            raise SortError(f"'{name}' expects {len(params)} arguments", sx.loc)
+        return term
 
     def _built_args(self, items) -> Generator:
         """The argument terms; an atom is built here, saving a trip through `_build`."""
@@ -447,19 +427,33 @@ class _ScriptBuilder:
             args.append(self._atom_term(x) if type(x) is SAtom else (yield x))
         return tuple(args)
 
-    def _bind(self, names: dict[str, Term]) -> list[tuple[str, Term | None]]:
+    def _bind(self, names: dict[str, Term]) -> list[tuple[str, object]]:
         """Bind `names` over the bindings in scope; returns what `_unbind` restores."""
 
-        shadowed = [(name, self.bound.get(name)) for name in names]
-        self.bound.update(names)
+        shadowed = [(name, self.scope.get(name)) for name in names]
+        self.scope.update(names)
         return shadowed
 
-    def _unbind(self, shadowed: list[tuple[str, Term | None]]) -> None:
+    def _unbind(self, shadowed: list[tuple[str, object]]) -> None:
         for name, old in shadowed:
             if old is None:
-                del self.bound[name]
+                del self.scope[name]
             else:
-                self.bound[name] = old
+                self.scope[name] = old
+
+    def _pairs(self, sx: SList, pair: str, what: str, dup: str) -> Iterator[tuple[SAtom, object]]:
+        """The `(name x)` pairs of a binder list, each checked when reached:
+        a list of two, a symbol first, and a name not seen before in `sx`."""
+
+        seen: set[str] = set()
+        for p in sx.items:
+            if not (isinstance(p, SList) and len(p.items) == 2):
+                raise ParseError(f"malformed {pair}", sx.loc)
+            name = self._symbol(p.items[0], what)
+            if name.text in seen:
+                raise ParseError(f"duplicate {dup} '{name.text}'", name.loc)
+            seen.add(name.text)
+            yield name, p.items[1]
 
     def _application(self, head: SAtom, items) -> Generator:
         op = head.text
@@ -488,59 +482,43 @@ class _ScriptBuilder:
                 return neg_literal(args[0])
             return Apply(op, args, sort, loc)
 
-        if op in self.macros and op not in self.bound:
-            return (yield from self._macro_call(head, items))
-        if op in self.decls and op not in self.bound:
-            return (yield from self._declared_call(head, items))
+        meaning = self.scope.get(op)
+        if type(meaning) is FunDecl or type(meaning) is tuple:
+            return (yield from self._call(head, items, meaning))
         if op in _KNOWN_UNSUPPORTED_OPS:
             raise ParseError(f"unsupported operator '{op}'", loc)
         raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", loc)
 
-    def _macro_call(self, head: SAtom, items) -> Generator:
-        params, body = self.macros[head.text]
-        if len(items) != len(params):
-            raise SortError(
-                f"'{head.text}' expects {len(params)} arguments, got {len(items)}", head.loc
-            )
-        args = yield from self._built_args(items)
-        for arg, (pname, psort), sx in zip(args, params, items):
-            if arg.sort is not psort:
-                raise SortError(
-                    f"argument '{pname}' of '{head.text}' must be {psort}, got {arg.sort}",
-                    sx.loc,
-                )
-        return substitute(body, {p: a for (p, _), a in zip(params, args)})
+    def _call(self, head: SAtom, items, meaning: FunDecl | _Defined) -> Generator:
+        """An application of a declared or a defined function; a defined
+        one is inlined."""
 
-    def _declared_call(self, head: SAtom, items) -> Generator:
-        decl = self.decls[head.text]
-        if not decl.params:
-            raise ParseError(f"'{head.text}' is a constant, not a function", head.loc)
-        if len(items) != len(decl.params):
-            raise SortError(
-                f"'{head.text}' expects {len(decl.params)} arguments, got {len(items)}",
-                head.loc,
-            )
+        name = head.text
+        declared = type(meaning) is FunDecl
+        if declared and not meaning.params:
+            raise ParseError(f"'{name}' is a constant, not a function", head.loc)
+        sorts = meaning.params if declared else [s for _, s in meaning[0]]
+        if len(items) != len(sorts):
+            raise SortError(f"'{name}' expects {len(sorts)} arguments, got {len(items)}", head.loc)
         args = yield from self._built_args(items)
-        for i, (arg, psort, sx) in enumerate(zip(args, decl.params, items)):
-            if arg.sort is not psort:
+        for i, (arg, sort) in enumerate(zip(args, sorts)):
+            if arg.sort is not sort:
+                which = i + 1 if declared else f"'{meaning[0][i][0]}'"
                 raise SortError(
-                    f"argument {i + 1} of '{head.text}' must be {psort}, got {arg.sort}",
-                    sx.loc,
+                    f"argument {which} of '{name}' must be {sort}, got {arg.sort}", items[i].loc
                 )
-        return Apply(head.text, args, decl.result, head.loc)
+        if declared:
+            return Apply(name, args, meaning.result, head.loc)
+        params, body = meaning
+        return substitute(body, {p: a for (p, _), a in zip(params, args)})
 
     def _let(self, head: SAtom, items) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList):
             raise ParseError("malformed let", head.loc)
         bindings: dict[str, Term] = {}
-        for b in items[0].items:
-            if not (isinstance(b, SList) and len(b.items) == 2):
-                raise ParseError("malformed let binding", items[0].loc)
-            name = self._symbol(b.items[0], "a let-bound name")
-            if name.text in bindings:
-                raise ParseError(f"duplicate let binding '{name.text}'", name.loc)
-            # Bindings are parallel: right-hand sides see the outer scope.
-            bindings[name.text] = yield b.items[1]
+        # Bindings are parallel: right-hand sides see the outer scope.
+        for name, sx in self._pairs(items[0], "let binding", "a let-bound name", "let binding"):
+            bindings[name.text] = yield sx
         shadowed = self._bind(bindings)
         body = yield items[1]
         self._unbind(shadowed)
@@ -549,26 +527,19 @@ class _ScriptBuilder:
     def _quantifier(self, head: SAtom, items) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList) or not items[0].items:
             raise ParseError(f"malformed {head.text}", head.loc)
-        bound: list[tuple[str, Sort]] = []
-        scope: dict[str, Term] = {}
-        for b in items[0].items:
-            if not (isinstance(b, SList) and len(b.items) == 2):
-                raise ParseError("malformed binder", items[0].loc)
-            name = self._symbol(b.items[0], "a bound variable")
-            if name.text in scope:
-                raise ParseError(f"duplicate bound variable '{name.text}'", name.loc)
+        binders: dict[str, Term] = {}
+        for name, sx in self._pairs(items[0], "binder", "a bound variable", "bound variable"):
             try:
-                sort = _parse_sort(b.items[1])
-            except _UnsupportedSort:
-                raise ParseError("unsupported sort in binder", b.items[1].loc)
-            bound.append((name.text, sort))
-            scope[name.text] = Var(name.text, sort, name.loc)
-        shadowed = self._bind(scope)
+                sort = _parse_sort(sx)
+            except _Unsupported:
+                raise ParseError("unsupported sort in binder", sx.loc)
+            binders[name.text] = Var(name.text, sort, name.loc)
+        shadowed = self._bind(binders)
         body = yield items[1]
         self._unbind(shadowed)
         if body.sort is not Sort.BOOL:
             raise SortError(f"{head.text} body must be Bool, got {body.sort}", items[1].loc)
-        return Quantifier(head.text, tuple(bound), body, head.loc)
+        return Quantifier(head.text, tuple((n, v.sort) for n, v in binders.items()), body, head.loc)
 
 
 def parse_script(text: str) -> Script:

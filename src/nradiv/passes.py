@@ -31,6 +31,7 @@ from .terms import (
     dag_fold,
     dag_rewrite,
     distinct_subterms,
+    division_free_repeats,
     eq,
     forall,
     fold_node,
@@ -146,22 +147,23 @@ def totalize(
         # Each occurrence gets its own name, so the walk goes over the tree:
         # a non-leaf node is visited as a new (node, under a quantifier) pair
         # per path, and every pair is kept to the end, so no id is reused.
-        # A leaf is its own rewrite and is visited once, as itself.
+        # A leaf is its own rewrite and is visited once, as itself; so is a
+        # node seen before that holds no division.
         pairs: list[tuple[Term, bool]] = []
+        own_rewrite = division_free_repeats()
+        fell_back = False
 
         def pieces(p) -> tuple:
             if type(p) is not tuple:
                 return ()
             node, under = p
             inner = under or type(node) is Quantifier
-            below = tuple(
-                c if type(c) is Var or type(c) is Const else (c, inner)
-                for c in _guard_pieces(node)
-            )
+            below = tuple(c if own_rewrite(c) else (c, inner) for c in _guard_pieces(node))
             pairs.extend(below)
             return below
 
         def named(p, new: list[Term]) -> Term:
+            nonlocal fell_back
             if type(p) is not tuple:
                 return p
             node, under = p
@@ -169,11 +171,7 @@ def totalize(
                 return inline(node, new)
             t = with_children(node, new)
             if under:
-                warnings.warn(
-                    "fresh-symbol totalization cannot name a division "
-                    "under a quantifier; falling back to an inline branch",
-                    stacklevel=4,
-                )
+                fell_back = True
                 return guarded(t)
             name = next_fresh()
             taken.add(name)
@@ -184,6 +182,12 @@ def totalize(
 
         roots = [(a, False) for a in script.assertions]
         assertions = tuple(dag_fold(p, named, pieces) for p in roots)
+        if fell_back:
+            warnings.warn(
+                "fresh-symbol totalization cannot name a division "
+                "under a quantifier; falling back to an inline branch",
+                stacklevel=2,
+            )
     out = dataclasses.replace(
         script,
         decls=tuple(new_decls),

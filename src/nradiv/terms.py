@@ -585,6 +585,27 @@ def distinct_subterms(term: Term) -> Iterator[Term]:
             stack.extend(reversed(children(t)))
 
 
+def division_free_repeats() -> Callable[[Term], bool]:
+    """For one per-occurrence walk: a test of whether a node adds nothing to
+    it, being a leaf or a node seen before that holds no division.  A repeat
+    visit folds "holds a division" into a memo, once per node."""
+
+    seen: set[int] = set()
+    held: dict[int, bool] = {}
+
+    def skip(t: Term) -> bool:
+        if type(t) is Var or type(t) is Const:
+            return True
+        if id(t) not in seen:
+            seen.add(id(t))
+            return False
+        if id(t) not in held:
+            dag_fold(t, lambda node, below: type(node) is Div or True in below, memo=held)
+        return not held[id(t)]
+
+    return skip
+
+
 def count_nodes(term: Term) -> int:
     """Size of `term` as a tree, counting a shared node once per path."""
 

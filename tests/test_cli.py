@@ -175,6 +175,15 @@ def test_transform_totalize_value_and_style(tmp_path, capsys):
     assert "(assert (= div0.0 (ite (= y 0) 0 (/ x y))))" in out
 
 
+def test_transform_fresh_warning_is_one_line_before_the_summary(golden_div0_path, capsys):
+    assert main(["transform", "totalize", "--style", "fresh", str(golden_div0_path)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: fresh-symbol totalization cannot name a division under a quantifier; "
+        "falling back to an inline branch\n"
+        "[totalize] nodes 55 -> 94; divisions 6 -> 6\n"
+    )
+
+
 def test_transform_bad_div0_value(tmp_path, capsys):
     src = tmp_path / "in.smt2"
     src.write_text("(assert true)\n")

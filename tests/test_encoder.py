@@ -151,6 +151,22 @@ def test_int_formula_rejects_division_ite_quantifiers():
         IntFormula((), quantified)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (Apply("=", (ivar("a"),), Sort.BOOL), "'=' needs at least 2 arguments"),
+        (
+            eq(Apply("+", (const(True, Sort.BOOL), ivar("a")), Sort.INT), ivar("a")),
+            "'+' expects numeric arguments, got Bool",
+        ),
+    ],
+)
+def test_int_formula_applies_the_sort_rule(body, message):
+    with pytest.raises(EncodeError) as excinfo:
+        IntFormula(("a",), body)
+    assert str(excinfo.value) == message
+
+
 def test_int_formula_accepts_deep_bodies():
     t = ivar("x")
     for _ in range(5000):

@@ -313,6 +313,48 @@ def test_builtin_sort_and_arity_errors(assertion, error, message, col):
     assert str(excinfo.value) == f"{message} (line 2, column {col})"
 
 
+CALL_HEADER = (
+    "(declare-fun f (Real Real) Real)(declare-const c Real)(declare-fun p () Bool)"
+    "(define-fun g ((u Real) (v Real)) Real (+ u v))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "assertion, error, message, col",
+    [
+        ("(assert (= (f 1) 0))", SortError, "'f' expects 2 arguments, got 1", 13),
+        ("(assert (= (g 1) 0))", SortError, "'g' expects 2 arguments, got 1", 13),
+        ("(assert (= (f p 1) 0))", SortError, "argument 1 of 'f' must be Real, got Bool", 15),
+        ("(assert (= (g 1 p) 0))", SortError, "argument 'v' of 'g' must be Real, got Bool", 17),
+        ("(assert (= (c 1) 0))", ParseError, "'c' is a constant, not a function", 13),
+        ("(assert (= f 0))", SortError, "'f' expects 2 arguments", 12),
+        ("(assert (= g 0))", SortError, "'g' expects 2 arguments", 12),
+        ("(assert (= (let ((f 1)) (f c)) 0))", UndeclaredSymbolError,
+         "undeclared function symbol 'f'", 26),
+        ("(assert (= (let ((g 1)) (g c c)) 0))", UndeclaredSymbolError,
+         "undeclared function symbol 'g'", 26),
+    ],
+)
+def test_call_errors(assertion, error, message, col):
+    with pytest.raises(error) as excinfo:
+        parse_script(CALL_HEADER + assertion)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{message} (line 2, column {col})"
+
+
+def test_shadowing_keeps_declaration_order():
+    script = parse_script(
+        "(declare-fun a () Real)(declare-fun b () Real)(declare-fun c () Real)"
+        "(assert (let ((a 1)) (> a 0)))"
+        "(assert (forall ((b Real)) (> b 0)))"
+        "(define-fun m ((c Real)) Real c)"
+        "(declare-fun d () Real)"
+        "(assert (= (m a) (+ b c d)))"
+    )
+    assert [d.name for d in script.decls] == ["a", "b", "c", "d"]
+    assert [d.loc.col for d in script.decls] == [14, 37, 60, 181]
+
+
 def test_arity_is_checked_before_the_arguments_are_built():
     with pytest.raises(ParseError, match="^'not' needs exactly 1 argument"):
         parse_script(SORT_HEADER + "(assert (not (+ p p) q))")

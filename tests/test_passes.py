@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,15 @@ def test_totalize_fresh_warns_under_quantifier():
         out = totalize(s, FRESH)
     assert "(ite (= q 0) 0 (/ q q))" in print_script(out)
     assert len(out.decls) == 0
+
+
+def test_totalize_fresh_warns_once_at_the_caller():
+    s = parse_script("(assert (forall ((q Real)) (= (/ q q) (/ 1 q))))")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        totalize(s, FRESH)
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
 
 
 def test_totalize_int_value_check():

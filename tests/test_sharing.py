@@ -290,6 +290,20 @@ def test_walkers_finish_on_2_to_60_occurrences():
     assert eval_term(a, {"x": Fraction(1), "y": Fraction(0)}) is False  # floor(1) * 2^60
 
 
+def test_per_occurrence_walks_skip_shared_terms_without_division():
+    k = 60
+    t = X
+    for _ in range(k):
+        t = add(t, t)  # 2^60 paths, no division
+    a = lt(add(div(X, Y), t), const(0))
+    script = Script(logic="QF_NRA", decls=DECLS, assertions=(a,))
+    (occurrence,) = collect_divisions(script)
+    assert occurrence.path == (0, 0, 0)
+    out = totalize(script, TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL))
+    assert [d.name for d in out.decls] == ["x", "y", "div0.0"]
+    assert len(out.assertions) == 2
+
+
 # ---------------------------------------------------------------------------
 # No walker recurses: a term 10,000 deep, built with the constructors.
 
