@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add
+from typing import Iterator
 
 from .terms import (
     ARITH_OPS,
     Apply,
     Const,
     Div,
+    Ite,
     Loc,
     Quantifier,
     Script,
@@ -26,6 +28,7 @@ from .terms import (
     dag_fold,
     division_free_repeats,
     fold_node,
+    neg,
     with_children,
 )
 
@@ -103,35 +106,66 @@ def classify_divisor(divisor: Term) -> DivisorClass:
     return DivisorClass(DivisorKind.CONSTANT_NONZERO, value)
 
 
-def collect_divisions(script: Script) -> list[DivOccurrence]:
-    """Every division occurrence in assertion order, pre-order within a term.
+def division_sites(script: Script) -> Iterator[tuple[list[int], Div, tuple[Term, ...], tuple]]:
+    """Every division occurrence, in assertion order, pre-order within a term.
 
-    A division reached by several paths is listed once per path; each
-    distinct divisor node is classified once.  A node is entered again
-    only when it holds a division.
+    Yields its path (assertion index, then child indices: one list, changed
+    in place as the walk goes on), the `Div` node, its guards (the
+    condition of each `ite` branch above it, negated below an else branch)
+    and the binder list of each quantifier above it, outermost first.  A
+    guard or binder tuple is one object per outer tuple and `ite` branch or
+    quantifier, kept for the whole walk, so its id is a key while the walk
+    runs.  A node is entered again only when it holds a division.
     """
 
-    out: list[DivOccurrence] = []
-    classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
-    path: list[int] = []  # the path of the node being visited
+    path: list[int] = []
     skip = division_free_repeats()
+    inner: dict[tuple[int, int], tuple] = {}  # (id(outer tuple), id(node)) -> inner tuples
     for i, assertion in enumerate(script.assertions):
-        stack = [(assertion, i, 0, False)]  # node, index in its parent, parent path length
+        stack = [(assertion, i, 0, (), ())]  # node, index in its parent, depth, guards, binders
         while stack:
-            term, j, depth, under = stack.pop()
+            term, j, depth, guards, binders = stack.pop()
             if skip(term):
                 continue
             del path[depth:]
             path.append(j)
-            if type(term) is Div:
-                cls = classes.get(id(term.den))
-                if cls is None:
-                    cls = classes[id(term.den)] = classify_divisor(term.den)
-                out.append(DivOccurrence(tuple(path), cls, term.loc, under))
-            inside = under or type(term) is Quantifier
-            kids = children(term)
-            for k in range(len(kids) - 1, -1, -1):
-                stack.append((kids[k], k, depth + 1, inside))
+            t = type(term)
+            if t is Div:
+                yield path, term, guards, binders
+            depth += 1
+            if t is Ite:
+                key = (id(guards), id(term))
+                if key not in inner:
+                    inner[key] = (guards + (term.cond,), guards + (neg(term.cond),))
+                then, orelse = inner[key]
+                stack.append((term.orelse, 2, depth, orelse, binders))
+                stack.append((term.then, 1, depth, then, binders))
+                stack.append((term.cond, 0, depth, guards, binders))
+            elif t is Quantifier:
+                key = (id(binders), id(term))
+                if key not in inner:
+                    inner[key] = binders + (term.bound,)
+                stack.append((term.body, 0, depth, guards, inner[key]))
+            else:
+                kids = children(term)
+                for k in range(len(kids) - 1, -1, -1):
+                    stack.append((kids[k], k, depth, guards, binders))
+
+
+def collect_divisions(script: Script) -> list[DivOccurrence]:
+    """Every division occurrence, as `division_sites` finds them.
+
+    A division reached by several paths is listed once per path; each
+    distinct divisor node is classified once.
+    """
+
+    out: list[DivOccurrence] = []
+    classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
+    for path, d, _, binders in division_sites(script):
+        cls = classes.get(id(d.den))
+        if cls is None:
+            cls = classes[id(d.den)] = classify_divisor(d.den)
+        out.append(DivOccurrence(tuple(path), cls, d.loc, bool(binders)))
     return out
 
 

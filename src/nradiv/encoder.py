@@ -99,9 +99,11 @@ class IntFormula:
         for t in distinct_subterms(self.body):  # the sort rule, once every piece is allowed
             if type(t) is Apply:
                 try:
-                    result_sort(t.op, t.args)
+                    sort = result_sort(t.op, t.args)
                 except SortError as exc:
                     raise EncodeError(str(exc)) from None
+                if sort is not t.sort:
+                    raise EncodeError(f"'{t.op}' application has sort {t.sort}, not {sort}")
 
     @staticmethod
     def from_script(script: Script) -> IntFormula:

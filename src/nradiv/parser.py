@@ -404,14 +404,14 @@ class _ScriptBuilder:
         if sx.kind != "symbol":
             raise ParseError(f"unexpected {sx.kind} in term position", sx.loc)
         name = sx.text
-        if name == "true" or name == "false":
-            return Const(name == "true", Sort.BOOL, sx.loc)
         meaning = self.scope.get(name)
         if type(meaning) is FunDecl:
             params, term = meaning.params, Var(name, meaning.result, sx.loc)
         elif type(meaning) is tuple:
             params, term = meaning
-        elif meaning is None:
+        elif meaning is None:  # `true` and `false` are literals unless a binder shadows them
+            if name == "true" or name == "false":
+                return Const(name == "true", Sort.BOOL, sx.loc)
             raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.loc)
         else:  # a bound name
             return meaning

@@ -13,6 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import count
 
+from .analyzer import division_sites
 from .errors import SortError
 from .terms import (
     Apply,
@@ -106,16 +107,9 @@ def totalize(
 
     cfg = config or TotalizeConfig()
     taken = {d.name for d in script.decls}
+    fresh_names = (n for n in map("div0.{}".format, count()) if n not in taken)
     new_decls: list[FunDecl] = list(script.decls)
     defining: list[Term] = []
-    numbering = count()
-
-    def next_fresh() -> str:
-        for i in numbering:
-            name = f"div0.{i}"
-            if name not in taken:
-                return name
-        raise AssertionError("unreachable")
 
     def guard_value(sort: Sort, loc) -> Const:
         if sort is Sort.INT and cfg.div0_value.denominator != 1:
@@ -138,50 +132,44 @@ def totalize(
         t = with_children(node, new)
         return guarded(t) if type(t) is Div else t
 
+    def named(node: Div, new: list[Term]) -> Var:
+        t = with_children(node, new)
+        v = var(next(fresh_names), t.sort)
+        new_decls.append(FunDecl(v.name, (), t.sort))
+        defining.append(eq(v, guarded(t)))
+        return v
+
+    memo: dict[int, Term] = {}  # id(node) -> its inline rewrite
     if cfg.style is TotalizeStyle.BRANCH_INLINE:
-        memo: dict[int, Term] = {}
-        assertions = tuple(
-            dag_fold(a, inline, _guard_pieces, memo) for a in script.assertions
-        )
+        assertions = [dag_fold(a, inline, _guard_pieces, memo) for a in script.assertions]
     else:
-        # Each occurrence gets its own name, so the walk goes over the tree:
-        # a non-leaf node is visited as a new (node, under a quantifier) pair
-        # per path, and every pair is kept to the end, so no id is reused.
-        # A leaf is its own rewrite and is visited once, as itself; so is a
-        # node seen before that holds no division.
-        pairs: list[tuple[Term, bool]] = []
+        # Each occurrence gets its own name, so the walk goes over the tree,
+        # post-order over `_guard_pieces`, and leaves each finished rewrite
+        # in `assertions` for its parent.  A leaf, or a node seen before that
+        # holds no division, is its own rewrite; a quantifier is rewritten
+        # once, inline.
         own_rewrite = division_free_repeats()
         fell_back = False
-
-        def pieces(p) -> tuple:
-            if type(p) is not tuple:
-                return ()
-            node, under = p
-            inner = under or type(node) is Quantifier
-            below = tuple(c if own_rewrite(c) else (c, inner) for c in _guard_pieces(node))
-            pairs.extend(below)
-            return below
-
-        def named(p, new: list[Term]) -> Term:
-            nonlocal fell_back
-            if type(p) is not tuple:
-                return p
-            node, under = p
-            if type(node) is not Div:
-                return inline(node, new)
-            t = with_children(node, new)
-            if under:
-                fell_back = True
-                return guarded(t)
-            name = next_fresh()
-            taken.add(name)
-            new_decls.append(FunDecl(name, (), t.sort))
-            v = var(name, t.sort)
-            defining.append(eq(v, guarded(t)))
-            return v
-
-        roots = [(a, False) for a in script.assertions]
-        assertions = tuple(dag_fold(p, named, pieces) for p in roots)
+        assertions = []
+        waiting: list[tuple[Term, int]] = []  # node, where its pieces start in `assertions`
+        stack: list = list(reversed(script.assertions))
+        while stack:
+            node = stack.pop()
+            if node is None:
+                node, start = waiting.pop()
+                new = assertions[start:]
+                del assertions[start:]
+                assertions.append((named if type(node) is Div else inline)(node, new))
+            elif own_rewrite(node):
+                assertions.append(node)
+            elif type(node) is Quantifier:
+                q = dag_fold(node, inline, _guard_pieces, memo)
+                fell_back = fell_back or q is not node
+                assertions.append(q)
+            else:
+                waiting.append((node, len(assertions)))
+                stack.append(None)
+                stack.extend(reversed(_guard_pieces(node)))
         if fell_back:
             warnings.warn(
                 "fresh-symbol totalization cannot name a division "
@@ -191,7 +179,7 @@ def totalize(
     out = dataclasses.replace(
         script,
         decls=tuple(new_decls),
-        assertions=assertions + tuple(defining),
+        assertions=(*assertions, *defining),
     )
     if fold:
         out = fold_script(out)
@@ -310,68 +298,20 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
     its own zero test yields a tautology.  A division under quantifiers
     is universally closed over the bound variables; for an `exists`
     binder this is stronger than necessary, erring toward soundness.
-    The list has one entry per occurrence, in pre-order; a shared node
-    reached under the same hypotheses and binders is visited once.
+    The list has one entry per occurrence of `division_sites`, in its
+    order; equal VCs of one division share one term.
     """
 
-    # Outside every ite and quantifier a node is visited as itself.  Below
-    # one, it is visited as one (node, context) pair per context object it is
-    # reached under; a context (guards, binders) is new only below an ite
-    # branch or a quantifier.
-    top: tuple = ((), ())
-    pairs: dict[tuple[int, int], tuple] = {}
-
-    def below(item) -> tuple:
-        """The items to visit below one: a leaf holds no division, so no leaf."""
-
-        if type(item) is tuple:
-            node, context = item
-        elif type(item) is Ite or type(item) is Quantifier:
-            node, context = item, top
-        else:
-            return tuple([c for c in children(item) if type(c) is not Var and type(c) is not Const])
-        if type(node) is Ite:
-            guards, binders = context
-            kids = (
-                (node.cond, context),
-                (node.then, (guards + (node.cond,), binders)),
-                (node.orelse, (guards + (neg(node.cond),), binders)),
-            )
-        elif type(node) is Quantifier:
-            guards, binders = context
-            kids = ((node.body, (guards, binders + (node.bound,))),)
-        else:
-            kids = [(c, context) for c in children(node)]
-        return tuple([
-            c if cx is top else pairs.setdefault((id(c), id(cx)), (c, cx))
-            for c, cx in kids
-            if type(c) is not Var and type(c) is not Const
-        ])
-
-    def obligations(item, inner: list[tuple]) -> tuple:
-        """The VCs below an item, as nested tuples that share their parts."""
-
-        node = item[0] if type(item) is tuple else item
-        if type(node) is not Div and not any(inner):
-            return ()
-        guards, binders = item[1] if type(item) is tuple else top
-        parts = [b for b in inner if b]
-        if type(node) is Div:
-            body: Term = neg(eq(node.den, const(0, node.den.sort)))
-            if guards:
-                body = implies(conj(*guards), body)
-            for bound in reversed(binders):
-                body = forall(bound, body)
-            parts.insert(0, body)
-        return tuple(parts)
-
-    memo: dict[int, tuple] = {}
-    stack = [dag_fold(a, obligations, below, memo) for a in reversed(script.assertions)]
     vcs: list[Term] = []
-    while stack:
-        item = stack.pop()
-        if type(item) is tuple:
-            stack.extend(reversed(item))
-        else:
-            vcs.append(item)
+    memo: dict[tuple[int, int, int], Term] = {}  # ids of (division, guards, binders) -> VC
+    for _, d, guards, binders in division_sites(script):
+        key = (id(d), id(guards), id(binders))
+        if key not in memo:
+            vc: Term = neg(eq(d.den, const(0, d.den.sort)))
+            if guards:
+                vc = implies(conj(*guards), vc)
+            for bound in reversed(binders):
+                vc = forall(bound, vc)
+            memo[key] = vc
+        vcs.append(memo[key])
     return vcs

@@ -167,6 +167,14 @@ def test_int_formula_applies_the_sort_rule(body, message):
     assert str(excinfo.value) == message
 
 
+def test_int_formula_rejects_an_application_that_misstates_its_sort():
+    a, b = ivar("a"), ivar("b")
+    body = eq(Apply("+", (a, b), Sort.BOOL), const(True))  # `+` over Ints claims Bool
+    with pytest.raises(EncodeError) as excinfo:
+        IntFormula(("a", "b"), body)
+    assert str(excinfo.value) == "'+' application has sort Bool, not Int"
+
+
 def test_int_formula_accepts_deep_bodies():
     t = ivar("x")
     for _ in range(5000):

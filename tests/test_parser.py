@@ -121,6 +121,20 @@ def test_define_fun_shadowed_by_binder():
     assert body.args[0] == Var("c", Sort.REAL)
 
 
+def test_binders_named_true_or_false_shadow_the_literals():
+    lets = "(assert (let ((true false)) true))"
+    assert first_assertion(lets) == Const(False, Sort.BOOL)
+    quantified = "(assert (forall ((false Bool)) (not false)))"
+    t = first_assertion(quantified)
+    assert t.body.args[0] == Var("false", Sort.BOOL)
+    for text in (lets, quantified):
+        printed = print_script(parse_script(text))
+        assert print_script(parse_script(printed)) == printed
+    assert print_script(parse_script(quantified)) == quantified + "\n"
+    with pytest.raises(ParseError, match="cannot redefine builtin symbol 'true'"):
+        parse_script("(declare-fun true () Bool)")
+
+
 def test_quantifier_binder_shadows_declaration():
     script = parse_script(
         "(declare-fun x () Real)(assert (forall ((x Real)) (>= (* x x) 0)))"

@@ -31,7 +31,7 @@ from nradiv import (
     subterms,
     totalize,
 )
-from nradiv.terms import FunDecl, eq, var
+from nradiv.terms import FunDecl, Quantifier, eq, term_at, var
 
 FRESH = TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL)
 
@@ -391,8 +391,24 @@ def test_vc_quantified_is_closed():
     assert format_term(vc2) == "(forall ((q Real)) (not (= q 0)))"
 
 
+GUARDED_AND_QUANTIFIED = (
+    "(declare-fun x () Real)(declare-fun y () Real)(declare-fun c () Bool)"
+    "(assert (let ((d (/ x y))) (and (= d (ite c (/ 1 d) d))"
+    " (forall ((q Real)) (> (ite (> q 0) (/ q x) (/ x (- 1 1))) d)))))"
+)
+
+
 def test_vc_count_and_order_follow_collection(parsed_corpus):
-    for script in parsed_corpus.values():
+    scripts = [*parsed_corpus.values(), parse_script(GUARDED_AND_QUANTIFIED)]
+    for script in scripts:
         vcs = emit_nonzero_vcs(script)
         occs = collect_divisions(script)
         assert len(vcs) == len(occs)
+        for vc, occ in zip(vcs, occs):
+            assert (type(vc) is Quantifier) == occ.under_quantifier
+            while type(vc) is Quantifier:
+                vc = vc.body
+            if vc.op == "=>":
+                vc = vc.args[1]
+            assert vc.op == "not" and vc.args[0].op == "="
+            assert vc.args[0].args[0] is term_at(script, occ.path).den

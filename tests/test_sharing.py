@@ -304,6 +304,28 @@ def test_per_occurrence_walks_skip_shared_terms_without_division():
     assert len(out.assertions) == 2
 
 
+def test_equal_vcs_of_a_shared_guarded_division_are_one_term():
+    script = parse_script(
+        "(declare-fun x () Real)(declare-fun y () Real)(declare-fun c () Bool)"
+        "(assert " + doubling_lets(12).replace("(/ x y)", "(ite c (/ x y) 0)") + ")"
+    )
+    vcs = emit_nonzero_vcs(script)
+    assert len(vcs) == 2**12 and len({id(vc) for vc in vcs}) == 1
+    assert format_term(vcs[0]) == "(=> c (not (= y 0)))"
+
+
+def test_fresh_totalize_rewrites_a_quantifier_once():
+    k = 40  # 2^40 paths below the quantifier
+    text = doubling_lets(k).replace("(/ x y)", "(/ x z)")
+    script = parse_script(HEADER + f"(assert (forall ((z Real)) {text}))")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = totalize(script, TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL))
+    assert len(caught) == 1 and "under a quantifier" in str(caught[0].message)
+    assert out.assertions == totalize(script).assertions
+    assert out.decls == script.decls
+
+
 # ---------------------------------------------------------------------------
 # No walker recurses: a term 10,000 deep, built with the constructors.
 
