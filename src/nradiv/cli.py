@@ -138,6 +138,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
             raise NradivError(f"bad --div0-value {args.div0_value!r}: {exc}") from exc
         cfg = TotalizeConfig(div0_value=value, style=TotalizeStyle(args.style))
         with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # whatever the caller's filters say
             out_script = totalize(script, cfg, fold=args.fold)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)

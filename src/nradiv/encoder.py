@@ -160,10 +160,10 @@ class EncodedProblem:
 
 def _resorted(term: Term, args: list[Term]) -> Term:
     if type(term) is Const:
-        return term if isinstance(term.value, bool) else Const(term.value, Sort.REAL, term.loc)
+        return term if isinstance(term.value, bool) else Const(term.value, Sort.REAL)
     if type(term) is Var:
-        return Var(term.name, Sort.REAL, term.loc)
-    return Apply(term.op, tuple(args), result_sort(term.op, args), term.loc)
+        return Var(term.name, Sort.REAL)
+    return Apply(term.op, tuple(args), result_sort(term.op, args))
 
 
 def _resort_real(term: Term) -> Term:
@@ -220,7 +220,7 @@ def replace_uf_with_div0(term: Term, f_name: str) -> Term:
 
     def spell(t: Term) -> Term:
         if type(t) is Apply and t.op == f_name and len(t.args) == 1:
-            return Div(t.args[0], const(0), Sort.REAL, t.loc)
+            return Div(t.args[0], const(0), Sort.REAL)
         return t
 
     return dag_rewrite(term, spell)

@@ -8,13 +8,16 @@ class NradivError(Exception):
 
 
 class ScriptError(NradivError):
-    """Problem with script text; carries a source location when one is known."""
+    """Problem with script text; `loc` is where, when known: an offset into
+    the text while it is parsed, a (line, column) pair once it is not."""
 
     def __init__(self, message: str, loc=None):
         self.loc = loc
-        if loc is not None and tuple(loc) != (0, 0):
-            message = f"{message} (line {loc[0]}, column {loc[1]})"
         super().__init__(message)
+
+    def __str__(self) -> str:
+        where = "" if self.loc is None else f" (line {self.loc[0]}, column {self.loc[1]})"
+        return super().__str__() + where
 
 
 class ParseError(ScriptError):

@@ -1,10 +1,12 @@
 """SMT-LIB2 reader: one-pass scanner and s-expression reader, sort-checking builder.
 
 The reader matches one compiled pattern per token and builds s-expressions
-on an explicit stack, tracking line and column as it goes.  Numerals are
-ASCII digits only (SMT-LIB 2.6 section 3.1); other digits are rejected.
+on an explicit stack; each keeps the offset at which it starts.  Numerals
+are ASCII digits only (SMT-LIB 2.6 section 3.1); other digits are rejected.
 The term builder keeps its work on an explicit stack too, so depth has no
 limit, and checks builtin sorts with `terms.result_sort`, as constructors do.
+Only the positions that are shown become a line and column (`_loc`): a
+division's, and a parse error's.
 
 Supported commands: set-logic, set-info, declare-fun, declare-const,
 define-fun, assert, check-sat, exit.  Anything else is preserved
@@ -20,10 +22,12 @@ a name hides everything outside it (SMT-LIB 2.6 section 3.6).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Generator, Iterator, NamedTuple
 
-from .errors import ParseError, SortError, UndeclaredSymbolError
+from .errors import ParseError, ScriptError, SortError, UndeclaredSymbolError
 from .printer import SIMPLE_SYMBOL, SIMPLE_SYMBOL_CHARS, format_symbol
 from .terms import (
     OPS,
@@ -33,7 +37,6 @@ from .terms import (
     FunDecl,
     Ite,
     Loc,
-    NO_LOC,
     Quantifier,
     Script,
     Sort,
@@ -41,6 +44,11 @@ from .terms import (
     Unsupported,
     Var,
     arity_error,
+    children,
+    dag_fold,
+    dag_rewrite,
+    fresh_name,
+    names_in,
     neg_literal,
     result_sort,
     substitute,
@@ -59,12 +67,12 @@ _KNOWN_UNSUPPORTED_OPS = frozenset(
 class SAtom(NamedTuple):
     kind: str  # "symbol" | "keyword" | "numeral" | "decimal" | "string"
     text: str
-    loc: Loc
+    pos: int  # offset into the text
 
 
 class SList(NamedTuple):
     items: tuple
-    loc: Loc
+    pos: int  # offset of the "("
 
 
 # One token per match; the name of the group that matched is its kind.
@@ -84,8 +92,12 @@ _TOKEN = re.compile(
 )
 
 
-def _loc_at(text: str, pos: int) -> Loc:
-    return Loc(text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+def _loc(line_starts: list[int], pos: int) -> Loc:
+    """The line and column, both from 1, of offset `pos`, given the offset
+    at which each line starts."""
+
+    line = bisect_right(line_starts, pos)
+    return Loc(line, pos - line_starts[line - 1] + 1)
 
 
 def _scan_error(text: str, pos: int) -> ParseError:
@@ -107,7 +119,7 @@ def _scan_error(text: str, pos: int) -> ParseError:
         message = "malformed decimal literal"
     else:
         message = f"unexpected character {c!r}"
-    return ParseError(message, _loc_at(text, pos))
+    return ParseError(message, pos)
 
 
 def _first_scan_error(text: str, pos: int) -> ParseError | None:
@@ -125,13 +137,13 @@ def _read(text: str) -> list[SAtom | SList]:
     """Scan and read `text` into top-level s-expressions in one pass.
 
     A lexical error anywhere in the text is reported before an unbalanced
-    bracket, as if the whole text had been tokenized first.
+    bracket, as if the whole text had been tokenized first.  Errors carry
+    an offset, as s-expressions do.
     """
 
     forms: list[SAtom | SList] = []
     items = forms
-    stack: list[tuple[list, Loc]] = []  # (enclosing items, loc of the open list)
-    line, line_start = 1, 0
+    stack: list[tuple[list, int]] = []  # (enclosing items, offset of the open list)
     pos, size = 0, len(text)
     match = _TOKEN.match
     while pos < size:
@@ -139,37 +151,22 @@ def _read(text: str) -> list[SAtom | SList]:
         if m is None:
             raise _scan_error(text, pos)
         kind = m.lastgroup
-        end = m.end()
-        if kind == "blank":
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", pos, end) + 1
-        elif kind == "open":
-            stack.append((items, Loc(line, pos - line_start + 1)))
+        if kind == "open":
+            stack.append((items, pos))
             items = []
         elif kind == "close":
             if not stack:
-                raise _first_scan_error(text, end) or ParseError(
-                    "unmatched ')'", Loc(line, pos - line_start + 1)
-                )
-            outer, loc = stack.pop()
-            outer.append(SList(tuple(items), loc))
+                raise _first_scan_error(text, m.end()) or ParseError("unmatched ')'", pos)
+            outer, start = stack.pop()
+            outer.append(SList(tuple(items), start))
             items = outer
-        elif kind == "quoted" or kind == "string":  # may span lines
-            atom = m.group(kind)
-            loc = Loc(line, pos - line_start + 1)
-            if kind == "quoted":
-                items.append(SAtom("symbol", atom, loc))
-            else:
-                items.append(SAtom("string", atom.replace('""', '"'), loc))
-            newlines = atom.count("\n")
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", pos, end) + 1
-        else:
-            items.append(SAtom(kind, m.group(kind), Loc(line, pos - line_start + 1)))
-        pos = end
+        elif kind == "quoted":
+            items.append(SAtom("symbol", m.group(kind), pos))
+        elif kind == "string":
+            items.append(SAtom("string", m.group(kind).replace('""', '"'), pos))
+        elif kind != "blank":
+            items.append(SAtom(kind, m.group(kind), pos))
+        pos = m.end()
     if stack:
         raise ParseError("unbalanced '(': input ended inside a list", stack[-1][1])
     return forms
@@ -230,7 +227,8 @@ def _numeral_sort(logic: str | None) -> Sort:
 
 
 class _ScriptBuilder:
-    def __init__(self) -> None:
+    def __init__(self, line_starts: list[int]) -> None:
+        self.line_starts = line_starts  # of the text, for `_loc`
         self.logic: str | None = None
         self.metadata: list[tuple[str, str]] = []
         # Each name in scope -> what it means here: its FunDecl, its
@@ -249,11 +247,11 @@ class _ScriptBuilder:
     def run(self, forms: list) -> Script:
         for form in forms:
             if not isinstance(form, SList):
-                raise ParseError("expected a command", form.loc)
+                raise ParseError("expected a command", form.pos)
             if not form.items or not (
                 isinstance(form.items[0], SAtom) and form.items[0].kind == "symbol"
             ):
-                raise ParseError("command must start with a symbol", form.loc)
+                raise ParseError("command must start with a symbol", form.pos)
             head = form.items[0].text
             args = form.items[1:]
             handler = getattr(self, "_cmd_" + head.replace("-", "_"), None)
@@ -262,7 +260,7 @@ class _ScriptBuilder:
                     raise _Unsupported()
                 handler(form, args)
             except _Unsupported:  # kept verbatim
-                self.unsupported.append(Unsupported(render_sexpr(form), form.loc))
+                self.unsupported.append(Unsupported(render_sexpr(form)))
             if self.exit_cmd:
                 break
         return Script(
@@ -277,50 +275,49 @@ class _ScriptBuilder:
 
     def _symbol(self, sx, what: str) -> SAtom:
         if not (isinstance(sx, SAtom) and sx.kind == "symbol"):
-            loc = sx.loc if isinstance(sx, (SAtom, SList)) else NO_LOC
-            raise ParseError(f"expected {what}", loc)
+            raise ParseError(f"expected {what}", sx.pos)
         return sx
 
     def _register(self, name: SAtom) -> None:
         if name.text in _RESERVED:
-            raise ParseError(f"cannot redefine builtin symbol '{name.text}'", name.loc)
+            raise ParseError(f"cannot redefine builtin symbol '{name.text}'", name.pos)
         if name.text in self.scope:
-            raise ParseError(f"symbol '{name.text}' is already declared", name.loc)
+            raise ParseError(f"symbol '{name.text}' is already declared", name.pos)
 
     def _cmd_set_logic(self, form: SList, args) -> None:
         if len(args) != 1:
-            raise ParseError("set-logic takes one symbol", form.loc)
+            raise ParseError("set-logic takes one symbol", form.pos)
         name = self._symbol(args[0], "a logic name")
         if self.logic is not None:
-            raise ParseError("logic is already set", form.loc)
+            raise ParseError("logic is already set", form.pos)
         self.logic = name.text
 
     def _cmd_set_info(self, form: SList, args) -> None:
         if not args or not (isinstance(args[0], SAtom) and args[0].kind == "keyword"):
-            raise ParseError("set-info needs a keyword", form.loc)
+            raise ParseError("set-info needs a keyword", form.pos)
         if len(args) > 2:
-            raise ParseError("malformed set-info", form.loc)
+            raise ParseError("malformed set-info", form.pos)
         value = render_sexpr(args[1]) if len(args) == 2 else ""
         self.metadata.append((args[0].text, value))
 
     def _cmd_declare_fun(self, form: SList, args) -> None:
         if len(args) != 3 or not isinstance(args[1], SList):
-            raise ParseError("malformed declare-fun", form.loc)
+            raise ParseError("malformed declare-fun", form.pos)
         self._declare(self._symbol(args[0], "a function name"), args[1].items, args[2])
 
     def _cmd_declare_const(self, form: SList, args) -> None:
         if len(args) != 2:
-            raise ParseError("malformed declare-const", form.loc)
+            raise ParseError("malformed declare-const", form.pos)
         self._declare(self._symbol(args[0], "a constant name"), (), args[1])
 
     def _declare(self, name: SAtom, params, result) -> None:
         self._register(name)
         sorts = tuple(_parse_sort(p) for p in params)
-        self.scope[name.text] = FunDecl(name.text, sorts, _parse_sort(result), name.loc)
+        self.scope[name.text] = FunDecl(name.text, sorts, _parse_sort(result))
 
     def _cmd_define_fun(self, form: SList, args) -> None:
         if len(args) != 4 or not isinstance(args[1], SList):
-            raise ParseError("malformed define-fun", form.loc)
+            raise ParseError("malformed define-fun", form.pos)
         name = self._symbol(args[0], "a function name")
         self._register(name)
         pairs = self._pairs(args[1], "parameter list", "a parameter name", "parameter")
@@ -330,25 +327,25 @@ class _ScriptBuilder:
         body = self._build(args[3])
         self._unbind(shadowed)
         if body.sort is not result:
-            raise SortError(f"define-fun body has sort {body.sort}, declared {result}", args[3].loc)
+            raise SortError(f"define-fun body has sort {body.sort}, declared {result}", args[3].pos)
         self.scope[name.text] = (params, body)
 
     def _cmd_assert(self, form: SList, args) -> None:
         if len(args) != 1:
-            raise ParseError("assert takes one term", form.loc)
+            raise ParseError("assert takes one term", form.pos)
         term = self._build(args[0])
         if term.sort is not Sort.BOOL:
-            raise SortError(f"assertion must be Bool, got {term.sort}", args[0].loc)
+            raise SortError(f"assertion must be Bool, got {term.sort}", args[0].pos)
         self.assertions.append(term)
 
     def _cmd_check_sat(self, form: SList, args) -> None:
         if args:
-            raise ParseError("check-sat takes no arguments", form.loc)
+            raise ParseError("check-sat takes no arguments", form.pos)
         self.check_sat = True
 
     def _cmd_exit(self, form: SList, args) -> None:
         if args:
-            raise ParseError("exit takes no arguments", form.loc)
+            raise ParseError("exit takes no arguments", form.pos)
         self.exit_cmd = True
 
     # -- terms -------------------------------------------------------------
@@ -378,12 +375,12 @@ class _ScriptBuilder:
 
     def _term(self, sx) -> Generator:
         if not sx.items:
-            raise ParseError("empty application", sx.loc)
+            raise ParseError("empty application", sx.pos)
         head = sx.items[0]
         if isinstance(head, SList):
-            raise ParseError("unsupported construct in term position", head.loc)
+            raise ParseError("unsupported construct in term position", head.pos)
         if head.kind != "symbol":
-            raise ParseError(f"cannot apply {head.kind} '{head.text}'", head.loc)
+            raise ParseError(f"cannot apply {head.kind} '{head.text}'", head.pos)
         if head.text == "let":
             return self._let(head, sx.items[1:])
         if head.text in ("forall", "exists"):
@@ -398,25 +395,25 @@ class _ScriptBuilder:
 
     def _atom_term(self, sx: SAtom) -> Term:
         if sx.kind == "numeral":
-            return Const(self._number(sx.text), _numeral_sort(self.logic), sx.loc)
+            return Const(self._number(sx.text), _numeral_sort(self.logic))
         if sx.kind == "decimal":
-            return Const(self._number(sx.text), Sort.REAL, sx.loc)
+            return Const(self._number(sx.text), Sort.REAL)
         if sx.kind != "symbol":
-            raise ParseError(f"unexpected {sx.kind} in term position", sx.loc)
+            raise ParseError(f"unexpected {sx.kind} in term position", sx.pos)
         name = sx.text
         meaning = self.scope.get(name)
         if type(meaning) is FunDecl:
-            params, term = meaning.params, Var(name, meaning.result, sx.loc)
+            params, term = meaning.params, Var(name, meaning.result)
         elif type(meaning) is tuple:
             params, term = meaning
         elif meaning is None:  # `true` and `false` are literals unless a binder shadows them
             if name == "true" or name == "false":
-                return Const(name == "true", Sort.BOOL, sx.loc)
-            raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.loc)
+                return Const(name == "true", Sort.BOOL)
+            raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.pos)
         else:  # a bound name
             return meaning
         if params:
-            raise SortError(f"'{name}' expects {len(params)} arguments", sx.loc)
+            raise SortError(f"'{name}' expects {len(params)} arguments", sx.pos)
         return term
 
     def _built_args(self, items) -> Generator:
@@ -448,46 +445,47 @@ class _ScriptBuilder:
         seen: set[str] = set()
         for p in sx.items:
             if not (isinstance(p, SList) and len(p.items) == 2):
-                raise ParseError(f"malformed {pair}", sx.loc)
+                raise ParseError(f"malformed {pair}", sx.pos)
             name = self._symbol(p.items[0], what)
             if name.text in seen:
-                raise ParseError(f"duplicate {dup} '{name.text}'", name.loc)
+                raise ParseError(f"duplicate {dup} '{name.text}'", name.pos)
             seen.add(name.text)
             yield name, p.items[1]
 
     def _application(self, head: SAtom, items) -> Generator:
         op = head.text
-        loc = head.loc
+        pos = head.pos
 
         if op in _SORT_RULE_OPS:
             why = arity_error(op, len(items))
             if why is not None:
-                raise ParseError(why, loc)
+                raise ParseError(why, pos)
             args = yield from self._built_args(items)
             try:
                 sort = result_sort(op, args)
             except SortError as exc:  # located at the argument to blame
-                at = loc if exc.arg is None else items[exc.arg].loc
+                at = pos if exc.arg is None else items[exc.arg].pos
                 raise SortError(exc.args[0], at) from None
             if op == "ite":
-                return Ite(*args, loc)
+                return Ite(*args)
             if op == "/":
                 if sort is Sort.INT and _numeral_sort(self.logic) is not Sort.INT:
-                    raise SortError("'/' on Int arguments outside an integer logic", loc)
+                    raise SortError("'/' on Int arguments outside an integer logic", pos)
+                loc = _loc(self.line_starts, pos)
                 term = args[0]
                 for arg in args[1:]:  # n-ary division associates to the left
                     term = Div(term, arg, sort, loc)
                 return term
             if op == "-" and len(args) == 1 and isinstance(args[0], Const):
                 return neg_literal(args[0])
-            return Apply(op, args, sort, loc)
+            return Apply(op, args, sort)
 
         meaning = self.scope.get(op)
         if type(meaning) is FunDecl or type(meaning) is tuple:
             return (yield from self._call(head, items, meaning))
         if op in _KNOWN_UNSUPPORTED_OPS:
-            raise ParseError(f"unsupported operator '{op}'", loc)
-        raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", loc)
+            raise ParseError(f"unsupported operator '{op}'", pos)
+        raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", pos)
 
     def _call(self, head: SAtom, items, meaning: FunDecl | _Defined) -> Generator:
         """An application of a declared or a defined function; a defined
@@ -496,25 +494,25 @@ class _ScriptBuilder:
         name = head.text
         declared = type(meaning) is FunDecl
         if declared and not meaning.params:
-            raise ParseError(f"'{name}' is a constant, not a function", head.loc)
+            raise ParseError(f"'{name}' is a constant, not a function", head.pos)
         sorts = meaning.params if declared else [s for _, s in meaning[0]]
         if len(items) != len(sorts):
-            raise SortError(f"'{name}' expects {len(sorts)} arguments, got {len(items)}", head.loc)
+            raise SortError(f"'{name}' expects {len(sorts)} arguments, got {len(items)}", head.pos)
         args = yield from self._built_args(items)
         for i, (arg, sort) in enumerate(zip(args, sorts)):
             if arg.sort is not sort:
                 which = i + 1 if declared else f"'{meaning[0][i][0]}'"
                 raise SortError(
-                    f"argument {which} of '{name}' must be {sort}, got {arg.sort}", items[i].loc
+                    f"argument {which} of '{name}' must be {sort}, got {arg.sort}", items[i].pos
                 )
         if declared:
-            return Apply(name, args, meaning.result, head.loc)
+            return Apply(name, args, meaning.result)
         params, body = meaning
         return substitute(body, {p: a for (p, _), a in zip(params, args)})
 
     def _let(self, head: SAtom, items) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList):
-            raise ParseError("malformed let", head.loc)
+            raise ParseError("malformed let", head.pos)
         bindings: dict[str, Term] = {}
         # Bindings are parallel: right-hand sides see the outer scope.
         for name, sx in self._pairs(items[0], "let binding", "a let-bound name", "let binding"):
@@ -526,20 +524,48 @@ class _ScriptBuilder:
 
     def _quantifier(self, head: SAtom, items) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList) or not items[0].items:
-            raise ParseError(f"malformed {head.text}", head.loc)
+            raise ParseError(f"malformed {head.text}", head.pos)
         binders: dict[str, Term] = {}
         for name, sx in self._pairs(items[0], "binder", "a bound variable", "bound variable"):
             try:
                 sort = _parse_sort(sx)
             except _Unsupported:
-                raise ParseError("unsupported sort in binder", sx.loc)
-            binders[name.text] = Var(name.text, sort, name.loc)
+                raise ParseError("unsupported sort in binder", sx.pos)
+            binders[name.text] = Var(name.text, sort)
         shadowed = self._bind(binders)
         body = yield items[1]
         self._unbind(shadowed)
         if body.sort is not Sort.BOOL:
-            raise SortError(f"{head.text} body must be Bool, got {body.sort}", items[1].loc)
-        return Quantifier(head.text, tuple((n, v.sort) for n, v in binders.items()), body, head.loc)
+            raise SortError(f"{head.text} body must be Bool, got {body.sort}", items[1].pos)
+        q = Quantifier(head.text, tuple((n, v.sort) for n, v in binders.items()), body)
+        for name, outer in shadowed:
+            if outer is not None and _captures(body, binders[name]):
+                q = _rename_binder(q, binders[name])
+        return q
+
+
+def _captures(body: Term, own: Var) -> bool:
+    """Whether `body` holds a `Var` named as binder `own` that is not `own`:
+    a term built outside the binder, which the binder would capture.  A
+    quantifier that binds the name again is not entered."""
+
+    def kids(t: Term) -> tuple[Term, ...]:
+        rebinds = type(t) is Quantifier and any(n == own.name for n, _ in t.bound)
+        return () if rebinds else children(t)
+
+    def foreign(t: Term, below: list[bool]) -> bool:
+        return (type(t) is Var and t.name == own.name and t is not own) or True in below
+
+    return dag_fold(body, foreign, kids)
+
+
+def _rename_binder(q: Quantifier, own: Var) -> Quantifier:
+    """`q` with binder `own` given a name that nothing in `q` uses."""
+
+    new = Var(fresh_name(own.name, names_in(q)), own.sort)
+    bound = tuple((new.name if n == own.name else n, s) for n, s in q.bound)
+    body = dag_rewrite(q.body, lambda t: new if t is own else t)
+    return Quantifier(q.kind, bound, body)
 
 
 def parse_script(text: str) -> Script:
@@ -550,4 +576,9 @@ def parse_script(text: str) -> Script:
     are then built on an explicit stack, so nesting has no depth limit.
     """
 
-    return _ScriptBuilder().run(_read(text))
+    line_starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
+    try:
+        return _ScriptBuilder(line_starts).run(_read(text))
+    except ScriptError as exc:  # located at an offset until here
+        exc.loc = _loc(line_starts, exc.loc)
+        raise

@@ -79,17 +79,19 @@ def _guard_pieces(term: Term) -> tuple[Term, ...]:
     return children(term)
 
 
+def _named_pieces(term: Term) -> tuple[Term, ...]:
+    """What the fresh-symbol walk enters: `_guard_pieces`, and nothing below
+    a quantifier, which it rewrites inline."""
+
+    return () if type(term) is Quantifier else _guard_pieces(term)
+
+
 def _rebuild_guard(guard: Ite, den: Term, num: Term, then: Term) -> Ite:
     d = guard.orelse
     if den is d.den and num is d.num and then is guard.then:
         return guard
     zero = guard.cond.args[1]
-    return Ite(
-        Apply("=", (den, zero), Sort.BOOL, guard.cond.loc),
-        then,
-        Div(num, den, d.sort, d.loc),
-        guard.loc,
-    )
+    return Ite(Apply("=", (den, zero), Sort.BOOL), then, Div(num, den, d.sort, d.loc))
 
 
 def totalize(
@@ -111,19 +113,19 @@ def totalize(
     new_decls: list[FunDecl] = list(script.decls)
     defining: list[Term] = []
 
-    def guard_value(sort: Sort, loc) -> Const:
+    def guard_value(sort: Sort) -> Const:
         if sort is Sort.INT and cfg.div0_value.denominator != 1:
             raise SortError(
                 f"total-division value {cfg.div0_value} is not an integer"
             )
-        return const(cfg.div0_value, sort, loc)
+        return const(cfg.div0_value, sort)
 
     guards: dict[int, Ite] = {}  # id(division) -> its guard, which holds it
 
     def guarded(d: Div) -> Ite:
         if id(d) not in guards:
             zero = const(0, d.den.sort)
-            guards[id(d)] = Ite(eq(d.den, zero), guard_value(d.sort, d.loc), d, d.loc)
+            guards[id(d)] = Ite(eq(d.den, zero), guard_value(d.sort), d)
         return guards[id(d)]
 
     def inline(node: Term, new: list[Term]) -> Term:
@@ -144,11 +146,11 @@ def totalize(
         assertions = [dag_fold(a, inline, _guard_pieces, memo) for a in script.assertions]
     else:
         # Each occurrence gets its own name, so the walk goes over the tree,
-        # post-order over `_guard_pieces`, and leaves each finished rewrite
-        # in `assertions` for its parent.  A leaf, or a node seen before that
-        # holds no division, is its own rewrite; a quantifier is rewritten
-        # once, inline.
-        own_rewrite = division_free_repeats()
+        # post-order over `_named_pieces`, and leaves each finished rewrite
+        # in `assertions` for its parent.  A quantifier is rewritten once,
+        # inline.  A leaf is its own rewrite, and so is the inline rewrite
+        # of a node seen before that holds nothing to name.
+        nothing_to_name = division_free_repeats(_named_pieces)
         fell_back = False
         assertions = []
         waiting: list[tuple[Term, int]] = []  # node, where its pieces start in `assertions`
@@ -160,8 +162,9 @@ def totalize(
                 new = assertions[start:]
                 del assertions[start:]
                 assertions.append((named if type(node) is Div else inline)(node, new))
-            elif own_rewrite(node):
-                assertions.append(node)
+            elif nothing_to_name(node):
+                leaf = type(node) is Var or type(node) is Const
+                assertions.append(node if leaf else dag_fold(node, inline, _guard_pieces, memo))
             elif type(node) is Quantifier:
                 q = dag_fold(node, inline, _guard_pieces, memo)
                 fell_back = fell_back or q is not node
@@ -272,7 +275,7 @@ def lift_to_uf(script: Script) -> UfLiftResult:
 
     def apply_symbol(t: Term) -> Term:
         if type(t) is Div:
-            return Apply(name, (t.num, t.den), Sort.REAL, t.loc)
+            return Apply(name, (t.num, t.den), Sort.REAL)
         return t
 
     memo: dict[int, Term] = {}

@@ -1,14 +1,15 @@
 """Sorted term AST for the supported SMT-LIB2 subset.
 
-Terms are immutable and hashable.  Structural equality ignores source
-locations, so a parsed term compares equal to the same term rebuilt
-programmatically or re-parsed from printed output.
+Terms are immutable and hashable.  Only a division keeps its source
+location, the one a term shows (`classify` reports it), and structural
+equality ignores it, so a parsed term compares equal to the same term
+rebuilt programmatically or re-parsed from printed output.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -140,9 +141,9 @@ def fold_node(t: Term) -> Term:
             if arity_error(op, len(args)) or not (m.args == "any" or kinds == {m.args}):
                 return t
             out = apply_op(op, [a.value for a in args])
-            return Const(out, sort if m.result == "num" else Sort.BOOL, t.loc)
+            return Const(out, sort if m.result == "num" else Sort.BOOL)
         case Div(Const(n, _), Const(d, _), sort) if bool not in (type(n), type(d)) and d != 0:
-            return Const(n / d, sort, t.loc)
+            return Const(n / d, sort)
         case Ite(Const(c, _), then, orelse) if isinstance(c, bool):
             return then if c else orelse
         case _:
@@ -167,6 +168,37 @@ class Term:
     """
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        """The dataclass format, `Apply(op='+', args=(...), sort=...)`,
+        built on an explicit stack, so depth costs no recursion.  The text
+        spells out a shared node once per path: it is as long as the tree."""
+
+        out: list[str] = []
+        stack: list = [self]  # terms, and the text between them
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            pieces: list = []
+            sep = type(item).__qualname__ + "("
+            for f in fields(item):
+                value = getattr(item, f.name)
+                pieces.append(f"{sep}{f.name}=")
+                sep = ", "
+                if isinstance(value, Term):
+                    pieces.append(value)
+                elif type(value) is tuple and all(isinstance(v, Term) for v in value):
+                    pieces.append("(")
+                    for i, v in enumerate(value):
+                        pieces.extend((", ", v) if i else (v,))
+                    pieces.append(",)" if len(value) == 1 else ")")
+                else:
+                    pieces.append(repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Term):
@@ -216,40 +248,40 @@ def _direct_init(cls: type) -> type:
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Const(Term):
     """Literal: an exact rational (Real or Int sort) or a Boolean."""
 
     value: Fraction | bool
     sort: Sort
-    loc: Loc = NO_LOC
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Var(Term):
     """Occurrence of a declared constant or a bound variable."""
 
     name: str
     sort: Sort
-    loc: Loc = NO_LOC
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Apply(Term):
     """Application of a builtin operator or a declared function symbol."""
 
     op: str
     args: tuple[Term, ...]
     sort: Sort
-    loc: Loc = NO_LOC
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Div(Term):
-    """Division `(/ num den)`; its value at a zero divisor is uninterpreted."""
+    """Division `(/ num den)`; its value at a zero divisor is uninterpreted.
+
+    `loc` is where its `/` stands in the source, for `classify` to report.
+    """
 
     num: Term
     den: Term
@@ -258,12 +290,11 @@ class Div(Term):
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Ite(Term):
     cond: Term
     then: Term
     orelse: Term
-    loc: Loc = NO_LOC
 
     @property
     def sort(self) -> Sort:
@@ -271,12 +302,11 @@ class Ite(Term):
 
 
 @_direct_init
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Quantifier(Term):
     kind: str  # "forall" or "exists"
     bound: tuple[tuple[str, Sort], ...]
     body: Term
-    loc: Loc = NO_LOC
 
     @property
     def sort(self) -> Sort:
@@ -293,23 +323,23 @@ def sort_of(term: Term) -> Sort:
 # parsed ones.
 
 
-def const(value: Fraction | int | bool, sort: Sort = Sort.REAL, loc: Loc = NO_LOC) -> Const:
+def const(value: Fraction | int | bool, sort: Sort = Sort.REAL) -> Const:
     if isinstance(value, bool):
-        return Const(value, Sort.BOOL, loc)
+        return Const(value, Sort.BOOL)
     if sort not in NUMERIC_SORTS:
         raise SortError(f"numeric literal cannot have sort {sort}")
-    return Const(Fraction(value), sort, loc)
+    return Const(Fraction(value), sort)
 
 
-def var(name: str, sort: Sort = Sort.REAL, loc: Loc = NO_LOC) -> Var:
-    return Var(name, sort, loc)
+def var(name: str, sort: Sort = Sort.REAL) -> Var:
+    return Var(name, sort)
 
 
 def neg_literal(c: Const) -> Const:
     """Negate a numeric literal in place of building `(- c)`; the caller
     has checked the sort with `result_sort`."""
 
-    return Const(-c.value, c.sort, c.loc)
+    return Const(-c.value, c.sort)
 
 
 # Each builtin's fewest arguments, whether that is also the most, and its
@@ -456,20 +486,20 @@ def with_children(term: Term, new: Sequence[Term]) -> Term:
     """`term` with its children replaced by `new`, in `children` order.
 
     The node itself is returned when every child is the same object;
-    otherwise it is rebuilt with the same sort and location, so the new
-    children must have the sorts of the old ones.
+    otherwise it is rebuilt with the same sort (and a division with the
+    same location), so the new children must have the sorts of the old ones.
     """
 
     if all(map(operator.is_, new, children(term))):
         return term
     t = type(term)
     if t is Apply:
-        return Apply(term.op, tuple(new), term.sort, term.loc)
+        return Apply(term.op, tuple(new), term.sort)
     if t is Div:
         return Div(new[0], new[1], term.sort, term.loc)
     if t is Ite:
-        return Ite(new[0], new[1], new[2], term.loc)
-    return Quantifier(term.kind, term.bound, new[0], term.loc)
+        return Ite(new[0], new[1], new[2])
+    return Quantifier(term.kind, term.bound, new[0])
 
 
 # The fields `==` compares besides the children, per node class.
@@ -585,10 +615,11 @@ def distinct_subterms(term: Term) -> Iterator[Term]:
             stack.extend(reversed(children(t)))
 
 
-def division_free_repeats() -> Callable[[Term], bool]:
+def division_free_repeats(pieces: Callable = children) -> Callable[[Term], bool]:
     """For one per-occurrence walk: a test of whether a node adds nothing to
-    it, being a leaf or a node seen before that holds no division.  A repeat
-    visit folds "holds a division" into a memo, once per node."""
+    it, being a leaf or a node seen before that holds no division among its
+    `pieces`, the nodes the walk enters below it.  A repeat visit folds
+    "holds a division" into a memo, once per node."""
 
     seen: set[int] = set()
     held: dict[int, bool] = {}
@@ -600,7 +631,7 @@ def division_free_repeats() -> Callable[[Term], bool]:
             seen.add(id(t))
             return False
         if id(t) not in held:
-            dag_fold(t, lambda node, below: type(node) is Div or True in below, memo=held)
+            dag_fold(t, lambda node, below: type(node) is Div or True in below, pieces, held)
         return not held[id(t)]
 
     return skip
@@ -612,8 +643,8 @@ def count_nodes(term: Term) -> int:
     return dag_fold(term, lambda node, sizes: 1 + sum(sizes))
 
 
-def free_vars(term: Term) -> frozenset[str]:
-    """Names occurring free in `term`."""
+def free_vars(term: Term, memo: dict | None = None) -> frozenset[str]:
+    """Names occurring free in `term`; `memo` as for `dag_fold`."""
 
     def free(node: Term, below: list[frozenset[str]]) -> frozenset[str]:
         if type(node) is Var:
@@ -623,34 +654,67 @@ def free_vars(term: Term) -> frozenset[str]:
             out -= {name for name, _ in node.bound}
         return out
 
-    return dag_fold(term, free)
+    return dag_fold(term, free, memo=memo)
+
+
+def names_in(q: Quantifier) -> set[str]:
+    """Every name a quantifier's binders and body use, free or bound: what a
+    new binder name must avoid."""
+
+    names = {name for name, _ in q.bound}
+    for t in distinct_subterms(q.body):
+        if type(t) is Var:
+            names.add(t.name)
+        elif type(t) is Quantifier:
+            names.update(name for name, _ in t.bound)
+    return names
 
 
 def substitute(term: Term, mapping: dict[str, Term]) -> Term:
-    """Capture-aware substitution of free variable occurrences.
+    """Capture-avoiding substitution of free variable occurrences.
 
     A quantifier hides the mappings of the names it binds from its body,
-    so a node is rewritten once per distinct mapping it is reached under.
+    and a binder whose name is free in a value put below it takes a fresh
+    name (`fresh_name`), so the value keeps its meaning.  A node is
+    rewritten once per distinct mapping it is reached under.
     """
 
     if not mapping:
         return term
     at: dict[tuple[int, int], tuple[Term, dict]] = {}  # one object per (node, mapping)
+    rebound: dict[int, tuple] = {}  # id of a (quantifier, mapping) pair -> its renamed binders
+    free: dict[int, frozenset[str]] = {}  # `free_vars` memo
 
     def pair(node: Term, m: dict) -> tuple[Term, dict]:
         return at.setdefault((id(node), id(m)), (node, m))
 
     def kids(p: tuple[Term, dict]) -> tuple:
         node, m = p
-        if type(node) is Quantifier:
-            bound = {name for name, _ in node.bound}
-            return (pair(node.body, {k: v for k, v in m.items() if k not in bound}),)
-        return tuple(pair(c, m) for c in children(node))
+        if type(node) is not Quantifier:
+            return tuple(pair(c, m) for c in children(node))
+        bound = {name for name, _ in node.bound}
+        inner = {k: v for k, v in m.items() if k not in bound}
+        if inner:
+            below = free_vars(node.body, free) & inner.keys()
+            put = frozenset().union(*(free_vars(inner[k], free) for k in below))
+            if bound & put:
+                taken = names_in(node) | put
+                new_bound = []
+                for name, sort in node.bound:
+                    if name in put:
+                        inner[name] = Var(fresh_name(name, taken), sort)
+                        name = inner[name].name
+                        taken.add(name)
+                    new_bound.append((name, sort))
+                rebound[id(p)] = tuple(new_bound)
+        return (pair(node.body, inner),)
 
     def subst(p: tuple[Term, dict], new: list[Term]) -> Term:
         node, m = p
         if type(node) is Var and node.name in m:
             return m[node.name]
+        if id(p) in rebound:
+            return Quantifier(node.kind, rebound[id(p)], new[0])
         return with_children(node, new)
 
     return dag_fold(pair(term, mapping), subst, kids)
@@ -676,7 +740,6 @@ class FunDecl:
     name: str
     params: tuple[Sort, ...]
     result: Sort
-    loc: Loc = field(default=NO_LOC, compare=False)
 
 
 @dataclass(frozen=True)
@@ -684,7 +747,6 @@ class Unsupported:
     """A command outside the subset, preserved verbatim for re-emission."""
 
     text: str
-    loc: Loc = field(default=NO_LOC, compare=False)
 
 
 @dataclass(frozen=True)

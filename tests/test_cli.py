@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import warnings
 
 import pytest
 
@@ -182,6 +183,18 @@ def test_transform_fresh_warning_is_one_line_before_the_summary(golden_div0_path
         "falling back to an inline branch\n"
         "[totalize] nodes 55 -> 94; divisions 6 -> 6\n"
     )
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_transform_fresh_warning_whatever_the_warning_filters(golden_div0_path, capsys, action):
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert main(["transform", "totalize", "--style", "fresh", str(golden_div0_path)]) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+        "warning: fresh-symbol totalization cannot name a division under a quantifier; "
+        "falling back to an inline branch"
+    ]
 
 
 def test_transform_bad_div0_value(tmp_path, capsys):

@@ -16,11 +16,12 @@ from nradiv import (
     SortError,
     UndeclaredSymbolError,
     Var,
+    emit_nonzero_vcs,
+    format_term,
     free_vars,
     parse_script,
     print_script,
 )
-from nradiv.printer import format_rational, format_symbol
 from nradiv.terms import subterms
 
 
@@ -365,8 +366,7 @@ def test_shadowing_keeps_declaration_order():
         "(declare-fun d () Real)"
         "(assert (= (m a) (+ b c d)))"
     )
-    assert [d.name for d in script.decls] == ["a", "b", "c", "d"]
-    assert [d.loc.col for d in script.decls] == [14, 37, 60, 181]
+    assert script.decls == tuple(FunDecl(name, (), Sort.REAL) for name in "abcd")
 
 
 def test_arity_is_checked_before_the_arguments_are_built():
@@ -440,8 +440,8 @@ def test_locations_are_ignored_by_equality():
 
 
 # ---------------------------------------------------------------------------
-# Scanner contract: error messages and locations, and atom locations after
-# constructs that span lines or skip text.
+# Scanner contract: error messages and locations, and division locations
+# after constructs that span lines or skip text.
 
 
 @pytest.mark.parametrize(
@@ -487,14 +487,23 @@ def loc_of(text: str, index: int) -> tuple[int, int]:
     ],
 )
 def test_atom_locations_after_multiline_constructs(prefix):
-    text = prefix + "(declare-fun x () Real)\r\n  (assert\n\t(< x 1.5))\r\n"
-    script = parse_script(text)
-    (decl,) = [d for d in script.decls if d.name == "x"]
-    assert tuple(decl.loc) == loc_of(text, text.index("x () Real"))
-    (lt,) = script.assertions
-    assert tuple(lt.loc) == loc_of(text, text.index("< x"))
-    assert tuple(lt.args[0].loc) == loc_of(text, text.index("x 1.5"))
-    assert tuple(lt.args[1].loc) == loc_of(text, text.index("1.5"))
+    text = prefix + "(declare-fun x () Real)\r\n  (assert\n\t(< x (/ 1.5 x)))\r\n"
+    (lt,) = parse_script(text).assertions
+    assert tuple(lt.args[1].loc) == loc_of(text, text.index("/ 1.5"))
+    bad = text.replace("(< x", "(< q")
+    with pytest.raises(UndeclaredSymbolError) as excinfo:
+        parse_script(bad)
+    assert tuple(excinfo.value.loc) == loc_of(bad, bad.index("q (/"))
+    assert str(excinfo.value) == "undeclared symbol 'q' (line {}, column {})".format(*excinfo.value.loc)
+
+
+def test_division_on_line_20001_of_a_crlf_file():
+    text = "(declare-fun x () Real)\r\n" + "; filler\r\n" * 19_999 + "(assert (> x\t(/ 1 x)))\r\n"
+    (gt,) = parse_script(text).assertions
+    assert tuple(gt.args[1].loc) == (20_001, len("(assert (> x\t(") + 1)
+    with pytest.raises(ParseError) as excinfo:
+        parse_script(text + "(assert #)")
+    assert str(excinfo.value) == "unexpected character '#' (line 20002, column 9)"
 
 
 def test_escaped_quotes_in_strings_survive():
@@ -525,22 +534,14 @@ _SEPARATORS = st.lists(st.sampled_from([" ", "\n", "\r\n", "\t ", " ; note (\n",
 
 @given(strategies.scripts, _SEPARATORS)
 def test_node_locations_point_at_their_source(script, separators):
+    """Each division is located at its own `/`: the printed text spells
+    every division, and nothing else, as `(/`, in pre-order."""
+
     words = print_script(script).split(" ")
     text = words[0] + "".join(separators[i % len(separators)] + w for i, w in enumerate(words[1:]))
-    lines = text.split("\n")
-    for assertion in parse_script(text).assertions:
-        for node in subterms(assertion):
-            if isinstance(node, Var):
-                expected = format_symbol(node.name)
-            elif isinstance(node, Apply):
-                expected = format_symbol(node.op)
-            elif isinstance(node, Const):
-                value = node.value
-                expected = str(value).lower() if isinstance(value, bool) else format_rational(abs(value))
-            else:
-                continue
-            line, col = node.loc
-            assert lines[line - 1][col - 1 :].startswith(expected)
+    slashes = [i + 1 for i in range(len(text)) if text.startswith("(/", i)]
+    divisions = [n for a in parse_script(text).assertions for n in subterms(a) if type(n) is Div]
+    assert [tuple(d.loc) for d in divisions] == [loc_of(text, i) for i in slashes]
 
 
 def test_deeply_nested_metadata_and_unsupported_commands_are_kept_verbatim():
@@ -550,3 +551,46 @@ def test_deeply_nested_metadata_and_unsupported_commands_are_kept_verbatim():
     assert script.metadata == (("note", value),)
     assert [u.text for u in script.unsupported] == [f"(push {value})"]
     assert print_script(script) == text
+
+
+# ---------------------------------------------------------------------------
+# A binder never captures a name of a term built outside it: `let` and
+# `define-fun` expansion put such terms below binders.
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("(assert (let ((a y)) (exists ((y Real)) (> a y))))", "(exists ((y0 Real)) (> y y0))"),
+        (
+            "(define-fun f ((a Real)) Bool (exists ((y Real)) (> a y)))(assert (f y))",
+            "(exists ((y0 Real)) (> y y0))",
+        ),
+        (
+            "(define-fun h ((a Real)) Real (+ a y))(assert (exists ((y Real)) (distinct (h 0) y)))",
+            "(exists ((y0 Real)) (distinct (+ 0 y) y0))",
+        ),
+        (  # the new name avoids every name of the quantifier, bound ones too
+            "(declare-fun y0 () Real)"
+            "(assert (let ((a (+ y y0))) (exists ((y Real) (y1 Real)) (forall ((y2 Real)) (> a y y1 y2)))))",
+            "(exists ((y3 Real) (y1 Real)) (forall ((y2 Real)) (> (+ y y0) y3 y1 y2)))",
+        ),
+        (  # a parameter the body does not use puts nothing below the binder
+            "(define-fun f ((a Real) (b Real)) Bool (exists ((y Real)) (> b y)))(assert (f y 1))",
+            "(exists ((y Real)) (> 1 y))",
+        ),
+        (  # nothing outside is captured
+            "(assert (let ((a 1)) (exists ((y Real)) (> a y))))",
+            "(exists ((y Real)) (> 1 y))",
+        ),
+    ],
+)
+def test_binders_do_not_capture(text, expected):
+    out = print_script(parse_script("(declare-fun y () Real)" + text))
+    assert out.splitlines()[-1] == f"(assert {expected})"
+    assert print_script(parse_script(out)) == out
+
+
+def test_a_captured_division_keeps_its_free_divisor():
+    script = parse_script("(declare-fun y () Real)(assert (let ((a (/ 1 y))) (exists ((y Real)) (> a y))))")
+    assert [format_term(vc) for vc in emit_nonzero_vcs(script)] == ["(forall ((y0 Real)) (not (= y 0)))"]

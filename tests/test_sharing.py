@@ -326,6 +326,18 @@ def test_fresh_totalize_rewrites_a_quantifier_once():
     assert out.decls == script.decls
 
 
+def test_fresh_totalize_enters_a_shared_quantifier_once():
+    k = 40  # 2^40 paths to the quantifier
+    guard = "(ite (forall ((z Real)) (> (/ z y) 0)) x y)"
+    script = parse_script(HEADER + f"(assert {doubling_lets(k).replace('(/ x y)', guard)})")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = totalize(script, TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL))
+    assert len(caught) == 1 and "under a quantifier" in str(caught[0].message)
+    assert out.assertions == totalize(script).assertions
+    assert out.decls == script.decls
+
+
 # ---------------------------------------------------------------------------
 # No walker recurses: a term 10,000 deep, built with the constructors.
 

@@ -1,6 +1,7 @@
 """The term node contract: slotted, immutable, structurally equal and
 hashed without locations and without recursion (`==` is `same_term`, an
-iterative, shared-node aware walk), and the constructors' sort rule."""
+iterative, shared-node aware walk), a location on divisions only, `repr`
+without recursion, and the constructors' sort rule."""
 
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from nradiv.terms import (
     neg,
     same_term,
     sub,
+    subterms,
     var,
 )
 
@@ -53,18 +55,20 @@ HERE, THERE = Loc(3, 7), Loc(9, 1)
 
 
 def samples(loc: Loc) -> list[Term]:
-    """One node of each class, every field set, at `loc`."""
+    """One node of each class, every field set; the division is at `loc`,
+    and every node but the leaves holds it."""
 
-    x = Var("x", Sort.REAL, loc)
-    half = Const(Fraction(1, 2), Sort.REAL, loc)
-    cond = Apply("<", (x, half), Sort.BOOL, loc)
+    x = Var("x", Sort.REAL)
+    half = Const(Fraction(1, 2), Sort.REAL)
+    d = Div(x, half, Sort.REAL, loc)
+    cond = Apply("<", (d, half), Sort.BOOL)
     return [
         half,
         x,
         cond,
-        Div(x, half, Sort.REAL, loc),
-        Ite(cond, x, half, loc),
-        Quantifier("forall", (("x", Sort.REAL),), cond, loc),
+        d,
+        Ite(cond, x, half),
+        Quantifier("forall", (("x", Sort.REAL),), cond),
     ]
 
 
@@ -92,34 +96,47 @@ def test_nodes_are_frozen(node):
 
 @pytest.mark.parametrize("a, b", zip(samples(HERE), samples(THERE)), ids=map(class_name, samples(HERE)))
 def test_equality_and_hash_ignore_locations(a, b):
-    assert a.loc != b.loc and a is not b
+    assert a is not b
+    if type(a) not in (Const, Var):
+        assert [n.loc for n in subterms(a) if type(n) is Div] == [HERE]
+        assert [n.loc for n in subterms(b) if type(n) is Div] == [THERE]
     assert a == b and hash(a) == hash(b) and same_term(a, b)
 
 
 def test_constructor_defaults():
     d = Div(var("x"), var("y"))
     assert d.sort is Sort.REAL and d.loc == Loc(0, 0)
-    assert Apply("+", (), Sort.INT).loc == Loc(0, 0)
     assert Div(var("x"), var("y"), loc=HERE).loc == HERE
+    for node in samples(HERE):
+        assert hasattr(node, "loc") == (type(node) is Div)
 
 
 def test_repr_is_unchanged():
+    half = "Const(value=Fraction(1, 2), sort=<Sort.REAL: 'Real'>)"
+    x = "Var(name='x', sort=<Sort.REAL: 'Real'>)"
+    d = f"Div(num={x}, den={half}, sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))"
+    cond = f"Apply(op='<', args=({d}, {half}), sort=<Sort.BOOL: 'Bool'>)"
     expected = [
-        "Const(value=Fraction(1, 2), sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))",
-        "Var(name='x', sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))",
-        "Apply(op='<', args=(Var(name='x', sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7)),"
-        " Const(value=Fraction(1, 2), sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))),"
-        " sort=<Sort.BOOL: 'Bool'>, loc=Loc(line=3, col=7))",
+        half,
+        x,
+        cond,
+        d,
+        f"Ite(cond={cond}, then={x}, orelse={half})",
+        f"Quantifier(kind='forall', bound=(('x', <Sort.REAL: 'Real'>),), body={cond})",
     ]
-    nodes = samples(HERE)
-    assert [repr(n) for n in nodes[:3]] == expected
-    x, half, cond = expected[1], expected[0], expected[2]
-    assert repr(nodes[3]) == f"Div(num={x}, den={half}, sort=<Sort.REAL: 'Real'>, loc=Loc(line=3, col=7))"
-    assert repr(nodes[4]) == f"Ite(cond={cond}, then={x}, orelse={half}, loc=Loc(line=3, col=7))"
-    assert repr(nodes[5]) == (
-        f"Quantifier(kind='forall', bound=(('x', <Sort.REAL: 'Real'>),), body={cond},"
-        " loc=Loc(line=3, col=7))"
-    )
+    assert [repr(n) for n in samples(HERE)] == expected
+    assert repr(Apply("f", (), Sort.REAL)) == "Apply(op='f', args=(), sort=<Sort.REAL: 'Real'>)"
+    assert repr(Apply("-", (var("x"),), Sort.REAL)) == f"Apply(op='-', args=({x},), sort=<Sort.REAL: 'Real'>)"
+    assert repr(const(True)) == "Const(value=True, sort=<Sort.BOOL: 'Bool'>)"
+
+
+def test_repr_of_a_deep_term_does_not_recurse():
+    t = var("x")
+    for i in range(10_000):
+        t = add(t, const(i % 3))
+    text = repr(t)
+    assert text.startswith("Apply(op='+', args=(" * 10_000 + "Var(name='x'")
+    assert text.count("Const(") == 10_000
 
 
 def test_positional_match_patterns_bind():
@@ -172,20 +189,20 @@ def doublings(k: int) -> Term:
 
 
 def copy_term(term: Term) -> Term:
-    """An equal term sharing no node with `term`, every location moved."""
+    """An equal term sharing no node with `term`, every division moved."""
 
     def rebuild(node: Term, new: list[Term]) -> Term:
         if type(node) is Const:
-            return Const(node.value, node.sort, THERE)
+            return Const(node.value, node.sort)
         if type(node) is Var:
-            return Var(node.name, node.sort, THERE)
+            return Var(node.name, node.sort)
         if type(node) is Apply:
-            return Apply(node.op, tuple(new), node.sort, THERE)
+            return Apply(node.op, tuple(new), node.sort)
         if type(node) is Div:
             return Div(new[0], new[1], node.sort, THERE)
         if type(node) is Ite:
-            return Ite(*new, THERE)
-        return Quantifier(node.kind, node.bound, new[0], THERE)
+            return Ite(*new)
+        return Quantifier(node.kind, node.bound, new[0])
 
     return dag_fold(term, rebuild)
 
