@@ -28,7 +28,6 @@ from .terms import (
     dag_fold,
     division_free_repeats,
     fold_node,
-    neg,
     with_children,
 )
 
@@ -106,50 +105,44 @@ def classify_divisor(divisor: Term) -> DivisorClass:
     return DivisorClass(DivisorKind.CONSTANT_NONZERO, value)
 
 
-def division_sites(script: Script) -> Iterator[tuple[list[int], Div, tuple[Term, ...], tuple]]:
+def division_sites(script: Script) -> Iterator[tuple[list[int], Div, tuple | None]]:
     """Every division occurrence, in assertion order, pre-order within a term.
 
     Yields its path (assertion index, then child indices: one list, changed
-    in place as the walk goes on), the `Div` node, its guards (the
-    condition of each `ite` branch above it, negated below an else branch)
-    and the binder list of each quantifier above it, outermost first.  A
-    guard or binder tuple is one object per outer tuple and `ite` branch or
-    quantifier, kept for the whole walk, so its id is a key while the walk
-    runs.  A node is entered again only when it holds a division.
+    in place as the walk goes on), the `Div` node and its scope: None at the
+    top of an assertion, else the cell `(outer, node, k, quantified)` of the
+    innermost `ite` branch (k = 1 then, 2 else) or quantifier body (k = 0)
+    above it, where `outer` is the scope of `node` and `quantified` says
+    whether a quantifier is among them.  A condition keeps the scope of its
+    `ite`, and every other child the scope of its parent, so nothing is
+    copied per level.  A node is entered again only when it holds a division.
     """
 
     path: list[int] = []
     skip = division_free_repeats()
-    inner: dict[tuple[int, int], tuple] = {}  # (id(outer tuple), id(node)) -> inner tuples
     for i, assertion in enumerate(script.assertions):
-        stack = [(assertion, i, 0, (), ())]  # node, index in its parent, depth, guards, binders
+        stack = [(assertion, i, 0, None)]  # node, index in its parent, depth, scope
         while stack:
-            term, j, depth, guards, binders = stack.pop()
+            term, j, depth, scope = stack.pop()
             if skip(term):
                 continue
             del path[depth:]
             path.append(j)
             t = type(term)
             if t is Div:
-                yield path, term, guards, binders
+                yield path, term, scope
             depth += 1
             if t is Ite:
-                key = (id(guards), id(term))
-                if key not in inner:
-                    inner[key] = (guards + (term.cond,), guards + (neg(term.cond),))
-                then, orelse = inner[key]
-                stack.append((term.orelse, 2, depth, orelse, binders))
-                stack.append((term.then, 1, depth, then, binders))
-                stack.append((term.cond, 0, depth, guards, binders))
+                quantified = scope is not None and scope[3]
+                stack.append((term.orelse, 2, depth, (scope, term, 2, quantified)))
+                stack.append((term.then, 1, depth, (scope, term, 1, quantified)))
+                stack.append((term.cond, 0, depth, scope))
             elif t is Quantifier:
-                key = (id(binders), id(term))
-                if key not in inner:
-                    inner[key] = binders + (term.bound,)
-                stack.append((term.body, 0, depth, guards, inner[key]))
+                stack.append((term.body, 0, depth, (scope, term, 0, True)))
             else:
                 kids = children(term)
                 for k in range(len(kids) - 1, -1, -1):
-                    stack.append((kids[k], k, depth, guards, binders))
+                    stack.append((kids[k], k, depth, scope))
 
 
 def collect_divisions(script: Script) -> list[DivOccurrence]:
@@ -161,11 +154,11 @@ def collect_divisions(script: Script) -> list[DivOccurrence]:
 
     out: list[DivOccurrence] = []
     classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
-    for path, d, _, binders in division_sites(script):
+    for path, d, scope in division_sites(script):
         cls = classes.get(id(d.den))
         if cls is None:
             cls = classes[id(d.den)] = classify_divisor(d.den)
-        out.append(DivOccurrence(tuple(path), cls, d.loc, bool(binders)))
+        out.append(DivOccurrence(tuple(path), cls, d.loc, scope is not None and scope[3]))
     return out
 
 

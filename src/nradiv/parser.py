@@ -467,7 +467,7 @@ class _ScriptBuilder:
                 at = pos if exc.arg is None else items[exc.arg].pos
                 raise SortError(exc.args[0], at) from None
             if op == "ite":
-                return Ite(*args)
+                return Ite(*args, sort)
             if op == "/":
                 if sort is Sort.INT and _numeral_sort(self.logic) is not Sort.INT:
                     raise SortError("'/' on Int arguments outside an integer logic", pos)

@@ -91,7 +91,7 @@ def _rebuild_guard(guard: Ite, den: Term, num: Term, then: Term) -> Ite:
     if den is d.den and num is d.num and then is guard.then:
         return guard
     zero = guard.cond.args[1]
-    return Ite(Apply("=", (den, zero), Sort.BOOL), then, Div(num, den, d.sort, d.loc))
+    return Ite(Apply("=", (den, zero), Sort.BOOL), then, Div(num, den, d.sort, d.loc), d.sort)
 
 
 def totalize(
@@ -125,7 +125,7 @@ def totalize(
     def guarded(d: Div) -> Ite:
         if id(d) not in guards:
             zero = const(0, d.den.sort)
-            guards[id(d)] = Ite(eq(d.den, zero), guard_value(d.sort), d)
+            guards[id(d)] = Ite(eq(d.den, zero), guard_value(d.sort), d, d.sort)
         return guards[id(d)]
 
     def inline(node: Term, new: list[Term]) -> Term:
@@ -306,15 +306,21 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
     """
 
     vcs: list[Term] = []
-    memo: dict[tuple[int, int, int], Term] = {}  # ids of (division, guards, binders) -> VC
-    for _, d, guards, binders in division_sites(script):
-        key = (id(d), id(guards), id(binders))
+    memo: dict[tuple, Term] = {}  # id(division), then (id(node), k) of each scope cell -> VC
+    for _, d, scope in division_sites(script):
+        cells: list[tuple[Term, int]] = []  # innermost first
+        while scope is not None:
+            scope, node, k, _ = scope
+            cells.append((node, k))
+        key = (id(d), *[(id(node), k) for node, k in cells])
         if key not in memo:
+            guards = [node.cond if k == 1 else neg(node.cond) for node, k in reversed(cells) if k]
             vc: Term = neg(eq(d.den, const(0, d.den.sort)))
             if guards:
                 vc = implies(conj(*guards), vc)
-            for bound in reversed(binders):
-                vc = forall(bound, vc)
+            for node, k in cells:
+                if k == 0:
+                    vc = forall(node.bound, vc)
             memo[key] = vc
         vcs.append(memo[key])
     return vcs

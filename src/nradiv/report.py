@@ -26,53 +26,35 @@ from .parser import parse_script
 
 SCHEMA_VERSION = 1
 
-_CLASS_KEYS = [kind.value for kind in DivisorKind]
 
-
-def _empty_class_counts() -> dict[str, int]:
-    return {key: 0 for key in _CLASS_KEYS}
+def _record(root: Path, path: Path) -> dict:
+    rel = path.relative_to(root).as_posix()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return {"path": rel, "status": "unreadable", "error": str(exc)}
+    try:
+        script = parse_script(text)
+    except ScriptError as exc:
+        return {"path": rel, "status": "parse-error", "error": str(exc)}
+    counts = count_divisions(script)
+    return {
+        "path": rel,
+        "status": "ok",
+        "verdict": fragment_label(counts).value,
+        "occurrences": sum(counts.values()),
+        "classes": {kind.value: n for kind, n in counts.items()},
+    }
 
 
 def scan_directory(root: Path | str) -> dict:
+    """One record per .smt2 file under `root`; the totals are sums over
+    the records of the files that parsed."""
+
     root = Path(root)
-    records = []
-    verdict_totals = {label.value: 0 for label in FragmentLabel}
-    class_totals = _empty_class_counts()
-    parsed = 0
-    occurrences_total = 0
-
     paths = sorted(root.rglob("*.smt2"), key=lambda p: p.relative_to(root).as_posix())
-    for path in paths:
-        rel = path.relative_to(root).as_posix()
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            records.append({"path": rel, "status": "unreadable", "error": str(exc)})
-            continue
-        try:
-            script = parse_script(text)
-        except ScriptError as exc:
-            records.append({"path": rel, "status": "parse-error", "error": str(exc)})
-            continue
-        counts = count_divisions(script)
-        label = fragment_label(counts)
-        classes = {kind.value: n for kind, n in counts.items()}
-        occurrences = sum(counts.values())
-        parsed += 1
-        occurrences_total += occurrences
-        verdict_totals[label.value] += 1
-        for key in _CLASS_KEYS:
-            class_totals[key] += classes[key]
-        records.append(
-            {
-                "path": rel,
-                "status": "ok",
-                "verdict": label.value,
-                "occurrences": occurrences,
-                "classes": classes,
-            }
-        )
-
+    records = [_record(root, path) for path in paths]
+    ok = [r for r in records if r["status"] == "ok"]
     return {
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
@@ -81,11 +63,16 @@ def scan_directory(root: Path | str) -> dict:
         "files": records,
         "totals": {
             "files": len(records),
-            "parsed": parsed,
-            "failures": len(records) - parsed,
-            "verdicts": verdict_totals,
-            "occurrences": occurrences_total,
-            "classes": class_totals,
+            "parsed": len(ok),
+            "failures": len(records) - len(ok),
+            "verdicts": {
+                label.value: sum(r["verdict"] == label.value for r in ok)
+                for label in FragmentLabel
+            },
+            "occurrences": sum(r["occurrences"] for r in ok),
+            "classes": {
+                kind.value: sum(r["classes"][kind.value] for r in ok) for kind in DivisorKind
+            },
         },
     }
 

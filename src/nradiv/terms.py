@@ -292,13 +292,13 @@ class Div(Term):
 @_direct_init
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Ite(Term):
+    """`(ite cond then orelse)`; `sort` is its branches' sort, stored, so
+    reading it never walks down a chain of `ite`s."""
+
     cond: Term
     then: Term
     orelse: Term
-
-    @property
-    def sort(self) -> Sort:
-        return self.then.sort
+    sort: Sort
 
 
 @_direct_init
@@ -447,8 +447,7 @@ def implies(a: Term, b: Term) -> Apply:
 
 
 def ite(cond: Term, then: Term, orelse: Term) -> Ite:
-    result_sort("ite", (cond, then, orelse))
-    return Ite(cond, then, orelse)
+    return Ite(cond, then, orelse, result_sort("ite", (cond, then, orelse)))
 
 
 def forall(bound: Iterable[tuple[str, Sort]], body: Term) -> Quantifier:
@@ -498,7 +497,7 @@ def with_children(term: Term, new: Sequence[Term]) -> Term:
     if t is Div:
         return Div(new[0], new[1], term.sort, term.loc)
     if t is Ite:
-        return Ite(new[0], new[1], new[2])
+        return Ite(new[0], new[1], new[2], term.sort)
     return Quantifier(term.kind, term.bound, new[0])
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,15 @@ from nradiv import (
     DivisorClass,
     DivisorKind,
     FragmentLabel,
+    Sort,
     classify_divisor,
     classify_script,
     collect_divisions,
+    emit_nonzero_vcs,
     encode_via_div0,
     fold_literal,
     fold_term,
+    format_term,
     parse_script,
     subterms,
     term_at,
@@ -167,3 +171,38 @@ def test_division_20000_deep_keeps_its_path_class_and_location():
     assert occurrence.divisor_class == DivisorClass(CN, Fraction(2))
     assert tuple(occurrence.loc) == (2, len("(assert (= x ") + len("(+ 1 ") * depth + 2)  # at its /
     assert not occurrence.under_quantifier
+
+
+@pytest.mark.parametrize("quantified", [False, True], ids=["ite-else-chain", "forall-nest"])
+def test_5000_nested_scopes_cost_no_copy_per_level(quantified):
+    """One division under 5,000 `ite` else branches or 5,000 `forall`s: the
+    division walk adds one scope cell per level and copies no guard or
+    binder list, so both of its users stay small."""
+
+    depth = 5_000
+    head = "(declare-fun x () Real)\n(declare-fun y () Real)\n(declare-fun c () Bool)\n"
+    if quantified:
+        body = "".join(f"(forall ((q{i} Real)) " for i in range(depth)) + "(= (/ x y) 1)" + ")" * depth
+    else:
+        body = "(= x " + "(ite c x " * depth + "(/ x y)" + ")" * depth + ")"
+    script = parse_script(f"{head}(assert {body})")
+    results = []
+    for walk in (collect_divisions, emit_nonzero_vcs):
+        tracemalloc.start()
+        try:
+            results.append(walk(script))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000, f"{walk.__name__} peaked at {peak / 1e6:.1f} MB"
+    (occurrence,), (vc,) = results
+    assert occurrence.under_quantifier is quantified
+    assert occurrence.path == ((0,) + (0,) * depth + (0,) if quantified else (0, 1) + (2,) * depth)
+    if quantified:
+        for i in range(depth):
+            assert vc.bound == ((f"q{i}", Sort.REAL),)
+            vc = vc.body
+    else:
+        guards, vc = vc.args
+        assert [format_term(g) for g in guards.args] == ["(not c)"] * depth
+    assert format_term(vc) == "(not (= y 0))"

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from nradiv import emit_nonzero_vcs, parse_script
 from nradiv.cli import main
 
 
@@ -100,6 +101,49 @@ def test_depth_10000_goes_through_classify_transform_and_scan(tmp_path, capsys):
     assert main(["scan", str(tmp_path)]) == 0
     (record,) = json.loads(capsys.readouterr().out)["files"]
     assert record["status"] == "ok"
+
+
+HEAD = "(declare-fun x () Real)\n(declare-fun y () Real)\n(declare-fun c () Bool)\n"
+
+
+def scanned_ok(directory, capsys) -> bool:
+    capsys.readouterr()
+    assert main(["scan", str(directory)]) == 0
+    return all(r["status"] == "ok" for r in json.loads(capsys.readouterr().out)["files"])
+
+
+def test_10000_deep_then_chain_goes_through_every_command(tmp_path, capsys):
+    """`(ite c (ite c ... (/ x y) x) x)`: each `ite` stores its sort, so no
+    command reads a sort down the chain."""
+
+    depth = 10_000
+    path = tmp_path / "then.smt2"
+    path.write_text(HEAD + "(assert (= x " + "(ite c " * depth + "(/ x y)" + " x)" * depth + "))\n")
+    assert main(["classify", str(path)]) == 2
+    for variant in ([], ["--fold"], ["--style", "fresh"], ["--div0-value", "1/2"]):
+        assert main(["transform", "totalize", str(path), *variant]) == 0
+    assert main(["transform", "uf-lift", str(path)]) == 0
+    assert len(emit_nonzero_vcs(parse_script(path.read_text()))) == 1
+    assert scanned_ok(tmp_path, capsys)
+
+
+def test_2000_lets_of_an_ite_go_through_classify_vcs_and_scan(tmp_path, capsys):
+    """Each `let` binds `(ite c a a)` over the one before: a DAG of 2,000
+    `ite`s whose tree is 2^2000 nodes, so it is not printed."""
+
+    depth = 2_000
+    path = tmp_path / "lets.smt2"
+    path.write_text(
+        HEAD
+        + "(assert (= (/ x y) (let ((a0 (ite c x x))) "
+        + "".join(f"(let ((a{i} (ite c a{i - 1} a{i - 1}))) " for i in range(1, depth))
+        + f"a{depth - 1}"
+        + ")" * depth
+        + "))\n"
+    )
+    assert main(["classify", str(path)]) == 2
+    assert len(emit_nonzero_vcs(parse_script(path.read_text()))) == 1
+    assert scanned_ok(tmp_path, capsys)
 
 
 def test_non_ascii_digit_exits_65(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_int_formula_rejects_division_ite_quantifiers():
     with pytest.raises(EncodeError, match="not allowed"):
         IntFormula(("x",), eq(Div(x, x, Sort.INT), x))
     with pytest.raises(EncodeError, match="not allowed"):
-        IntFormula(("x",), eq(Ite(eq(x, x), x, x), x))
+        IntFormula(("x",), eq(Ite(eq(x, x), x, x, Sort.INT), x))
     quantified = parse_script("(assert (forall ((q Real)) (= q q)))").assertions[0]
     with pytest.raises(EncodeError, match="not allowed"):
         IntFormula((), quantified)
@@ -195,7 +195,7 @@ def test_int_formula_checks_a_shared_body_once_per_node():
 
 def test_int_formula_reports_the_first_bad_node_in_pre_order():
     x = ivar("x")
-    shared = Ite(eq(x, x), x, Div(x, x, Sort.INT))
+    shared = Ite(eq(x, x), x, Div(x, x, Sort.INT), Sort.INT)
     body = eq(add(shared, Div(shared, x, Sort.INT)), shared)
     with pytest.raises(EncodeError) as excinfo:
         IntFormula(("x",), body)

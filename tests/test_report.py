@@ -121,3 +121,23 @@ def test_empty_directory(tmp_path):
     report = scan_directory(tmp_path)
     assert report["files"] == []
     assert report["totals"]["files"] == 0
+
+
+def test_totals_are_sums_over_the_file_records(tmp_path):
+    (tmp_path / "a.smt2").write_text("(declare-fun x () Real)(assert (= (/ x 2) (/ x x)))")
+    (tmp_path / "b.smt2").write_text("(declare-fun x () Real)(assert (= (/ x 2) x))")
+    (tmp_path / "bad.smt2").write_text("(assert")
+    (tmp_path / "oops.smt2").mkdir()
+    report = scan_directory(tmp_path)
+    records = report["files"]
+    assert [r["status"] for r in records] == ["ok", "ok", "parse-error", "unreadable"]
+    ok = records[:2]
+    totals = report["totals"]
+    assert (totals["files"], totals["parsed"], totals["failures"]) == (4, 2, 2)
+    assert totals["occurrences"] == sum(r["occurrences"] for r in ok) == 3
+    assert totals["verdicts"] == {
+        label: sum(r["verdict"] == label for r in ok) for label in totals["verdicts"]
+    } == {"polynomial-only": 0, "constant-division-only": 1, "non-constant-division": 1}
+    assert totals["classes"] == {
+        key: sum(r["classes"][key] for r in ok) for key in totals["classes"]
+    } == {"constant-nonzero": 2, "constant-zero": 0, "non-constant": 1}

@@ -67,7 +67,7 @@ def samples(loc: Loc) -> list[Term]:
         x,
         cond,
         d,
-        Ite(cond, x, half),
+        Ite(cond, x, half, Sort.REAL),
         Quantifier("forall", (("x", Sort.REAL),), cond),
     ]
 
@@ -121,7 +121,7 @@ def test_repr_is_unchanged():
         x,
         cond,
         d,
-        f"Ite(cond={cond}, then={x}, orelse={half})",
+        f"Ite(cond={cond}, then={x}, orelse={half}, sort=<Sort.REAL: 'Real'>)",
         f"Quantifier(kind='forall', bound=(('x', <Sort.REAL: 'Real'>),), body={cond})",
     ]
     assert [repr(n) for n in samples(HERE)] == expected
@@ -159,7 +159,7 @@ def test_positional_match_patterns_bind():
             assert (n, d, sort) == (1, 2, Sort.REAL)
         case _:
             pytest.fail("Div(Const, Const, sort) did not match")
-    match Ite(const(True), y, const(0)):
+    match Ite(const(True), y, const(0), Sort.REAL):
         case Ite(Const(c, _), then, orelse):
             assert c is True and then is y and orelse == const(0)
         case _:
@@ -201,7 +201,7 @@ def copy_term(term: Term) -> Term:
         if type(node) is Div:
             return Div(new[0], new[1], node.sort, THERE)
         if type(node) is Ite:
-            return Ite(*new)
+            return Ite(*new, node.sort)
         return Quantifier(node.kind, node.bound, new[0])
 
     return dag_fold(term, rebuild)
