@@ -93,7 +93,6 @@ from .terms import (
     is_quantifier_free,
     sort_of,
     subterms,
-    substitute,
     term_at,
 )
 

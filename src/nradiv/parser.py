@@ -13,10 +13,10 @@ define-fun, assert, check-sat, exit.  Anything else is preserved
 verbatim as an "unsupported" record and re-emitted on printing; an
 unsupported construct inside an assertion is an error.
 
-`let` bindings are expanded during parsing and `define-fun` bodies are
-inlined at each application, so the resulting AST contains neither.
-Every name resolves through one scope, in which the innermost binder of
-a name hides everything outside it (SMT-LIB 2.6 section 3.6).
+`let` bindings are expanded during parsing, and so is each call of a
+`define-fun`, as a `let` of its parameters, so the resulting AST contains
+neither.  Every name resolves through one scope, in which the innermost
+binder of a name hides everything outside it (SMT-LIB 2.6 section 3.6).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .terms import (
     names_in,
     neg_literal,
     result_sort,
-    substitute,
 )
 
 _SORT_RULE_OPS = frozenset(OPS) | {"/", "ite"}  # the builtins `terms.result_sort` checks
@@ -216,8 +215,33 @@ def _parse_sort(sx) -> Sort:
     raise _Unsupported()
 
 
-# A define-fun: its parameters and its body, inlined at each application.
-_Defined = tuple[tuple[tuple[str, Sort], ...], Term]
+class _Defined(NamedTuple):
+    """A define-fun.  A call binds its parameters to its arguments and
+    builds `body`, its s-expression, under `env`, what each other symbol
+    in the body meant at the definition, and under the definition's
+    `logic`.  `calls` keeps each expansion, with its arguments, by their
+    identities.  A constant's `body` is its term, built once."""
+
+    names: tuple[str, ...]  # of the parameters
+    params: tuple[Sort, ...]  # their sorts, as in a FunDecl
+    result: Sort
+    body: SAtom | SList | Term
+    env: dict
+    logic: str | None
+    calls: dict
+
+
+def _symbols(sx) -> set[str]:
+    """Every symbol that occurs in `sx`."""
+
+    names, stack = set(), [sx]
+    while stack:
+        x = stack.pop()
+        if type(x) is SList:
+            stack.extend(x.items)
+        elif x.kind == "symbol":
+            names.add(x.text)
+    return names
 
 
 def _numeral_sort(logic: str | None) -> Sort:
@@ -232,10 +256,13 @@ class _ScriptBuilder:
         self.logic: str | None = None
         self.metadata: list[tuple[str, str]] = []
         # Each name in scope -> what it means here: its FunDecl, its
-        # define-fun's (params, body), or the term of its innermost let,
-        # quantifier or parameter binding.  A binder shadows an entry in
-        # place and restores it, so the FunDecls keep declaration order.
-        self.scope: dict[str, FunDecl | _Defined | Term] = {}
+        # define-fun, or the term of its innermost let, quantifier or
+        # parameter binding; `true` and `false` start bound to their
+        # literals.  A binder shadows an entry in place and restores it,
+        # so the FunDecls keep declaration order.
+        literals = {"true": Const(True, Sort.BOOL), "false": Const(False, Sort.BOOL)}
+        self.scope: dict[str, FunDecl | _Defined | Term] = literals
+        self.defining = False  # building a define-fun body with parameters
         self.assertions: list[Term] = []
         self.unsupported: list[Unsupported] = []
         self.check_sat = False
@@ -321,14 +348,21 @@ class _ScriptBuilder:
         name = self._symbol(args[0], "a function name")
         self._register(name)
         pairs = self._pairs(args[1], "parameter list", "a parameter name", "parameter")
-        params = tuple((p.text, _parse_sort(sx)) for p, sx in pairs)
+        params = {p.text: _parse_sort(sx) for p, sx in pairs}
         result = _parse_sort(args[2])
-        shadowed = self._bind({pname: Var(pname, psort) for pname, psort in params})
+        # Built here for its checks.  With parameters, a call in it is left
+        # unexpanded (`_call`): the body is built again at each call of it.
+        shadowed = self._bind({p: Var(p, sort) for p, sort in params.items()})
+        self.defining = bool(params)
         body = self._build(args[3])
+        self.defining = False
         self._unbind(shadowed)
         if body.sort is not result:
             raise SortError(f"define-fun body has sort {body.sort}, declared {result}", args[3].pos)
-        self.scope[name.text] = (params, body)
+        env = {s: self.scope[s] for s in _symbols(args[3]) if s in self.scope}
+        body = args[3] if params else body
+        sorts = tuple(params.values())
+        self.scope[name.text] = _Defined(tuple(params), sorts, result, body, env, self.logic, {})
 
     def _cmd_assert(self, form: SList, args) -> None:
         if len(args) != 1:
@@ -402,19 +436,13 @@ class _ScriptBuilder:
             raise ParseError(f"unexpected {sx.kind} in term position", sx.pos)
         name = sx.text
         meaning = self.scope.get(name)
-        if type(meaning) is FunDecl:
-            params, term = meaning.params, Var(name, meaning.result)
-        elif type(meaning) is tuple:
-            params, term = meaning
-        elif meaning is None:  # `true` and `false` are literals unless a binder shadows them
-            if name == "true" or name == "false":
-                return Const(name == "true", Sort.BOOL)
+        if meaning is None:
             raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.pos)
-        else:  # a bound name
+        if type(meaning) is not FunDecl and type(meaning) is not _Defined:  # a bound name
             return meaning
-        if params:
-            raise SortError(f"'{name}' expects {len(params)} arguments", sx.pos)
-        return term
+        if meaning.params:
+            raise SortError(f"'{name}' expects {len(meaning.params)} arguments", sx.pos)
+        return Var(name, meaning.result) if type(meaning) is FunDecl else meaning.body
 
     def _built_args(self, items) -> Generator:
         """The argument terms; an atom is built here, saving a trip through `_build`."""
@@ -481,34 +509,43 @@ class _ScriptBuilder:
             return Apply(op, args, sort)
 
         meaning = self.scope.get(op)
-        if type(meaning) is FunDecl or type(meaning) is tuple:
+        if type(meaning) is FunDecl or type(meaning) is _Defined:
             return (yield from self._call(head, items, meaning))
         if op in _KNOWN_UNSUPPORTED_OPS:
             raise ParseError(f"unsupported operator '{op}'", pos)
         raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", pos)
 
     def _call(self, head: SAtom, items, meaning: FunDecl | _Defined) -> Generator:
-        """An application of a declared or a defined function; a defined
-        one is inlined."""
+        """An application of a declared or a defined function.  A defined
+        one is expanded like a `let` of its parameters, once per tuple of
+        argument objects, but not while a function with parameters is defined."""
 
         name = head.text
         declared = type(meaning) is FunDecl
         if declared and not meaning.params:
             raise ParseError(f"'{name}' is a constant, not a function", head.pos)
-        sorts = meaning.params if declared else [s for _, s in meaning[0]]
+        sorts = meaning.params
         if len(items) != len(sorts):
             raise SortError(f"'{name}' expects {len(sorts)} arguments, got {len(items)}", head.pos)
         args = yield from self._built_args(items)
         for i, (arg, sort) in enumerate(zip(args, sorts)):
             if arg.sort is not sort:
-                which = i + 1 if declared else f"'{meaning[0][i][0]}'"
+                which = i + 1 if declared else f"'{meaning.names[i]}'"
                 raise SortError(
                     f"argument {which} of '{name}' must be {sort}, got {arg.sort}", items[i].pos
                 )
-        if declared:
+        if declared or self.defining:
             return Apply(name, args, meaning.result)
-        params, body = meaning
-        return substitute(body, {p: a for (p, _), a in zip(params, args)})
+        if not meaning.params:
+            return meaning.body
+        key = tuple(map(id, args))
+        if key not in meaning.calls:
+            shadowed = self._bind(meaning.env | dict(zip(meaning.names, args)))
+            logic, self.logic = self.logic, meaning.logic
+            meaning.calls[key] = (args, (yield meaning.body))
+            self.logic = logic
+            self._unbind(shadowed)
+        return meaning.calls[key][1]
 
     def _let(self, head: SAtom, items) -> Generator:
         if len(items) != 2 or not isinstance(items[0], SList):

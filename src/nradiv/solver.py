@@ -31,7 +31,7 @@ def run_solver(
     text contains none.  The answer is the first nonempty output line;
     anything other than sat/unsat/unknown is reported as "error" with
     the raw output preserved.  A solver that exceeds `timeout` seconds
-    is killed and reported "unknown".
+    is killed and reported "unknown", with what it printed until then.
     """
 
     argv = shlex.split(command) if isinstance(command, str) else list(command)
@@ -55,8 +55,8 @@ def run_solver(
         output, _ = proc.communicate(script_text, timeout=timeout)
     except subprocess.TimeoutExpired:
         proc.kill()
-        proc.communicate()
-        return SolverVerdict("unknown", "", timeout)
+        output, _ = proc.communicate()  # everything read before the kill too
+        return SolverVerdict("unknown", output, time.perf_counter() - start)
     elapsed = time.perf_counter() - start
 
     first = next((line.strip() for line in output.splitlines() if line.strip()), "")

@@ -642,8 +642,8 @@ def count_nodes(term: Term) -> int:
     return dag_fold(term, lambda node, sizes: 1 + sum(sizes))
 
 
-def free_vars(term: Term, memo: dict | None = None) -> frozenset[str]:
-    """Names occurring free in `term`; `memo` as for `dag_fold`."""
+def free_vars(term: Term) -> frozenset[str]:
+    """Names occurring free in `term`."""
 
     def free(node: Term, below: list[frozenset[str]]) -> frozenset[str]:
         if type(node) is Var:
@@ -653,7 +653,7 @@ def free_vars(term: Term, memo: dict | None = None) -> frozenset[str]:
             out -= {name for name, _ in node.bound}
         return out
 
-    return dag_fold(term, free, memo=memo)
+    return dag_fold(term, free)
 
 
 def names_in(q: Quantifier) -> set[str]:
@@ -667,56 +667,6 @@ def names_in(q: Quantifier) -> set[str]:
         elif type(t) is Quantifier:
             names.update(name for name, _ in t.bound)
     return names
-
-
-def substitute(term: Term, mapping: dict[str, Term]) -> Term:
-    """Capture-avoiding substitution of free variable occurrences.
-
-    A quantifier hides the mappings of the names it binds from its body,
-    and a binder whose name is free in a value put below it takes a fresh
-    name (`fresh_name`), so the value keeps its meaning.  A node is
-    rewritten once per distinct mapping it is reached under.
-    """
-
-    if not mapping:
-        return term
-    at: dict[tuple[int, int], tuple[Term, dict]] = {}  # one object per (node, mapping)
-    rebound: dict[int, tuple] = {}  # id of a (quantifier, mapping) pair -> its renamed binders
-    free: dict[int, frozenset[str]] = {}  # `free_vars` memo
-
-    def pair(node: Term, m: dict) -> tuple[Term, dict]:
-        return at.setdefault((id(node), id(m)), (node, m))
-
-    def kids(p: tuple[Term, dict]) -> tuple:
-        node, m = p
-        if type(node) is not Quantifier:
-            return tuple(pair(c, m) for c in children(node))
-        bound = {name for name, _ in node.bound}
-        inner = {k: v for k, v in m.items() if k not in bound}
-        if inner:
-            below = free_vars(node.body, free) & inner.keys()
-            put = frozenset().union(*(free_vars(inner[k], free) for k in below))
-            if bound & put:
-                taken = names_in(node) | put
-                new_bound = []
-                for name, sort in node.bound:
-                    if name in put:
-                        inner[name] = Var(fresh_name(name, taken), sort)
-                        name = inner[name].name
-                        taken.add(name)
-                    new_bound.append((name, sort))
-                rebound[id(p)] = tuple(new_bound)
-        return (pair(node.body, inner),)
-
-    def subst(p: tuple[Term, dict], new: list[Term]) -> Term:
-        node, m = p
-        if type(node) is Var and node.name in m:
-            return m[node.name]
-        if id(p) in rebound:
-            return Quantifier(node.kind, rebound[id(p)], new[0])
-        return with_children(node, new)
-
-    return dag_fold(pair(term, mapping), subst, kids)
 
 
 def fresh_name(base: str, taken: set[str]) -> str:

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from nradiv import emit_nonzero_vcs, parse_script
+from nradiv import emit_nonzero_vcs, parse_script, print_script
 from nradiv.cli import main
 
 
@@ -144,6 +144,29 @@ def test_2000_lets_of_an_ite_go_through_classify_vcs_and_scan(tmp_path, capsys):
     assert main(["classify", str(path)]) == 2
     assert len(emit_nonzero_vcs(parse_script(path.read_text()))) == 1
     assert scanned_ok(tmp_path, capsys)
+
+
+def test_a_parameter_named_as_a_global_does_not_capture_it(tmp_path, capsys):
+    """The divisor of `(r 2)` is the global `y` that `d` stands for, not
+    the parameter `y` of `r`."""
+
+    path = tmp_path / "capture.smt2"
+    path.write_text(
+        "(declare-fun y () Real)(define-fun d () Real y)"
+        "(define-fun r ((y Real)) Real (/ 1 d))(assert (> (r 2) 0))\n"
+    )
+    assert main(["classify", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{path}: non-constant-division"
+    assert re.fullmatch(r"  line 1 col \d+: non-constant", lines[1])
+    path.write_text(
+        "(declare-fun y () Real)(define-fun d () Real y)"
+        "(define-fun r ((y Bool)) Real (/ d 3))(assert (> (r true) 0))\n"
+    )
+    assert main(["transform", "totalize", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "(/ y 3)" in out
+    assert print_script(parse_script(out)) == out
 
 
 def test_non_ascii_digit_exits_65(tmp_path, capsys):

@@ -591,6 +591,38 @@ def test_binders_do_not_capture(text, expected):
     assert print_script(parse_script(out)) == out
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (  # `x` in the body of `g` is the global, whatever `h` calls its parameter
+            "(define-fun g ((p Real)) Real (+ p x))"
+            "(define-fun h ((x Real)) Real (g 1))(assert (= (h 5) 6))",
+            "(= (+ 1 x) 6)",
+        ),
+        (  # so is the `x` that a defined constant stands for
+            "(define-fun c () Real x)(define-fun h ((x Real)) Real (- c x))(assert (= (h 0) 0))",
+            "(= (- x 0) 0)",
+        ),
+        (  # and the `y` of a constant used as a divisor
+            "(define-fun d () Real y)(define-fun r ((y Real)) Real (/ 1 d))(assert (> (r 2) 0))",
+            "(> (/ 1 y) 0)",
+        ),
+    ],
+)
+def test_a_parameter_does_not_capture_an_outer_name(text, expected):
+    out = print_script(parse_script("(declare-fun x () Real)(declare-fun y () Real)" + text))
+    assert out.splitlines()[-1] == f"(assert {expected})"
+    assert print_script(parse_script(out)) == out
+
+
+def test_a_define_fun_body_keeps_the_logic_of_its_definition():
+    script = parse_script(
+        "(define-fun f ((p Real)) Real (+ p 1))(set-logic QF_LIA)"
+        "(declare-fun x () Real)(assert (> (f x) 0.5))"
+    )
+    assert print_script(script).splitlines()[-1] == "(assert (> (+ x 1) 0.5))"
+
+
 def test_a_captured_division_keeps_its_free_divisor():
     script = parse_script("(declare-fun y () Real)(assert (let ((a (/ 1 y))) (exists ((y Real)) (> a y))))")
     assert [format_term(vc) for vc in emit_nonzero_vcs(script)] == ["(forall ((y0 Real)) (not (= y 0)))"]

@@ -10,6 +10,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -36,12 +37,11 @@ from nradiv import (
     lift_to_uf,
     parse_script,
     print_script,
-    substitute,
     totalize,
 )
 from nradiv.analyzer import count_divisions
 from nradiv.cli import main
-from nradiv.terms import add, const, dag_fold, div, eq, lt, var
+from nradiv.terms import add, const, dag_fold, distinct_subterms, div, eq, lt, var
 
 from strategies import scripts, shared_scripts
 
@@ -339,6 +339,44 @@ def test_fresh_totalize_enters_a_shared_quantifier_once():
 
 
 # ---------------------------------------------------------------------------
+# A `define-fun` call is expanded where it is used, once per tuple of
+# argument objects: chains of definitions cost their size, not the tree.
+
+
+def define_fun_chain(n: int, twice: bool) -> str:
+    """`f0` divides its parameter by `y`; each `f{i}` calls `f{i-1}` on
+    its own parameter once, plus one, or twice, doubling the divisions."""
+
+    step = "(+ (f{0} p) (f{0} p))" if twice else "(+ (f{0} p) 1)"
+    return (
+        HEADER
+        + "(define-fun f0 ((p Real)) Real (/ p y))\n"
+        + "".join(f"(define-fun f{i} ((p Real)) Real {step.format(i - 1)})\n" for i in range(1, n))
+        + f"(assert (> (f{n - 1} x) 0))\n"
+    )
+
+
+def test_a_doubling_define_fun_chain_is_built_once_per_link():
+    (a,) = parse_script(define_fun_chain(16, twice=True)).assertions
+    assert sum(1 for _ in distinct_subterms(a)) <= 40
+    assert count_nodes(a) == 2**17 + 1
+    script = parse_script(define_fun_chain(40, twice=True))
+    assert count_divisions(script)[DivisorKind.NON_CONSTANT] == 2**39
+
+
+def test_a_500_link_define_fun_chain_parses_in_little_memory():
+    text = define_fun_chain(500, twice=False)
+    tracemalloc.start()
+    try:
+        (a,) = parse_script(text).assertions
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, f"parse_script peaked at {peak / 1e6:.1f} MB"
+    assert count_nodes(a) == 2 * 500 + 3
+
+
+# ---------------------------------------------------------------------------
 # No walker recurses: a term 10,000 deep, built with the constructors.
 
 
@@ -366,7 +404,6 @@ def test_walkers_need_no_recursion_at_depth_10000():
     assert len(vcs) == depth // 2 and format_term(vcs[0]) == "(not (= y 0))"
     one = {"x": Fraction(1), "y": Fraction(1)}
     assert eval_term(t, one) == 1 + depth // 2
-    assert eval_term(substitute(t, {"x": const(2)}), one) == 2 + depth // 2
 
 
 def test_dag_fold_calls_fn_once_per_distinct_node():

@@ -73,7 +73,16 @@ def test_timeout_kills_and_reports_unknown(tmp_path):
     body = "import time, sys\ntime.sleep(60)\n"
     cmd = fake_solver(tmp_path, "sleeper", body)
     verdict = run_solver("(assert true)", cmd, timeout=0.3)
-    assert verdict == type(verdict)("unknown", "", 0.3)
+    assert (verdict.answer, verdict.raw_output) == ("unknown", "")
+    assert 0.3 <= verdict.elapsed < 30  # measured, not the timeout
+
+
+def test_timeout_keeps_what_the_solver_printed(tmp_path):
+    body = 'import time, sys\nprint("partial", flush=True)\ntime.sleep(60)\n'
+    cmd = fake_solver(tmp_path, "partial", body)
+    verdict = run_solver("(assert true)", cmd, timeout=0.5)
+    assert (verdict.answer, verdict.raw_output) == ("unknown", "partial\n")
+    assert verdict.elapsed >= 0.5
 
 
 def test_string_command_is_shell_split(tmp_path):
