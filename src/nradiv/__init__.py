@@ -91,7 +91,6 @@ from .terms import (
     count_nodes,
     free_vars,
     is_quantifier_free,
-    sort_of,
     subterms,
     term_at,
 )

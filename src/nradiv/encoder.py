@@ -12,10 +12,10 @@ for how engines treat division by zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import DecodeError, EncodeError, SortError
 from .evaluator import FLOOR, eval_term, floor_oracle
@@ -64,7 +64,10 @@ class IntFormula:
     """Quantifier-free Boolean formula over Int variables and +, -, *.
 
     Comparisons, equality, and the connectives are allowed; division,
-    ite, and quantifiers are not.
+    ite, and quantifiers are not.  Construction is the one check of an
+    integer body: every node is an allowed piece, every variable is
+    listed, and every stated sort is the one the sort rule gives.
+    `compile_int_body` compiles what passes without checking it again.
     """
 
     variables: tuple[str, ...]
@@ -104,6 +107,9 @@ class IntFormula:
                     raise EncodeError(str(exc)) from None
                 if sort is not t.sort:
                     raise EncodeError(f"'{t.op}' application has sort {t.sort}, not {sort}")
+        for t in distinct_subterms(self.body):  # last, so earlier faults are reported first
+            if type(t) is Const and isinstance(t.value, bool) and t.sort is not Sort.BOOL:
+                raise EncodeError(f"literal {format_term(t)} has sort {t.sort}, not Bool")
 
     @staticmethod
     def from_script(script: Script) -> IntFormula:
@@ -135,20 +141,21 @@ class FloorAxioms:
 
 
 def floor_axioms(mode: EncodeMode, f_name: str = "f") -> FloorAxioms:
-    if mode is EncodeMode.DIV0:
-        mk: Callable[[Term], Term] = lambda t: Div(t, const(0), Sort.REAL)
-        name = DIV_BY_ZERO_MARKER
-    else:
-        mk = lambda t: Apply(f_name, (t,), Sort.REAL)
-        name = f_name
+    """The axioms over `(f_name x)`; in `EncodeMode.DIV0` respelled
+    `(/ x 0)` by `replace_uf_with_div0`."""
+
+    f = lambda t: Apply(f_name, (t,), Sort.REAL)
     x = var("x", Sort.REAL)
     one = const(1)
-    shift = forall((("x", Sort.REAL),), eq(add(mk(x), one), mk(add(x, one))))
+    shift = forall((("x", Sort.REAL),), eq(add(f(x), one), f(add(x, one))))
     base = forall(
         (("x", Sort.REAL),),
-        implies(conj(le(const(0), x), lt(x, one)), eq(mk(x), const(0))),
+        implies(conj(le(const(0), x), lt(x, one)), eq(f(x), const(0))),
     )
-    return FloorAxioms(shift, base, name)
+    if mode is EncodeMode.DIV0:
+        respell = lambda t: replace_uf_with_div0(t, f_name)
+        return FloorAxioms(respell(shift), respell(base), DIV_BY_ZERO_MARKER)
+    return FloorAxioms(shift, base, f_name)
 
 
 @dataclass(frozen=True)
@@ -172,51 +179,51 @@ def _resort_real(term: Term) -> Term:
     return dag_fold(term, _resorted)
 
 
-def _encode(formula: IntFormula, mode: EncodeMode) -> EncodedProblem:
-    if mode is EncodeMode.UF:
-        f_name = fresh_name("f", set(formula.variables))
-        axioms = floor_axioms(mode, f_name)
-        decls = (FunDecl(f_name, (Sort.REAL,), Sort.REAL),)
-        apply_f: Callable[[Term], Term] = lambda t: Apply(f_name, (t,), Sort.REAL)
-        logic = "UFNRA"
-    else:
-        axioms = floor_axioms(mode)
-        decls = ()
-        apply_f = lambda t: Div(t, const(0), Sort.REAL)
-        logic = "NRA"
-    decls += tuple(FunDecl(v, (), Sort.REAL) for v in formula.variables)
-    fixpoints = tuple(
-        eq(apply_f(var(v, Sort.REAL)), var(v, Sort.REAL)) for v in formula.variables
-    )
+def encode_integer_formula(formula: IntFormula) -> EncodedProblem:
+    """Encode with floor as an uninterpreted function symbol (logic UFNRA).
+
+    The symbol is declared first; then come the two axioms, one fixpoint
+    `(= (f v) v)` per variable, and the body with every numeric piece
+    sorted Real.
+    """
+
+    f_name = fresh_name("f", set(formula.variables))
+    axioms = floor_axioms(EncodeMode.UF, f_name)
+    variables = [var(v, Sort.REAL) for v in formula.variables]
     script = Script(
-        logic=logic,
-        decls=decls,
+        logic="UFNRA",
+        decls=(FunDecl(f_name, (Sort.REAL,), Sort.REAL),)
+        + tuple(FunDecl(v, (), Sort.REAL) for v in formula.variables),
         assertions=(axioms.shift_axiom, axioms.base_axiom)
-        + fixpoints
+        + tuple(eq(Apply(f_name, (v,), Sort.REAL), v) for v in variables)
         + (_resort_real(formula.body),),
         check_sat=True,
     )
-    return EncodedProblem(script, formula, mode)
-
-
-def encode_integer_formula(formula: IntFormula) -> EncodedProblem:
-    """Encode with floor as an uninterpreted function symbol (logic UFNRA)."""
-
-    return _encode(formula, EncodeMode.UF)
+    return EncodedProblem(script, formula, EncodeMode.UF)
 
 
 def encode_via_div0(formula: IntFormula) -> EncodedProblem:
-    """Encode with floor spelled `t / 0` (logic NRA, no extra symbols)."""
+    """Encode with floor spelled `t / 0` (logic NRA, no extra symbols).
 
-    return _encode(formula, EncodeMode.DIV0)
+    This is `encode_integer_formula`'s script with the floor symbol's
+    declaration dropped and every assertion respelled by
+    `replace_uf_with_div0`.
+    """
+
+    uf = encode_integer_formula(formula).script
+    f_name = uf.decls[0].name
+    script = replace(
+        uf,
+        logic="NRA",
+        decls=uf.decls[1:],
+        assertions=tuple(replace_uf_with_div0(a, f_name) for a in uf.assertions),
+    )
+    return EncodedProblem(script, formula, EncodeMode.DIV0)
 
 
 def replace_uf_with_div0(term: Term, f_name: str) -> Term:
-    """Rewrite applications `(f t)` to `(/ t 0)`.
-
-    Mapping the UF-mode assertions through this must give the div0-mode
-    assertions exactly; tests use it to pin the two modes together.
-    """
+    """Rewrite applications `(f t)` to `(/ t 0)`: the `/0` spelling of the
+    floor encoding."""
 
     def spell(t: Term) -> Term:
         if type(t) is Apply and t.op == f_name and len(t.args) == 1:
@@ -226,20 +233,14 @@ def replace_uf_with_div0(term: Term, f_name: str) -> Term:
     return dag_rewrite(term, spell)
 
 
-def _uf_name(problem: EncodedProblem) -> str | None:
-    for d in problem.script.decls:
-        if d.params == (Sort.REAL,):
-            return d.name
-    return None
-
-
 def decode_witness(
     problem: EncodedProblem, assignment: Mapping[str, Fraction]
 ) -> dict[str, int]:
     """Turn a real-valued model candidate into an integer witness.
 
-    Under the floor reading of f, every quantifier-free conjunct of the
-    encoded script (the fixpoints and the translated body) must hold;
+    Each declared function, the floor symbol of the UF spelling, reads
+    as floor.  Every quantifier-free conjunct of the encoded script (the
+    fixpoints and the translated body) must hold under that reading;
     any failure rejects the candidate with the violated conjunct.  The
     fixpoints force each value to be an integer, so the cast is exact.
     """
@@ -253,10 +254,7 @@ def decode_witness(
             raise DecodeError(f"value for '{name}' must be a rational, got {value!r}")
         values[name] = value
 
-    funcs = None
-    uf = _uf_name(problem)
-    if problem.mode is EncodeMode.UF and uf is not None:
-        funcs = {uf: floor_oracle}
+    funcs = {d.name: floor_oracle for d in problem.script.decls if d.params}
     for assertion in problem.script.assertions:
         if not is_quantifier_free(assertion):
             continue  # the axioms hold for floor by construction

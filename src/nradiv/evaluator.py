@@ -17,7 +17,6 @@ from itertools import product, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetExceededError, EvalError
-from .printer import format_term
 from .terms import (
     AGAIN,
     OPS,
@@ -123,7 +122,8 @@ def eval_term(
         t = type(node)
         if t is Apply:
             if node.op in OPS:
-                _check_arity(node.op, len(node.args))
+                if arity_error(node.op, len(node.args)) is not None:
+                    raise EvalError(f"'{node.op}' cannot take {len(node.args)} arguments")
             elif funcs is None or node.op not in funcs:
                 raise EvalError(f"no interpretation for function symbol '{node.op}'")
             return node.args
@@ -168,11 +168,6 @@ def eval_term(
         return apply_op(node.op, args) if node.op in OPS else funcs[node.op](*args)
 
     return dag_fold(term, value, needs, values)
-
-
-def _check_arity(op: str, n_args: int) -> None:
-    if arity_error(op, n_args) is not None:
-        raise EvalError(f"'{op}' cannot take {n_args} arguments")
 
 
 # ---------------------------------------------------------------------------
@@ -237,62 +232,40 @@ def check_axiom_samples(
 _FOLD_CHUNK = 64
 
 
-def compile_int_body(body: Term, variables: Sequence[str]) -> Callable[..., Value]:
-    """Compile a term over Int variables, literals and builtins to a function.
+def compile_int_body(formula: IntFormula) -> Callable[..., bool]:
+    """Compile an integer body to a function over plain `int`s.
 
-    The function takes one `int` per name in `variables`, in order, and
-    returns what `eval_term` returns at that point.  Its source has one
-    statement per distinct node, shared subterms computed once, and
-    names only the parameters `v0, v1, ...`, temporaries `t0, t1, ...`
-    and `repr`s of literals, so no symbol name reaches the source and
-    no term depth nests in it.  Argument sorts are checked here, once:
-    an ill-sorted node raises EvalError, as the interpreter would at
-    every point.  Division, `ite`, quantifiers and declared functions
-    are not supported.
+    The function takes one `int` per name in `formula.variables`, in
+    order, and returns what `eval_term` returns at that point.  Its
+    source has one statement per distinct node, shared subterms computed
+    once, and names only the parameters `v0, v1, ...`, temporaries `t0,
+    t1, ...` and `repr`s of literals, so no symbol name reaches the
+    source and no term depth nests in it.  Nothing is checked here:
+    `IntFormula` has checked every node, variable and sort of the body.
     """
 
-    params = {name: f"v{i}" for i, name in enumerate(variables)}
+    params = {name: f"v{i}" for i, name in enumerate(formula.variables)}
     lines: list[str] = []
 
-    def operands(node: Term) -> tuple[Term, ...]:
-        if type(node) is Apply:
-            if node.op not in OPS:
-                raise EvalError(f"no interpretation for function symbol '{node.op}'")
-            return node.args
-        return ()
+    def compiled(node: Term, exprs: list[str]) -> str:
+        t = type(node)
+        if t is Var:
+            return params[node.name]
+        if t is Const:
+            value = node.value
+            return repr(value if isinstance(value, bool) else value.numerator)
+        op = node.op
+        temp = f"t{len(lines)}"
+        if OPS[op].shape == "fold" and len(exprs) > _FOLD_CHUNK:
+            lines.append(f"{temp} = {op_source(op, exprs[:_FOLD_CHUNK])}")
+            for i in range(_FOLD_CHUNK, len(exprs), _FOLD_CHUNK - 1):
+                rest = exprs[i : i + _FOLD_CHUNK - 1]
+                lines.append(f"{temp} = {op_source(op, [temp] + rest)}")
+        else:
+            lines.append(f"{temp} = {op_source(op, exprs)}")
+        return temp
 
-    def compiled(node: Term, args: list[tuple[str, str]]) -> tuple[str, str]:
-        """The expression for a node, and whether it is "num" or "bool"."""
-
-        match node:
-            case Const(value, _) if isinstance(value, bool):
-                return (repr(value), "bool")
-            case Const(value, _) if value.denominator == 1:
-                return (repr(value.numerator), "num")
-            case Var(name, _):
-                if name not in params:
-                    raise EvalError(f"no value for '{name}' in assignment")
-                return (params[name], "num")
-            case Apply(op, _, _):
-                _check_arity(op, len(args))
-                m = OPS[op]
-                exprs = []
-                for expr, kind in args:
-                    if m.args != "any" and kind != m.args:
-                        raise EvalError(f"'{op}' argument: expected {_KINDS[m.args][1]}")
-                    exprs.append(expr)
-                temp = f"t{len(lines)}"
-                if m.shape == "fold" and len(exprs) > _FOLD_CHUNK:
-                    lines.append(f"{temp} = {op_source(op, exprs[:_FOLD_CHUNK])}")
-                    for i in range(_FOLD_CHUNK, len(exprs), _FOLD_CHUNK - 1):
-                        rest = exprs[i : i + _FOLD_CHUNK - 1]
-                        lines.append(f"{temp} = {op_source(op, [temp] + rest)}")
-                else:
-                    lines.append(f"{temp} = {op_source(op, exprs)}")
-                return (temp, m.result)
-        raise EvalError(f"cannot compile into an integer function: {format_term(node)}")
-
-    result, _ = dag_fold(body, compiled, operands)
+    result = dag_fold(formula.body, compiled)
     source = "".join(
         [f"def body({', '.join(params.values())}):\n"]
         + [f"    {line}\n" for line in lines]
@@ -320,7 +293,7 @@ def brute_force_int_sat(
     """
 
     names = formula.variables
-    holds = compile_int_body(formula.body, names)
+    holds = compile_int_body(formula)
     steps = 0
     for combo in product(range(-bound, bound + 1), repeat=len(names)):
         steps += 1

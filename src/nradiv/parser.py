@@ -50,6 +50,7 @@ from .terms import (
     fresh_name,
     names_in,
     neg_literal,
+    numeral_sort,
     result_sort,
 )
 
@@ -244,12 +245,6 @@ def _symbols(sx) -> set[str]:
     return names
 
 
-def _numeral_sort(logic: str | None) -> Sort:
-    """Numerals are Int in integer logics and Real in all others, mixed ones too."""
-
-    return Sort.INT if logic and "IA" in logic and "RA" not in logic else Sort.REAL
-
-
 class _ScriptBuilder:
     def __init__(self, line_starts: list[int]) -> None:
         self.line_starts = line_starts  # of the text, for `_loc`
@@ -429,7 +424,7 @@ class _ScriptBuilder:
 
     def _atom_term(self, sx: SAtom) -> Term:
         if sx.kind == "numeral":
-            return Const(self._number(sx.text), _numeral_sort(self.logic))
+            return Const(self._number(sx.text), numeral_sort(self.logic))
         if sx.kind == "decimal":
             return Const(self._number(sx.text), Sort.REAL)
         if sx.kind != "symbol":
@@ -497,7 +492,7 @@ class _ScriptBuilder:
             if op == "ite":
                 return Ite(*args, sort)
             if op == "/":
-                if sort is Sort.INT and _numeral_sort(self.logic) is not Sort.INT:
+                if sort is Sort.INT and numeral_sort(self.logic) is not Sort.INT:
                     raise SortError("'/' on Int arguments outside an integer logic", pos)
                 loc = _loc(self.line_starts, pos)
                 term = args[0]

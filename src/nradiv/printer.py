@@ -26,6 +26,7 @@ from .terms import (
     Term,
     Var,
     children,
+    numeral_sort,
 )
 
 # SMT-LIB 2.6 section 3.1: a simple symbol is a non-empty run of ASCII
@@ -62,11 +63,14 @@ def _decimal_exponent(q: int) -> int | None:
     return max(twos, fives) if q == 1 else None
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Fraction, point: bool = False) -> str:
+    """A rational as an SMT-LIB literal; with `point`, an integral value
+    is written as a decimal, `1.0`, which reads as Real in every logic."""
+
     if value < 0:
-        return f"(- {format_rational(-value)})"
+        return f"(- {format_rational(-value, point)})"
     if value.denominator == 1:
-        return str(value.numerator)
+        return f"{value.numerator}.0" if point else str(value.numerator)
     s = _decimal_exponent(value.denominator)
     if s is None:
         return f"(/ {value.numerator} {value.denominator})"
@@ -96,8 +100,9 @@ def _shared_nodes(term: Term) -> set[int]:
     return shared
 
 
-def _format_leaf(term: Term) -> str | None:
-    """Text of a variable or literal; None for any other node."""
+def _format_leaf(term: Term, point: bool) -> str | None:
+    """Text of a variable or literal; None for any other node.  With
+    `point`, a Real literal is written with a decimal point."""
 
     t = type(term)
     if t is Var:
@@ -106,19 +111,24 @@ def _format_leaf(term: Term) -> str | None:
         value = term.value
         if isinstance(value, bool):
             return "true" if value else "false"
-        return format_rational(value)
+        return format_rational(value, point and term.sort is Sort.REAL)
     return None
 
 
-def format_term(term: Term) -> str:
+def format_term(term: Term, numerals: Sort = Sort.REAL) -> str:
     """The term as SMT-LIB2 text, a shared node printed once per path.
+
+    `numerals` is the sort a numeral reads as where the text is read
+    (`terms.numeral_sort`): where it is Int, a Real literal with an
+    integral value is written `1.0`, so that it reads back as Real.
 
     Text is emitted left to right from an explicit stack, so depth costs
     no recursion.  The text of a node with several parents is joined once
     and reused; other nodes keep no text of their own.
     """
 
-    leaf = _format_leaf(term)
+    point = numerals is Sort.INT
+    leaf = _format_leaf(term, point)
     if leaf is not None:
         return leaf
     shared = _shared_nodes(term)
@@ -171,7 +181,7 @@ def format_term(term: Term) -> str:
         for i in range(len(args) - 1, -1, -1):
             a = args[i]
             try:
-                leaf = _format_leaf(a)
+                leaf = _format_leaf(a, point)
             except ValueError as exc:
                 leaf, a = None, exc
             if leaf is None:
@@ -198,8 +208,9 @@ def print_script(script: Script) -> str:
         lines.append(u.text)
     for d in script.decls:
         lines.append(_format_decl(d))
+    numerals = numeral_sort(script.logic)
     for a in script.assertions:
-        lines.append(f"(assert {format_term(a)})")
+        lines.append(f"(assert {format_term(a, numerals)})")
     if script.check_sat:
         lines.append("(check-sat)")
     if script.exit_cmd:

@@ -313,8 +313,13 @@ class Quantifier(Term):
         return Sort.BOOL
 
 
-def sort_of(term: Term) -> Sort:
-    return term.sort
+def numeral_sort(logic: str | None) -> Sort:
+    """The sort a numeral such as `1` reads as under `logic`: Int in
+    integer logics, Real in all others, mixed ones too.  The parser reads
+    numerals by it; the printer writes a Real literal so that it reads
+    back as Real."""
+
+    return Sort.INT if logic and "IA" in logic and "RA" not in logic else Sort.REAL
 
 
 # ---------------------------------------------------------------------------

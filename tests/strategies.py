@@ -10,8 +10,27 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from nradiv import Apply, Script, Sort
-from nradiv.terms import FunDecl, add, conj, const, div, eq, forall, implies, ite, le, lt, mul, neg, sub, var
+from nradiv import Apply, Const, Div, Ite, Script, Sort, Term, Var
+from nradiv.terms import (
+    OPS,
+    FunDecl,
+    add,
+    conj,
+    const,
+    dag_rewrite,
+    distinct_subterms,
+    div,
+    eq,
+    forall,
+    implies,
+    ite,
+    le,
+    lt,
+    mul,
+    neg,
+    sub,
+    var,
+)
 
 VAR_POOL = ("x", "y", "z")
 
@@ -118,6 +137,44 @@ def _extend_int_bool(children: st.SearchStrategy) -> st.SearchStrategy:
 
 
 int_bodies = st.recursive(_int_atoms, _extend_int_bool, max_leaves=6)
+
+
+@st.composite
+def rough_int_bodies(draw) -> Term:
+    """An `int_bodies` body with one or two nodes replaced by hand, past
+    every constructor's check: by a Real or Int literal, a variable that
+    may be the unlisted `d`, a division, an `ite`, an application of a
+    builtin or of a declared `g` to any number of arguments, or the node
+    itself stating another sort.  Each new piece states the replaced
+    node's sort, or any other."""
+
+    body = draw(int_bodies)
+    for _ in range(draw(st.integers(1, 2))):
+        nodes = list(distinct_subterms(body))
+        target, other = (nodes[draw(st.integers(0, len(nodes) - 1))] for _ in range(2))
+        sort = draw(st.sampled_from([target.sort, target.sort, *Sort]))
+        kind = draw(st.sampled_from(("literal", "literal", "var", "div", "ite", "apply", "resort")))
+        if kind == "literal":
+            new: Term = Const(draw(st.sampled_from([Fraction(2), Fraction(1, 2), True, False])), sort)
+        elif kind == "var":
+            new = Var(draw(st.sampled_from(INT_POOL + ("d",))), sort)
+        elif kind == "div":
+            new = Div(target, other, sort)
+        elif kind == "ite":
+            new = Ite(other, target, target, sort)
+        elif kind == "apply":
+            op = draw(st.sampled_from(sorted(OPS) + ["g"]))
+            new = Apply(op, (target,) * draw(st.integers(0, 3)), sort)
+        elif type(target) is Apply:
+            new = Apply(target.op, target.args, sort)
+        elif type(target) is Var:
+            new = Var(target.name, sort)
+        elif type(target) is Const:
+            new = Const(target.value, sort)
+        else:  # a division or an `ite` put in before
+            new = target
+        body = dag_rewrite(body, lambda t: new if t is target else t)
+    return body
 
 # ---------------------------------------------------------------------------
 # Scripts whose terms reuse generated subterms by identity, as the parser's

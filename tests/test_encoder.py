@@ -6,11 +6,13 @@ from nradiv import (
     DecodeError,
     EncodeError,
     EncodeMode,
+    EvalError,
     IntFormula,
     Sort,
     decode_witness,
     encode_integer_formula,
     encode_via_div0,
+    eval_term,
     floor_axioms,
     format_term,
     parse_script,
@@ -126,7 +128,7 @@ def test_int_formula_rejects_non_bool_body():
 
 
 def test_int_formula_rejects_loose_variables():
-    with pytest.raises(EncodeError, match="free variables"):
+    with pytest.raises(EncodeError, match=r"^free variables not listed: \['y'\]$"):
         IntFormula(("x",), eq(ivar("x"), ivar("y")))
 
 
@@ -165,6 +167,8 @@ def test_int_formula_applies_the_sort_rule(body, message):
     with pytest.raises(EncodeError) as excinfo:
         IntFormula(("a",), body)
     assert str(excinfo.value) == message
+    with pytest.raises(EvalError):  # the interpreter rejects it too
+        eval_term(body, {"a": Fraction(1)})
 
 
 def test_int_formula_rejects_an_application_that_misstates_its_sort():
@@ -173,6 +177,13 @@ def test_int_formula_rejects_an_application_that_misstates_its_sort():
     with pytest.raises(EncodeError) as excinfo:
         IntFormula(("a", "b"), body)
     assert str(excinfo.value) == "'+' application has sort Bool, not Int"
+    claims_int = Const(True, Sort.INT)  # a Boolean literal that claims Int
+    with pytest.raises(EncodeError) as excinfo:
+        IntFormula(("a",), eq(add(a, claims_int), a))
+    assert str(excinfo.value) == "literal true has sort Int, not Bool"
+    with pytest.raises(EncodeError) as excinfo:  # reported after every earlier fault
+        IntFormula(("a",), eq(add(a, claims_int), Apply("-", (a, const(True)), Sort.INT)))
+    assert str(excinfo.value) == "'-' expects numeric arguments, got Bool"
 
 
 def test_int_formula_accepts_deep_bodies():
@@ -207,6 +218,14 @@ def test_int_formula_reports_the_first_bad_node_in_pre_order():
     ).assertions[0]
     with pytest.raises(EncodeError, match=r"^construct not allowed in an integer body: \(forall"):
         IntFormula((), quantified)
+    t = x
+    for _ in range(3000):  # the message prints a deep node whole
+        t = add(t, iconst(1))
+    with pytest.raises(EncodeError) as excinfo:
+        IntFormula(("x",), eq(Div(t, x, Sort.INT), x))
+    assert str(excinfo.value) == (
+        "construct not allowed in an integer body: (/ " + "(+ " * 3000 + "x" + " 1)" * 3000 + " x)"
+    )
 
 
 def test_free_vars_subtracts_bound_names_only_below_their_binder():

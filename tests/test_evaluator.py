@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
@@ -13,6 +13,7 @@ from nradiv import (
     IDENTITY,
     BudgetExceededError,
     DivInterpretation,
+    EncodeError,
     EvalError,
     IntFormula,
     brute_force_int_sat,
@@ -26,7 +27,7 @@ from nradiv import (
 )
 from nradiv.evaluator import compile_int_body
 from nradiv.passes import fold_term
-from nradiv.terms import OPS, Apply, Div, Sort, add, arity_error, const, eq, mul, sub, var
+from nradiv.terms import OPS, Apply, Sort, add, arity_error, const, eq, mul, sub, var
 
 
 def term_of(text: str, decls: str = "(declare-fun a () Real)(declare-fun b () Real)"):
@@ -237,29 +238,48 @@ def test_every_builtin_takes_what_arity_error_allows(op, n_args):
     m = OPS[op]
     arg = const(True) if m.args == "bool" else const(2, Sort.INT)
     node = Apply(op, (arg,) * n_args, Sort.INT if m.result == "num" else Sort.BOOL)
-    if arity_error(op, n_args) is None:
+    why = arity_error(op, n_args)
+    if why is None:
         value = eval_term(node, {})
-        assert compile_int_body(node, [])() == value
+        assert compile_int_body(IntFormula((), eq(node, const(value, Sort.INT))))() is True
         assert fold_term(node) == const(value, Sort.INT)
     else:
         with pytest.raises(EvalError, match="cannot take"):
             eval_term(node, {})
-        with pytest.raises(EvalError, match="cannot take"):
-            compile_int_body(node, [])
+        with pytest.raises(EncodeError) as excinfo:
+            IntFormula((), eq(node, node))
+        assert str(excinfo.value) == why
         assert fold_term(node) is node
 
 
 SMALL_BOX = range(-2, 3)
 
 
-@given(strategies.int_bodies)
-def test_compiled_body_agrees_with_interpreter(body):
-    names = strategies.INT_POOL
-    holds = compile_int_body(body, names)
+def assert_compiles_to_interpreter(formula):
+    names = formula.variables
+    holds = compile_int_body(formula)
     for point in product(SMALL_BOX, repeat=len(names)):
-        want = eval_term(body, {n: Fraction(v) for n, v in zip(names, point)})
+        want = eval_term(formula.body, {n: Fraction(v) for n, v in zip(names, point)})
         got = holds(*point)
         assert type(got) is bool and got == want
+
+
+@given(strategies.int_bodies)
+def test_compiled_body_agrees_with_interpreter(body):
+    assert_compiles_to_interpreter(IntFormula(strategies.INT_POOL, body))
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.rough_int_bodies())
+def test_int_formula_guards_the_compiler(body):
+    """`compile_int_body` checks nothing, so whatever `IntFormula` accepts
+    must compile to what the interpreter computes."""
+
+    try:
+        formula = IntFormula(strategies.INT_POOL, body)
+    except EncodeError:
+        return
+    assert_compiles_to_interpreter(formula)
 
 
 def reference_brute_force(formula, bound, budget=10_000_000):
@@ -301,14 +321,14 @@ def test_compiled_body_has_no_depth_limit():
     t = a
     for _ in range(5000):
         t = add(t, const(1, Sort.INT))
-    holds = compile_int_body(eq(t, const(5003, Sort.INT)), ("a",))
+    holds = compile_int_body(IntFormula(("a",), eq(t, const(5003, Sort.INT))))
     assert holds(3) is True and holds(2) is False
 
 
 def test_compiled_body_handles_wide_applications():
     a = var("a", Sort.INT)
     wide = eq(sub(*[a] * 5000), mul(a, const(-4998, Sort.INT)))
-    holds = compile_int_body(wide, ("a",))
+    holds = compile_int_body(IntFormula(("a",), wide))
     for x in (-2, 0, 3):
         assert holds(x) is eval_term(wide, {"a": Fraction(x)}) is True
 
@@ -318,31 +338,7 @@ def test_compiled_body_shares_repeated_subterms():
     t = a
     for _ in range(60):  # a tree of 2^60 nodes, a DAG of 61
         t = add(t, t)
-    assert compile_int_body(eq(t, const(0, Sort.INT)), ("a",))(0) is True
-
-
-def test_compiled_body_rejects_what_the_interpreter_rejects():
-    a = var("a", Sort.INT)
-    ill_sorted = eq(Apply("+", (const(True), a), Sort.INT), a)
-    with pytest.raises(EvalError):
-        eval_term(ill_sorted, {"a": Fraction(1)})
-    with pytest.raises(EvalError):
-        compile_int_body(ill_sorted, ("a",))
-    with pytest.raises(EvalError):
-        compile_int_body(eq(a, var("b", Sort.INT)), ("a",))
-
-
-def test_compile_error_prints_the_node_also_when_it_is_deep():
-    a = var("a", Sort.INT)
-    t = a
-    for _ in range(3000):
-        t = add(t, const(1, Sort.INT))
-    body = eq(Div(t, a, Sort.INT), a)
-    with pytest.raises(EvalError) as excinfo:
-        compile_int_body(body, ("a",))
-    message = str(excinfo.value)
-    assert message.startswith("cannot compile into an integer function: (/ (+ (+ ")
-    assert message.endswith(" 1) 1) a)")
+    assert compile_int_body(IntFormula(("a",), eq(t, const(0, Sort.INT))))(0) is True
 
 
 def test_brute_force_symbol_names_never_reach_the_source():

@@ -55,6 +55,31 @@ def test_format_rational(value, expected):
     assert format_rational(value) == expected
 
 
+@pytest.mark.parametrize(
+    "text, assertion",
+    [
+        (
+            "(set-logic QF_NIA)(declare-fun x (Real) Real)"
+            "(assert (> (x 1.5) (x 0.0) (x (- 2.0))))",
+            "(> (x 1.5) (x 0.0) (x (- 2.0)))",
+        ),
+        (  # numerals in the body are Real, from before the logic was set
+            "(declare-fun x () Real)(define-fun g () Real (+ x 1))"
+            "(set-logic QF_LIA)(assert (= (g) x))",
+            "(= (+ x 1.0) x)",
+        ),
+        (  # under a Real logic an integral Real literal prints as a numeral
+            "(set-logic QF_NRA)(declare-fun x () Real)(assert (> x 2.0))",
+            "(> x 2)",
+        ),
+    ],
+)
+def test_an_integral_real_literal_reads_back_as_real(text, assertion):
+    out = print_script(parse_script(text))
+    assert out.splitlines()[-1] == f"(assert {assertion})"
+    assert print_script(parse_script(out)) == out
+
+
 def test_non_decimal_constant_reads_back_as_division():
     # the documented caveat: 1/3 has no finite decimal form
     text = f"(declare-fun x () Real)(assert (= x {format_rational(Fraction(1, 3))}))"
