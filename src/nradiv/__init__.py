@@ -22,9 +22,7 @@ from .analyzer import (
     fold_literal,
 )
 from .encoder import (
-    DIV_BY_ZERO_MARKER,
     EncodedProblem,
-    EncodeMode,
     FloorAxioms,
     IntFormula,
     decode_witness,
@@ -41,7 +39,6 @@ from .errors import (
     NradivError,
     ParseError,
     ScriptError,
-    SolverError,
     SortError,
     UndeclaredSymbolError,
 )
@@ -73,7 +70,6 @@ from .passes import (
 )
 from .printer import format_rational, format_term, print_script
 from .report import SCHEMA_VERSION, render_report, scan_directory
-from .solver import SolverVerdict, run_solver
 from .terms import (
     Apply,
     Const,

@@ -89,7 +89,8 @@ def fold_literal(term: Term) -> Fraction | None:
 
     Returns None for anything else, including division by a literal
     zero: such a node has no standard value to fold to.  Each node is
-    folded by `fold_node`, as `fold_term` folds it.
+    folded by `fold_node`, so the value is exact also where `fold_term`
+    keeps a division whose quotient no literal spells.
     """
 
     out = dag_fold(term, _fold_literal_parts, _literal_parts)

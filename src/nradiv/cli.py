@@ -1,4 +1,4 @@
-"""Command-line driver: classify | scan | transform | solve.
+"""Command-line driver: classify | scan | transform.
 
 Exit codes: classify maps its verdict to 0 (polynomial-only),
 1 (constant-division-only), or 2 (non-constant-division); other
@@ -30,7 +30,6 @@ from .parser import parse_script
 from .passes import TotalizeConfig, TotalizeStyle, lift_to_uf, totalize
 from .printer import print_script
 from .report import render_report, scan_directory
-from .solver import run_solver
 from .terms import (
     Div,
     Script,
@@ -182,15 +181,6 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    verdict = run_solver(_read(args.path), args.solver, timeout=args.timeout)
-    print(f"{verdict.answer} ({verdict.elapsed:.3f}s)")
-    if verdict.answer == "error":
-        sys.stderr.write(verdict.raw_output)
-        return EXIT_INTERNAL_ERROR
-    return 0
-
-
 # Commands that take `args.script`, parsed by `main` from `args.path`.
 _TAKES_SCRIPT = (cmd_classify, cmd_transform)
 
@@ -242,14 +232,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_transform.add_argument("--output", "-o", help="write the script here, not stdout")
     p_transform.set_defaults(func=cmd_transform)
-
-    p_solve = sub.add_parser("solve", help="pipe a script to an external solver")
-    p_solve.add_argument("path")
-    p_solve.add_argument(
-        "--solver", required=True, help="solver command line, e.g. 'z3 -in'"
-    )
-    p_solve.add_argument("--timeout", type=float, default=10.0, help="seconds")
-    p_solve.set_defaults(func=cmd_solve)
 
     return parser
 

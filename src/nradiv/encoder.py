@@ -13,7 +13,6 @@ for how engines treat division by zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
@@ -48,16 +47,6 @@ from .terms import (
     var,
 )
 
-
-class EncodeMode(Enum):
-    UF = "uf"  # floor as an uninterpreted function symbol
-    DIV0 = "div0"  # floor spelled as division by zero
-
-    def __str__(self) -> str:
-        return self.value
-
-
-DIV_BY_ZERO_MARKER = "div-by-zero"
 
 @dataclass(frozen=True)
 class IntFormula:
@@ -110,6 +99,8 @@ class IntFormula:
         for t in distinct_subterms(self.body):  # last, so earlier faults are reported first
             if type(t) is Const and isinstance(t.value, bool) and t.sort is not Sort.BOOL:
                 raise EncodeError(f"literal {format_term(t)} has sort {t.sort}, not Bool")
+            if type(t) is Const and not isinstance(t.value, (bool, Fraction)):
+                raise EncodeError(f"literal {t.value!r} is not a Fraction")
 
     @staticmethod
     def from_script(script: Script) -> IntFormula:
@@ -137,12 +128,11 @@ class FloorAxioms:
 
     shift_axiom: Term  # f(x) + 1 = f(x + 1)
     base_axiom: Term  # 0 <= x < 1  implies  f(x) = 0
-    f_name: str
 
 
-def floor_axioms(mode: EncodeMode, f_name: str = "f") -> FloorAxioms:
-    """The axioms over `(f_name x)`; in `EncodeMode.DIV0` respelled
-    `(/ x 0)` by `replace_uf_with_div0`."""
+def floor_axioms(f_name: str = "f") -> FloorAxioms:
+    """The axioms over `(f_name x)`; `replace_uf_with_div0` respells them
+    over `(/ x 0)`."""
 
     f = lambda t: Apply(f_name, (t,), Sort.REAL)
     x = var("x", Sort.REAL)
@@ -152,17 +142,13 @@ def floor_axioms(mode: EncodeMode, f_name: str = "f") -> FloorAxioms:
         (("x", Sort.REAL),),
         implies(conj(le(const(0), x), lt(x, one)), eq(f(x), const(0))),
     )
-    if mode is EncodeMode.DIV0:
-        respell = lambda t: replace_uf_with_div0(t, f_name)
-        return FloorAxioms(respell(shift), respell(base), DIV_BY_ZERO_MARKER)
-    return FloorAxioms(shift, base, f_name)
+    return FloorAxioms(shift, base)
 
 
 @dataclass(frozen=True)
 class EncodedProblem:
     script: Script
     source: IntFormula
-    mode: EncodeMode
 
 
 def _resorted(term: Term, args: list[Term]) -> Term:
@@ -188,7 +174,7 @@ def encode_integer_formula(formula: IntFormula) -> EncodedProblem:
     """
 
     f_name = fresh_name("f", set(formula.variables))
-    axioms = floor_axioms(EncodeMode.UF, f_name)
+    axioms = floor_axioms(f_name)
     variables = [var(v, Sort.REAL) for v in formula.variables]
     script = Script(
         logic="UFNRA",
@@ -199,7 +185,7 @@ def encode_integer_formula(formula: IntFormula) -> EncodedProblem:
         + (_resort_real(formula.body),),
         check_sat=True,
     )
-    return EncodedProblem(script, formula, EncodeMode.UF)
+    return EncodedProblem(script, formula)
 
 
 def encode_via_div0(formula: IntFormula) -> EncodedProblem:
@@ -218,7 +204,7 @@ def encode_via_div0(formula: IntFormula) -> EncodedProblem:
         decls=uf.decls[1:],
         assertions=tuple(replace_uf_with_div0(a, f_name) for a in uf.assertions),
     )
-    return EncodedProblem(script, formula, EncodeMode.DIV0)
+    return EncodedProblem(script, formula)
 
 
 def replace_uf_with_div0(term: Term, f_name: str) -> Term:

@@ -57,7 +57,3 @@ class DecodeError(EncodeError):
     def __init__(self, message: str, term=None):
         self.term = term
         super().__init__(message)
-
-
-class SolverError(NradivError):
-    """External solver process could not be started."""

@@ -15,6 +15,7 @@ from itertools import count
 
 from .analyzer import division_sites
 from .errors import SortError
+from .printer import has_literal
 from .terms import (
     Apply,
     Const,
@@ -193,18 +194,26 @@ def totalize(
 # Constant folding.
 
 
-def fold_term(term: Term) -> Term:
-    """Bottom-up literal folding by `fold_node`; division by a literal zero
-    is kept as is."""
+def _fold_to_literal(t: Term) -> Term:
+    out = fold_node(t)
+    if type(t) is Div and type(out) is Const and not has_literal(out.value, out.sort):
+        return t
+    return out
 
-    return dag_rewrite(term, fold_node)
+
+def fold_term(term: Term) -> Term:
+    """Bottom-up literal folding by `fold_node`.  A division is kept as is
+    when its divisor is a literal zero, or when no one literal of its sort
+    spells the quotient, so the folded term prints as it counts."""
+
+    return dag_rewrite(term, _fold_to_literal)
 
 
 def fold_script(script: Script) -> Script:
     memo: dict[int, Term] = {}
     return dataclasses.replace(
         script,
-        assertions=tuple(dag_rewrite(a, fold_node, memo) for a in script.assertions),
+        assertions=tuple(dag_rewrite(a, _fold_to_literal, memo) for a in script.assertions),
     )
 
 
@@ -216,7 +225,6 @@ def fold_script(script: Script) -> Script:
 class UfLiftResult:
     script: Script
     div_symbol: str | None  # None when the input had no division
-    guard_axiom: Term | None
 
 
 def division_axiom(symbol: str | None = None) -> Term:
@@ -250,10 +258,10 @@ def _uf_logic(logic: str | None) -> str | None:
 def lift_to_uf(script: Script) -> UfLiftResult:
     """Replace every division with a fresh binary function symbol.
 
-    The symbol is axiomatized by `division_axiom`, so models may choose
-    any value at zero divisors.  Its name avoids every declared and
-    every quantifier-bound name.  Scripts with no division are returned
-    untouched with no symbol and no axiom.
+    The symbol is axiomatized by `division_axiom`, the output's last
+    assertion, so models may choose any value at zero divisors.  Its
+    name avoids every declared and every quantifier-bound name.  Scripts
+    with no division are returned untouched with no symbol and no axiom.
     """
 
     found = [
@@ -264,7 +272,7 @@ def lift_to_uf(script: Script) -> UfLiftResult:
     ]
     divs = [t for t in found if isinstance(t, Div)]
     if not divs:
-        return UfLiftResult(script, None, None)
+        return UfLiftResult(script, None)
     for d in divs:
         if d.sort is not Sort.REAL:
             raise SortError("cannot lift Int-sorted division to a Real function symbol")
@@ -279,15 +287,14 @@ def lift_to_uf(script: Script) -> UfLiftResult:
         return t
 
     memo: dict[int, Term] = {}
-    axiom = division_axiom(name)
     out = dataclasses.replace(
         script,
         logic=_uf_logic(script.logic),
         decls=tuple(script.decls) + (FunDecl(name, (Sort.REAL, Sort.REAL), Sort.REAL),),
         assertions=tuple(dag_rewrite(a, apply_symbol, memo) for a in script.assertions)
-        + (axiom,),
+        + (division_axiom(name),),
     )
-    return UfLiftResult(out, name, axiom)
+    return UfLiftResult(out, name)
 
 
 # ---------------------------------------------------------------------------

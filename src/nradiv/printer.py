@@ -63,6 +63,14 @@ def _decimal_exponent(q: int) -> int | None:
     return max(twos, fives) if q == 1 else None
 
 
+def has_literal(value: Fraction, sort: Sort) -> bool:
+    """Whether one literal of `sort`, under `-` when negative, spells
+    `value`: an integer for Int, a finite decimal for Real."""
+
+    q = value.denominator
+    return q == 1 or sort is Sort.REAL and _decimal_exponent(q) is not None
+
+
 def format_rational(value: Fraction, point: bool = False) -> str:
     """A rational as an SMT-LIB literal; with `point`, an integral value
     is written as a decimal, `1.0`, which reads as Real in every logic."""

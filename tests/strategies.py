@@ -58,9 +58,12 @@ def _extend_numeric(children: st.SearchStrategy) -> st.SearchStrategy:
 numeric_terms = st.recursive(_numeric_base, _extend_numeric, max_leaves=12)
 
 # Numeric literals, zero often, under + - * /: terms that fold to a value
-# unless they divide by zero.
+# unless they divide by zero.  Over Ints, a quotient may be no Int literal.
 literal_terms = st.recursive(
     st.one_of(st.just(const(0)), st.builds(const, rationals)), _extend_numeric, max_leaves=8
+)
+int_literal_terms = st.recursive(
+    st.integers(-9, 9).map(lambda n: const(n, Sort.INT)), _extend_numeric, max_leaves=8
 )
 
 _bool_base = st.one_of(
@@ -155,7 +158,7 @@ def rough_int_bodies(draw) -> Term:
         sort = draw(st.sampled_from([target.sort, target.sort, *Sort]))
         kind = draw(st.sampled_from(("literal", "literal", "var", "div", "ite", "apply", "resort")))
         if kind == "literal":
-            new: Term = Const(draw(st.sampled_from([Fraction(2), Fraction(1, 2), True, False])), sort)
+            new: Term = Const(draw(st.sampled_from([Fraction(2), 2, Fraction(1, 2), True, False])), sort)
         elif kind == "var":
             new = Var(draw(st.sampled_from(INT_POOL + ("d",))), sort)
         elif kind == "div":

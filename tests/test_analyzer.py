@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -20,6 +21,7 @@ from nradiv import (
     encode_via_div0,
     fold_literal,
     fold_term,
+    format_rational,
     format_term,
     parse_script,
     subterms,
@@ -47,6 +49,8 @@ def divisor_of(text: str):
         ("(- 0 2)", CN, Fraction(-2)),
         ("(* 2 3)", CN, Fraction(6)),
         ("(/ 1 2)", CN, Fraction(1, 2)),
+        ("(/ 1 3)", CN, Fraction(1, 3)),  # exact, where `fold_term` keeps the division
+        ("(+ (/ 1 3) (/ 1 3))", CN, Fraction(2, 3)),
         ("0", CZ, None),
         ("(- 3 3)", CZ, None),
         ("(* 2 0)", CZ, None),
@@ -70,11 +74,17 @@ def test_fold_literal():
     assert fold_literal(divisor_of("x")) is None
 
 
-@given(strategies.literal_terms)
+@given(st.one_of(strategies.literal_terms, strategies.int_literal_terms))
 def test_fold_literal_is_what_fold_term_folds_to(term):
+    """Folding keeps the value, and leaves only literals that print as
+    one literal of their sort: an integer for Int, a decimal for Real."""
+
     folded = fold_term(term)
-    numeric = type(folded) is Const and type(folded.value) is not bool
-    assert fold_literal(term) == (folded.value if numeric else None)
+    assert fold_literal(folded) == fold_literal(term)
+    for t in subterms(folded):
+        if type(t) is Const:
+            text = format_rational(abs(t.value))
+            assert "(" not in text and (t.sort is Sort.REAL or "." not in text)
 
 
 def test_nested_divisions_in_source_order():

@@ -1,18 +1,11 @@
 import json
 import re
-import sys
 import warnings
 
 import pytest
 
-from nradiv import emit_nonzero_vcs, parse_script, print_script
+from nradiv import count_divisions, emit_nonzero_vcs, parse_script, print_script
 from nradiv.cli import main
-
-
-def fake_solver(tmp_path, answer: str) -> str:
-    path = tmp_path / "solver.py"
-    path.write_text(f'import sys\nsys.stdin.read()\nprint("{answer}")\n')
-    return f"{sys.executable} {path}"
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +219,31 @@ def test_transform_totalize_fold(tmp_path, capsys):
     assert "divisions 1 -> 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text,folded",
+    [
+        ("(set-logic QF_NIA)(declare-fun x () Int)(assert (> x (/ 2 5)))", "(/ 2 5)"),
+        ("(set-logic QF_NIA)(declare-fun x () Int)(assert (> x (/ 4 2)))", "2"),
+        ("(declare-fun x () Real)(assert (> x (/ 2 3)))", "(/ 2 3)"),
+        ("(declare-fun x () Real)(assert (> x (/ 2 5)))", "0.4"),
+        ("(declare-fun x () Real)(assert (> x (+ (/ 1 3) (/ 1 3))))", "(+ (/ 1 3) (/ 1 3))"),
+    ],
+)
+def test_transform_fold_prints_what_its_summary_counts(tmp_path, capsys, text, folded):
+    """A quotient is folded only where one literal of its sort spells it, so
+    the output parses back to itself and holds the divisions it reports."""
+
+    src = tmp_path / "in.smt2"
+    src.write_text(text)
+    assert main(["transform", "totalize", "--fold", str(src)]) == 0
+    out, err = capsys.readouterr()
+    assert f"(assert (> x {folded}))" in out
+    again = parse_script(out)
+    assert print_script(again) == out
+    reported = int(re.search(r"divisions \d+ -> (\d+)$", err).group(1))
+    assert reported == sum(count_divisions(again).values())
+
+
 def test_transform_totalize_value_and_style(tmp_path, capsys):
     src = tmp_path / "in.smt2"
     src.write_text(
@@ -339,44 +357,6 @@ def test_transform_rejects_unknown_pass(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["transform", "mystery", str(tmp_path / "x.smt2")])
     assert info.value.code == 2
-
-
-# ---------------------------------------------------------------------------
-# solve
-
-
-def test_solve_success(corpus_dir, tmp_path, capsys):
-    cmd = fake_solver(tmp_path, "sat")
-    path = str(corpus_dir / "poly_simple.smt2")
-    assert main(["solve", path, "--solver", cmd]) == 0
-    out = capsys.readouterr().out
-    assert re.fullmatch(r"sat \(\d+\.\d{3}s\)\n", out)
-
-
-def test_solve_streams_any_file(corpus_dir, tmp_path, capsys):
-    # solve never parses; even a malformed script is piped through
-    cmd = fake_solver(tmp_path, "unknown")
-    path = str(corpus_dir / "malformed_unbalanced.smt2")
-    assert main(["solve", path, "--solver", cmd]) == 0
-    assert capsys.readouterr().out.startswith("unknown")
-
-
-def test_solve_error_output(tmp_path, capsys):
-    cmd = fake_solver(tmp_path, "boom: unsupported logic")
-    src = tmp_path / "in.smt2"
-    src.write_text("(assert true)\n")
-    assert main(["solve", str(src), "--solver", cmd]) == 70
-    captured = capsys.readouterr()
-    assert captured.out.startswith("error (")
-    assert "boom: unsupported logic" in captured.err
-
-
-def test_solve_missing_solver(tmp_path, capsys):
-    src = tmp_path / "in.smt2"
-    src.write_text("(assert true)\n")
-    missing = str(tmp_path / "no-such-binary")
-    assert main(["solve", str(src), "--solver", missing]) == 70
-    assert "cannot run solver" in capsys.readouterr().err
 
 
 def test_deeply_nested_metadata_and_unsupported_commands_pass_through(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from nradiv import (
     DecodeError,
     EncodeError,
-    EncodeMode,
     EvalError,
     IntFormula,
     Sort,
@@ -19,7 +18,6 @@ from nradiv import (
     print_script,
     replace_uf_with_div0,
 )
-from nradiv.encoder import DIV_BY_ZERO_MARKER
 from nradiv.terms import Apply, Const, Div, Ite, add, const, eq, free_vars, var
 
 
@@ -38,30 +36,29 @@ DIV0_BASE = "(forall ((x Real)) (=> (and (<= 0 x) (< x 1)) (= (/ x 0) 0)))"
 
 
 def test_floor_axioms_uf_text():
-    ax = floor_axioms(EncodeMode.UF)
+    ax = floor_axioms()
     assert format_term(ax.shift_axiom) == UF_SHIFT
     assert format_term(ax.base_axiom) == UF_BASE
-    assert ax.f_name == "f"
 
 
 def test_floor_axioms_div0_text():
-    ax = floor_axioms(EncodeMode.DIV0)
-    assert format_term(ax.shift_axiom) == DIV0_SHIFT
-    assert format_term(ax.base_axiom) == DIV0_BASE
-    assert ax.f_name == DIV_BY_ZERO_MARKER
+    ax = floor_axioms()
+    assert format_term(replace_uf_with_div0(ax.shift_axiom, "f")) == DIV0_SHIFT
+    assert format_term(replace_uf_with_div0(ax.base_axiom, "f")) == DIV0_BASE
 
 
-def test_div0_axioms_are_uf_axioms_with_division_spelling():
-    uf = floor_axioms(EncodeMode.UF)
-    d0 = floor_axioms(EncodeMode.DIV0)
-    assert replace_uf_with_div0(uf.shift_axiom, "f") == d0.shift_axiom
-    assert replace_uf_with_div0(uf.base_axiom, "f") == d0.base_axiom
+def test_div0_axioms_are_uf_axioms_with_division_spelling(cubic_sum_formula):
+    ax = floor_axioms()
+    d0 = encode_via_div0(cubic_sum_formula).script
+    assert d0.assertions[:2] == (
+        replace_uf_with_div0(ax.shift_axiom, "f"),
+        replace_uf_with_div0(ax.base_axiom, "f"),
+    )
 
 
 def test_encode_uf_structure(cubic_sum_formula):
     problem = encode_integer_formula(cubic_sum_formula)
     s = problem.script
-    assert problem.mode is EncodeMode.UF
     assert s.logic == "UFNRA"
     assert [d.name for d in s.decls] == ["f", "a", "b", "c"]
     assert s.decls[0].params == (Sort.REAL,)
@@ -183,6 +180,17 @@ def test_int_formula_rejects_an_application_that_misstates_its_sort():
     assert str(excinfo.value) == "literal true has sort Int, not Bool"
     with pytest.raises(EncodeError) as excinfo:  # reported after every earlier fault
         IntFormula(("a",), eq(add(a, claims_int), Apply("-", (a, const(True)), Sort.INT)))
+    assert str(excinfo.value) == "'-' expects numeric arguments, got Bool"
+
+
+def test_int_formula_rejects_a_numeric_literal_that_is_not_a_fraction():
+    a = ivar("a")
+    plain_int = Const(2, Sort.INT)  # the parser and `const` never build one
+    with pytest.raises(EncodeError) as excinfo:
+        IntFormula(("a",), eq(add(a, plain_int), iconst(3)))
+    assert str(excinfo.value) == "literal 2 is not a Fraction"
+    with pytest.raises(EncodeError) as excinfo:  # reported after every earlier fault
+        IntFormula(("a",), eq(add(a, plain_int), Apply("-", (a, const(True)), Sort.INT)))
     assert str(excinfo.value) == "'-' expects numeric arguments, got Bool"
 
 

@@ -248,8 +248,7 @@ def test_lift_structure():
     result = lift_to_uf(s)
     assert result.div_symbol == "udiv"
     assert result.script.logic == "QF_UFNRA"
-    assert result.guard_axiom == division_axiom("udiv")
-    assert result.script.assertions[-1] == result.guard_axiom
+    assert result.script.assertions[-1] == division_axiom(result.div_symbol)
     assert format_term(result.script.assertions[0]) == "(= (udiv x y) 1)"
     decl = result.script.decl_map()["udiv"]
     assert decl.params == (Sort.REAL, Sort.REAL) and decl.result is Sort.REAL
@@ -264,7 +263,7 @@ def test_lift_no_divisions_is_identity():
     s = parse_script("(set-logic QF_NRA)(declare-fun x () Real)(assert (= x 1))")
     result = lift_to_uf(s)
     assert result.script == s
-    assert result.div_symbol is None and result.guard_axiom is None
+    assert result.div_symbol is None
 
 
 def test_lift_avoids_name_collision():
