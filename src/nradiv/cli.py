@@ -9,6 +9,7 @@ other failure exits 70, on every command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -236,8 +237,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use rather than at import."""
+
+    return build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         if args.func in _TAKES_SCRIPT:
             try:

@@ -75,7 +75,8 @@ class IntFormula:
             match t:
                 case Const(value, sort):
                     if not isinstance(value, bool) and (
-                        sort is not Sort.INT or value.denominator != 1
+                        sort is not Sort.INT
+                        or isinstance(value, Fraction) and value.denominator != 1
                     ):
                         raise EncodeError(f"non-Int literal {value} in body")
                 case Var(name, sort):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import count, product, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetExceededError, EvalError
@@ -225,37 +225,57 @@ def check_axiom_samples(
 
 
 # ---------------------------------------------------------------------------
-# Compiling an integer body to a Python function.
+# Compiling an integer body, and the search over a box, to Python functions.
 
 # Operands per statement of a long `+ - * and or`: Python's compiler
 # nests `a + b + c` one level per operand and gives up near 3000.
 _FOLD_CHUNK = 64
 
+# Loops in one compiled search.  CPython refuses more than 20 statically
+# nested blocks, so `itertools.product` drives the variables before the
+# last `_NEST_DEPTH` around the compiled loops.
+_NEST_DEPTH = 10
 
-def compile_int_body(formula: IntFormula) -> Callable[..., bool]:
+
+def compile_int_body(formula: IntFormula, loops: int = 0) -> Callable:
     """Compile an integer body to a function over plain `int`s.
 
-    The function takes one `int` per name in `formula.variables`, in
-    order, and returns what `eval_term` returns at that point.  Its
-    source has one statement per distinct node, shared subterms computed
-    once, and names only the parameters `v0, v1, ...`, temporaries `t0,
-    t1, ...` and `repr`s of literals, so no symbol name reaches the
-    source and no term depth nests in it.  Nothing is checked here:
-    `IntFormula` has checked every node, variable and sort of the body.
+    With `loops` 0 the function takes one `int` per name in
+    `formula.variables`, in order, and returns what `eval_term` returns
+    at that point.  With `loops` k, 0 < k <= `_NEST_DEPTH`, it loops
+    over the last k variables: it takes one `int` per other variable,
+    then one iterable of `int`s per looped variable, and returns the
+    looped values at the first point, in lexicographic order, where the
+    body holds, or None.
+
+    The source has one statement per distinct node, so shared subterms
+    are computed once, and each statement sits in the outermost loop
+    where every variable it reads is bound: `(* a a a)` is computed once
+    per value of `a`.  It names only the variables `v0, v1, ...`, their
+    iterables `r0, r1, ...`, temporaries `t0, t1, ...` and `repr`s of
+    literals, so no symbol name reaches the source and no term depth
+    nests in it.  Nothing is checked here: `IntFormula` has checked every
+    node, variable and sort of the body.
     """
 
-    params = {name: f"v{i}" for i, name in enumerate(formula.variables)}
-    lines: list[str] = []
+    first = len(formula.variables) - loops  # index of the outermost looped variable
+    # Each variable's name in the source, and the depth of the loop that binds it.
+    params = {name: (f"v{i}", max(0, i + 1 - first)) for i, name in enumerate(formula.variables)}
+    levels: list[list[str]] = [[] for _ in range(loops + 1)]  # statements per depth
+    temps = count()
 
-    def compiled(node: Term, exprs: list[str]) -> str:
+    def compiled(node: Term, args: list[tuple[str, int]]) -> tuple[str, int]:
         t = type(node)
         if t is Var:
             return params[node.name]
         if t is Const:
             value = node.value
-            return repr(value if isinstance(value, bool) else value.numerator)
+            return repr(value if isinstance(value, bool) else value.numerator), 0
         op = node.op
-        temp = f"t{len(lines)}"
+        exprs = [expr for expr, _ in args]
+        depth = max([d for _, d in args], default=0)
+        lines = levels[depth]
+        temp = f"t{next(temps)}"
         if OPS[op].shape == "fold" and len(exprs) > _FOLD_CHUNK:
             lines.append(f"{temp} = {op_source(op, exprs[:_FOLD_CHUNK])}")
             for i in range(_FOLD_CHUNK, len(exprs), _FOLD_CHUNK - 1):
@@ -263,16 +283,25 @@ def compile_int_body(formula: IntFormula) -> Callable[..., bool]:
                 lines.append(f"{temp} = {op_source(op, [temp] + rest)}")
         else:
             lines.append(f"{temp} = {op_source(op, exprs)}")
-        return temp
+        return temp, depth
 
-    result = dag_fold(formula.body, compiled)
-    source = "".join(
-        [f"def body({', '.join(params.values())}):\n"]
-        + [f"    {line}\n" for line in lines]
-        + [f"    return {result}\n"]
-    )
+    result, _ = dag_fold(formula.body, compiled)
+    looped = range(first, len(formula.variables))
+    inputs = [f"v{i}" for i in range(first)] + [f"r{i}" for i in looped]
+    source = [f"def body({', '.join(inputs)}):\n"]
+    for depth, lines in enumerate(levels):
+        pad = "    " * (depth + 1)
+        if depth:
+            i = first + depth - 1
+            source.append(f"{pad[4:]}for v{i} in r{i}:\n")
+        source += [f"{pad}{line}\n" for line in lines]
+    if loops:
+        witness = ", ".join(f"v{i}" for i in looped)
+        source.append(f"{pad}if {result}:\n{pad}    return ({witness},)\n")
+    else:
+        source.append(f"{pad}return {result}\n")
     namespace: dict = {"__builtins__": {}}
-    exec(compile(source, "<integer body>", "exec"), namespace)
+    exec(compile("".join(source), "<integer body>", "exec"), namespace)
     return namespace["body"]
 
 
@@ -286,21 +315,45 @@ def brute_force_int_sat(
     """First integer witness of `formula` with all |values| <= bound.
 
     Assignments are enumerated in lexicographic order over the variable
-    list, each coordinate running from -bound to bound.  Returns None
-    when no assignment in the box satisfies the body; raises
-    BudgetExceededError after `budget` assignments.  The body is
-    compiled once by `compile_int_body` and called on plain ints.
+    list, each coordinate running from -bound to bound.  Returns the
+    first one that satisfies the body; raises BudgetExceededError when
+    none of the first `budget` assignments does and the box holds more;
+    returns None otherwise.  The search is one function compiled by
+    `compile_int_body`, looping over the last `_NEST_DEPTH` variables at
+    most; `itertools.product` drives the ones before them.  The budget
+    costs nothing per point: the first `budget` points of the box are
+    cut into sub-boxes before the search starts.
     """
 
     names = formula.variables
-    holds = compile_int_body(formula)
-    steps = 0
-    for combo in product(range(-bound, bound + 1), repeat=len(names)):
-        steps += 1
-        if budget is not None and steps > budget:
-            raise BudgetExceededError(
-                f"gave up after {budget} assignments (bound {bound}, {len(names)} variables)"
-            )
-        if holds(*combo) is True:
-            return dict(zip(names, combo))
+    n = len(names)
+    loops = min(n, _NEST_DEPTH)
+    side = range(-bound, bound + 1)
+    size = len(side) ** n
+    allowed = size if budget is None else min(max(budget, 0), size)
+    if allowed == size:
+        boxes = [[side] * n]
+    else:
+        # The points before point number `allowed` (from 0) are, in order,
+        # those that agree with it before coordinate i and lie below it at
+        # coordinate i, for i = 0, 1, ..., n - 1.
+        stop = [allowed // len(side) ** (n - 1 - i) % len(side) - bound for i in range(n)]
+        boxes = [
+            [range(c, c + 1) for c in stop[:i]] + [range(-bound, stop[i])] + [side] * (n - 1 - i)
+            for i in range(n)
+        ]
+    if loops:
+        search = compile_int_body(formula, loops)
+    else:  # no variable to loop over: the body at the box's one point
+        body = compile_int_body(formula)
+        search = lambda: () if body() else None
+    for box in boxes:
+        for head in product(*box[: n - loops]):
+            tail = search(*head, *box[n - loops :])
+            if tail is not None:
+                return dict(zip(names, head + tail))
+    if allowed < size:
+        raise BudgetExceededError(
+            f"gave up after {budget} assignments (bound {bound}, {n} variables)"
+        )
     return None

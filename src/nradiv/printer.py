@@ -119,6 +119,10 @@ def _format_leaf(term: Term, point: bool) -> str | None:
         value = term.value
         if isinstance(value, bool):
             return "true" if value else "false"
+        if type(value) is not Fraction:
+            # A hand-built `int` or `float`: `IntFormula` rejects one, and
+            # its messages print the term that holds it.
+            value = Fraction(value)
         return format_rational(value, point and term.sort is Sort.REAL)
     return None
 

@@ -145,8 +145,9 @@ int_bodies = st.recursive(_int_atoms, _extend_int_bool, max_leaves=6)
 @st.composite
 def rough_int_bodies(draw) -> Term:
     """An `int_bodies` body with one or two nodes replaced by hand, past
-    every constructor's check: by a Real or Int literal, a variable that
-    may be the unlisted `d`, a division, an `ite`, an application of a
+    every constructor's check: by a Real or Int literal, its value a
+    `Fraction`, a plain `int` or a `float`; by a variable that may be the
+    unlisted `d`; by a division, an `ite`, an application of a
     builtin or of a declared `g` to any number of arguments, or the node
     itself stating another sort.  Each new piece states the replaced
     node's sort, or any other."""
@@ -158,7 +159,7 @@ def rough_int_bodies(draw) -> Term:
         sort = draw(st.sampled_from([target.sort, target.sort, *Sort]))
         kind = draw(st.sampled_from(("literal", "literal", "var", "div", "ite", "apply", "resort")))
         if kind == "literal":
-            new: Term = Const(draw(st.sampled_from([Fraction(2), 2, Fraction(1, 2), True, False])), sort)
+            new: Term = Const(draw(st.sampled_from([Fraction(2), 2, 0.5, Fraction(1, 2), True, False])), sort)
         elif kind == "var":
             new = Var(draw(st.sampled_from(INT_POOL + ("d",))), sort)
         elif kind == "div":

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from nradiv import count_divisions, emit_nonzero_vcs, parse_script, print_script
+from nradiv import cli, count_divisions, emit_nonzero_vcs, parse_script, print_script
 from nradiv.cli import main
 
 
@@ -370,3 +370,38 @@ def test_deeply_nested_metadata_and_unsupported_commands_pass_through(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == text
     assert captured.err == "[totalize] nodes 0 -> 0; divisions 0 -> 0\n"
+
+
+# ---------------------------------------------------------------------------
+# One argument parser per process
+
+
+def test_main_reuses_one_parser_and_no_flag_carries_over(tmp_path, capsys):
+    src = tmp_path / "in.smt2"
+    src.write_text("(declare-fun a () Real)(assert (= (/ a 0) a))\n")
+    calls = [
+        ["classify", "--json", str(src)],
+        ["classify", str(src)],
+        ["classify", "--no-such-flag", str(src)],
+        ["transform", "totalize", "--fold", str(src)],
+        ["transform", "totalize", str(src)],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    first = []  # each call as the first of its process
+    for argv in calls:
+        cli._arg_parser.cache_clear()
+        first.append(run(argv))
+    cli._arg_parser.cache_clear()
+    assert [run(argv) for argv in calls] == first
+    assert cli._arg_parser() is cli._arg_parser()
+    assert first[2][:2] == (2, "")
+    assert first[2][2].endswith("error: unrecognized arguments: --no-such-flag\n")
+    assert first[0][1] != first[1][1] and first[3][1] != first[4][1]
+    assert cli.build_arg_parser() is not cli.build_arg_parser()

@@ -185,13 +185,17 @@ def test_int_formula_rejects_an_application_that_misstates_its_sort():
 
 def test_int_formula_rejects_a_numeric_literal_that_is_not_a_fraction():
     a = ivar("a")
-    plain_int = Const(2, Sort.INT)  # the parser and `const` never build one
-    with pytest.raises(EncodeError) as excinfo:
-        IntFormula(("a",), eq(add(a, plain_int), iconst(3)))
-    assert str(excinfo.value) == "literal 2 is not a Fraction"
-    with pytest.raises(EncodeError) as excinfo:  # reported after every earlier fault
-        IntFormula(("a",), eq(add(a, plain_int), Apply("-", (a, const(True)), Sort.INT)))
-    assert str(excinfo.value) == "'-' expects numeric arguments, got Bool"
+    for value in (2, 0.5):  # the parser and `const` never build either
+        literal = Const(value, Sort.INT)
+        with pytest.raises(EncodeError) as excinfo:
+            IntFormula(("a",), eq(add(a, literal), iconst(3)))
+        assert str(excinfo.value) == f"literal {value} is not a Fraction"
+        with pytest.raises(EncodeError) as excinfo:  # reported after every earlier fault
+            IntFormula(("a",), eq(add(a, literal), Apply("-", (a, const(True)), Sort.INT)))
+        assert str(excinfo.value) == "'-' expects numeric arguments, got Bool"
+        with pytest.raises(EncodeError) as excinfo:  # the earlier fault prints the literal
+            IntFormula(("a",), eq(Div(literal, a, Sort.INT), iconst(3)))
+        assert str(excinfo.value) == f"construct not allowed in an integer body: (/ {value} a)"
 
 
 def test_int_formula_accepts_deep_bodies():

@@ -27,7 +27,7 @@ from nradiv import (
 )
 from nradiv.evaluator import compile_int_body
 from nradiv.passes import fold_term
-from nradiv.terms import OPS, Apply, Sort, add, arity_error, const, eq, mul, sub, var
+from nradiv.terms import OPS, Apply, Sort, add, arity_error, const, eq, lt, mul, sub, var
 
 
 def term_of(text: str, decls: str = "(declare-fun a () Real)(declare-fun b () Real)"):
@@ -280,6 +280,7 @@ def test_int_formula_guards_the_compiler(body):
     except EncodeError:
         return
     assert_compiles_to_interpreter(formula)
+    assert brute_force_int_sat(formula, 1) == reference_brute_force(formula, 1)
 
 
 def reference_brute_force(formula, bound, budget=10_000_000):
@@ -307,13 +308,55 @@ def outcome(search, *args):
 @given(
     strategies.int_bodies,
     st.integers(0, 2),
-    st.one_of(st.none(), st.integers(0, 130)),
+    st.one_of(
+        st.none(),
+        st.integers(0, 130),
+        st.sampled_from(("0", "box - 1", "box", "box + 1")),
+    ),
 )
 def test_brute_force_matches_reference_loop(body, bound, budget):
     formula = IntFormula(strategies.INT_POOL, body)
+    if isinstance(budget, str):
+        box = (2 * bound + 1) ** len(strategies.INT_POOL)
+        budget = {"0": 0, "box - 1": box - 1, "box": box, "box + 1": box + 1}[budget]
     assert outcome(brute_force_int_sat, formula, bound, budget) == outcome(
         reference_brute_force, formula, bound, budget
     )
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+@pytest.mark.parametrize("n", [25, 100])
+def test_brute_force_searches_any_number_of_variables(n, bound):
+    """More variables than Python can nest loops for."""
+
+    names = tuple(f"x{i}" for i in range(n))
+    total = add(*[var(name, Sort.INT) for name in names])
+    first_point = IntFormula(names, eq(total, const(-bound * n, Sort.INT)))
+    assert brute_force_int_sat(first_point, bound) == dict.fromkeys(names, -bound)
+    odd = IntFormula(names, eq(mul(const(2, Sort.INT), total), const(1, Sort.INT)))
+    for budget in (0, 5 * bound):  # each less than the box
+        got = outcome(brute_force_int_sat, odd, bound, budget)
+        assert got[0] == "budget" and got == outcome(reference_brute_force, odd, bound, budget)
+
+
+def test_brute_force_over_variables_the_body_never_mentions():
+    a, b = var("a", Sort.INT), var("b", Sort.INT)
+    true = eq(const(1, Sort.INT), const(1, Sort.INT))
+    false = eq(const(0, Sort.INT), const(1, Sort.INT))
+    cases = [
+        (("a",), true),
+        (("a",), false),
+        (("a", "b"), eq(mul(a, a), const(4, Sort.INT))),
+        (("a", "b"), eq(mul(b, b), const(4, Sort.INT))),
+        (("a", "b"), lt(b, const(-5, Sort.INT))),
+    ]
+    for names, body in cases:
+        formula = IntFormula(names, body)
+        for budget in (None, 0, 3, 40):
+            assert outcome(brute_force_int_sat, formula, 3, budget) == outcome(
+                reference_brute_force, formula, 3, budget
+            )
+    assert brute_force_int_sat(IntFormula(("a", "b"), cases[2][1]), 3) == {"a": -2, "b": -3}
 
 
 def test_compiled_body_has_no_depth_limit():
@@ -321,16 +364,21 @@ def test_compiled_body_has_no_depth_limit():
     t = a
     for _ in range(5000):
         t = add(t, const(1, Sort.INT))
-    holds = compile_int_body(IntFormula(("a",), eq(t, const(5003, Sort.INT))))
+    formula = IntFormula(("a",), eq(t, const(5003, Sort.INT)))
+    holds = compile_int_body(formula)
     assert holds(3) is True and holds(2) is False
+    assert brute_force_int_sat(formula, 3) == {"a": 3}
+    assert brute_force_int_sat(formula, 2) is None
 
 
 def test_compiled_body_handles_wide_applications():
     a = var("a", Sort.INT)
     wide = eq(sub(*[a] * 5000), mul(a, const(-4998, Sort.INT)))
-    holds = compile_int_body(IntFormula(("a",), wide))
+    formula = IntFormula(("a",), wide)
+    holds = compile_int_body(formula)
     for x in (-2, 0, 3):
         assert holds(x) is eval_term(wide, {"a": Fraction(x)}) is True
+    assert brute_force_int_sat(formula, 2) == {"a": -2}
 
 
 def test_compiled_body_shares_repeated_subterms():
