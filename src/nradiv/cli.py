@@ -29,7 +29,7 @@ from .errors import NradivError, ScriptError
 from .evaluator import brute_force_int_sat
 from .parser import parse_script
 from .passes import TotalizeConfig, TotalizeStyle, lift_to_uf, totalize
-from .printer import print_script
+from .printer import format_value, print_script
 from .report import render_report, scan_directory
 from .terms import (
     Div,
@@ -66,7 +66,7 @@ def _occurrence_line(occ) -> str:
     kind = occ.divisor_class.kind
     detail = str(kind)
     if kind is DivisorKind.CONSTANT_NONZERO:
-        detail += f" (value {occ.divisor_class.value})"
+        detail += f" (value {format_value(occ.divisor_class.value)})"
     if occ.under_quantifier:
         detail += ", under a quantifier"
     return f"  line {occ.loc.line} col {occ.loc.col}: {detail}"
@@ -85,7 +85,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                     "class": occ.divisor_class.kind.value,
                     "value": None
                     if occ.divisor_class.value is None
-                    else str(occ.divisor_class.value),
+                    else format_value(occ.divisor_class.value),
                     "under_quantifier": occ.under_quantifier,
                 }
                 for occ in verdict.occurrences
@@ -93,9 +93,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"{args.path}: {verdict.label}")
-        for occ in verdict.occurrences:
-            print(_occurrence_line(occ))
+        lines = [f"{args.path}: {verdict.label}", *map(_occurrence_line, verdict.occurrences)]
+        print("\n".join(lines))  # nothing is printed when a line fails
     return _VERDICT_EXIT[verdict.label]
 
 

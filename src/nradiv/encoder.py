@@ -71,37 +71,30 @@ class IntFormula:
         loose = free_vars(self.body) - names
         if loose:
             raise EncodeError(f"free variables not listed: {sorted(loose)}")
+        fault = None  # the first sort-rule fault, reported once every piece is allowed
         for t in distinct_subterms(self.body):
             match t:
                 case Const(value, sort):
-                    if not isinstance(value, bool) and (
-                        sort is not Sort.INT
-                        or isinstance(value, Fraction) and value.denominator != 1
-                    ):
+                    if sort is not Sort.BOOL and (sort is not Sort.INT or value.denominator != 1):
                         raise EncodeError(f"non-Int literal {value} in body")
                 case Var(name, sort):
                     if sort is not Sort.INT:
                         raise EncodeError(f"variable '{name}' must be Int, got {sort}")
-                case Apply(op, _, _):
+                case Apply(op, args, stated):
                     if op not in OPS:
                         raise EncodeError(f"operator '{op}' not allowed in an integer body")
+                    if fault is None:
+                        try:
+                            if (sort := result_sort(op, args)) is not stated:
+                                fault = f"'{op}' application has sort {stated}, not {sort}"
+                        except SortError as exc:
+                            fault = str(exc)
                 case _:
                     raise EncodeError(
                         f"construct not allowed in an integer body: {format_term(t)}"
                     )
-        for t in distinct_subterms(self.body):  # the sort rule, once every piece is allowed
-            if type(t) is Apply:
-                try:
-                    sort = result_sort(t.op, t.args)
-                except SortError as exc:
-                    raise EncodeError(str(exc)) from None
-                if sort is not t.sort:
-                    raise EncodeError(f"'{t.op}' application has sort {t.sort}, not {sort}")
-        for t in distinct_subterms(self.body):  # last, so earlier faults are reported first
-            if type(t) is Const and isinstance(t.value, bool) and t.sort is not Sort.BOOL:
-                raise EncodeError(f"literal {format_term(t)} has sort {t.sort}, not Bool")
-            if type(t) is Const and not isinstance(t.value, (bool, Fraction)):
-                raise EncodeError(f"literal {t.value!r} is not a Fraction")
+        if fault is not None:
+            raise EncodeError(fault)
 
     @staticmethod
     def from_script(script: Script) -> IntFormula:

@@ -329,7 +329,8 @@ def brute_force_int_sat(
     n = len(names)
     loops = min(n, _NEST_DEPTH)
     side = range(-bound, bound + 1)
-    size = len(side) ** n
+    width = max(2 * bound + 1, 0)  # `len(side)`, which overflows past `sys.maxsize`
+    size = width**n
     allowed = size if budget is None else min(max(budget, 0), size)
     if allowed == size:
         boxes = [[side] * n]
@@ -337,7 +338,7 @@ def brute_force_int_sat(
         # The points before point number `allowed` (from 0) are, in order,
         # those that agree with it before coordinate i and lie below it at
         # coordinate i, for i = 0, 1, ..., n - 1.
-        stop = [allowed // len(side) ** (n - 1 - i) % len(side) - bound for i in range(n)]
+        stop = [allowed // width ** (n - 1 - i) % width - bound for i in range(n)]
         boxes = [
             [range(c, c + 1) for c in stop[:i]] + [range(-bound, stop[i])] + [side] * (n - 1 - i)
             for i in range(n)
@@ -347,7 +348,7 @@ def brute_force_int_sat(
     else:  # no variable to loop over: the body at the box's one point
         body = compile_int_body(formula)
         search = lambda: () if body() else None
-    for box in boxes:
+    for box in filter(all, boxes):  # skip a sub-box with an empty range: `product` copies ranges
         for head in product(*box[: n - loops]):
             tail = search(*head, *box[n - loops :])
             if tail is not None:

@@ -22,6 +22,7 @@ binder of a name hides everything outside it (SMT-LIB 2.6 section 3.6).
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -416,17 +417,22 @@ class _ScriptBuilder:
             return self._quantifier(head, sx.items[1:])
         return self._application(head, sx.items[1:])
 
-    def _number(self, text: str) -> Fraction:
-        value = self.numbers.get(text)
+    def _number(self, sx: SAtom) -> Fraction:
+        value = self.numbers.get(sx.text)
         if value is None:
-            value = self.numbers[text] = Fraction(text)
+            whole, _, frac = sx.text.partition(".")
+            try:  # `int` refuses more digits than `sys.get_int_max_str_digits()`
+                value = self.numbers[sx.text] = Fraction(int(whole + frac), 10 ** len(frac))
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"literal has more than {limit} digits", sx.pos) from None
         return value
 
     def _atom_term(self, sx: SAtom) -> Term:
         if sx.kind == "numeral":
-            return Const(self._number(sx.text), numeral_sort(self.logic))
+            return Const(self._number(sx), numeral_sort(self.logic))
         if sx.kind == "decimal":
-            return Const(self._number(sx.text), Sort.REAL)
+            return Const(self._number(sx), Sort.REAL)
         if sx.kind != "symbol":
             raise ParseError(f"unexpected {sx.kind} in term position", sx.pos)
         name = sx.text

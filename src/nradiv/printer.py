@@ -12,8 +12,10 @@ is exact; only hand-built terms can hit the caveat.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
+from .errors import NradivError
 from .terms import (
     Apply,
     Const,
@@ -71,6 +73,16 @@ def has_literal(value: Fraction, sort: Sort) -> bool:
     return q == 1 or sort is Sort.REAL and _decimal_exponent(q) is not None
 
 
+def format_value(value: Fraction | int) -> str:
+    """`str(value)`; NradivError when it has more digits than CPython converts."""
+
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise NradivError(f"value too long to print: more than {limit} digits") from None
+
+
 def format_rational(value: Fraction, point: bool = False) -> str:
     """A rational as an SMT-LIB literal; with `point`, an integral value
     is written as a decimal, `1.0`, which reads as Real in every logic."""
@@ -78,11 +90,11 @@ def format_rational(value: Fraction, point: bool = False) -> str:
     if value < 0:
         return f"(- {format_rational(-value, point)})"
     if value.denominator == 1:
-        return f"{value.numerator}.0" if point else str(value.numerator)
+        return format_value(value) + ".0" * point
     s = _decimal_exponent(value.denominator)
     if s is None:
-        return f"(/ {value.numerator} {value.denominator})"
-    digits = str(value.numerator * 10**s // value.denominator).rjust(s + 1, "0")
+        return f"(/ {format_value(value.numerator)} {format_value(value.denominator)})"
+    digits = format_value(value.numerator * 10**s // value.denominator).rjust(s + 1, "0")
     return f"{digits[:-s]}.{digits[-s:]}"
 
 
@@ -116,14 +128,9 @@ def _format_leaf(term: Term, point: bool) -> str | None:
     if t is Var:
         return format_symbol(term.name)
     if t is Const:
-        value = term.value
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if type(value) is not Fraction:
-            # A hand-built `int` or `float`: `IntFormula` rejects one, and
-            # its messages print the term that holds it.
-            value = Fraction(value)
-        return format_rational(value, point and term.sort is Sort.REAL)
+        if term.sort is Sort.BOOL:
+            return "true" if term.value else "false"
+        return format_rational(term.value, point and term.sort is Sort.REAL)
     return None
 
 
@@ -147,7 +154,7 @@ def format_term(term: Term, numerals: Sort = Sort.REAL) -> str:
     texts: dict[int, str] = {}  # id(shared node) -> its text
     out: list[str] = []
     # Text, nodes, (id, start) at the end of a shared node's text, and the
-    # error of an unprintable operator, raised after its arguments' errors.
+    # error of an unprintable leaf, raised where the leaf stands.
     stack: list = [term]
     while stack:
         item = stack.pop()
@@ -162,8 +169,6 @@ def format_term(term: Term, numerals: Sort = Sort.REAL) -> str:
             out.append(text)
             texts[key] = text
             continue
-        if t is ValueError:
-            raise item
         if id(item) in texts:
             out.append(texts[id(item)])
             continue
@@ -171,10 +176,7 @@ def format_term(term: Term, numerals: Sort = Sort.REAL) -> str:
             stack.append((id(item), len(out)))
         stack.append(")")
         if t is Apply:
-            try:
-                out.append(f"({format_symbol(item.op)} ")
-            except ValueError as exc:
-                stack.append(exc)
+            out.append(f"({format_symbol(item.op)} ")
             args = item.args
         elif t is Div:
             out.append("(/ ")
@@ -186,15 +188,15 @@ def format_term(term: Term, numerals: Sort = Sort.REAL) -> str:
             binder = " ".join(f"({format_symbol(n)} {format_sort(s)})" for n, s in item.bound)
             out.append(f"({item.kind} ({binder}) ")
             args = (item.body,)
-        else:
-            raise TypeError(f"not a term: {item!r}")
+        else:  # a leaf's error: `_shared_nodes` has refused any other non-term
+            raise item
         # Arguments go on the stack last first; a leaf goes as its text,
         # joined to the space before it, or as the error it raised.
         for i in range(len(args) - 1, -1, -1):
             a = args[i]
             try:
                 leaf = _format_leaf(a, point)
-            except ValueError as exc:
+            except (ValueError, NradivError) as exc:
                 leaf, a = None, exc
             if leaf is None:
                 stack.append(a)

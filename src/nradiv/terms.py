@@ -28,8 +28,6 @@ class Sort(Enum):
         return self.value
 
 
-NUMERIC_SORTS = frozenset({Sort.REAL, Sort.INT})
-
 class OpMeaning(NamedTuple):
     """What a builtin operator computes, in terms of one Python operator.
 
@@ -217,6 +215,11 @@ def _frozen_delattr(self, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _bad_literal(value: object, sort: Sort) -> SortError:
+    kind = "bool" if sort is Sort.BOOL else "Fraction"
+    return SortError(f"{sort} literal must be a {kind}, not {type(value).__name__}")
+
+
 def _direct_init(cls: type) -> type:
     """Give a frozen, slotted dataclass an `__init__` with the same
     signature that stores each field through its slot descriptor.
@@ -226,11 +229,12 @@ def _direct_init(cls: type) -> type:
     Assignment and deletion still raise `FrozenInstanceError`, for every
     name: the dataclass's own frozen methods refer to the class that
     `slots=True` replaced, and raise `TypeError` for a name that is not a
-    field.
+    field.  A class's `_check`, when it has one, is a statement over the
+    parameters and the names in `env`, put before the first store.
     """
 
-    env: dict[str, object] = {}
-    params, body = [], []
+    env: dict[str, object] = {"Fraction": Fraction, "BOOL": Sort.BOOL, "bad_literal": _bad_literal}
+    params, body = [], [f"    {cls._check}\n"] if hasattr(cls, "_check") else []
     for f in fields(cls):
         env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
         if f.default is MISSING:
@@ -250,10 +254,12 @@ def _direct_init(cls: type) -> type:
 @_direct_init
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Const(Term):
-    """Literal: an exact rational (Real or Int sort) or a Boolean."""
+    """Literal: exactly a `Fraction` under Real or Int, a `bool` under Bool;
+    building one with any other value raises SortError."""
 
     value: Fraction | bool
     sort: Sort
+    _check = "if type(value) is not (bool if sort is BOOL else Fraction): raise bad_literal(value, sort)"
 
 
 @_direct_init
@@ -329,11 +335,7 @@ def numeral_sort(logic: str | None) -> Sort:
 
 
 def const(value: Fraction | int | bool, sort: Sort = Sort.REAL) -> Const:
-    if isinstance(value, bool):
-        return Const(value, Sort.BOOL)
-    if sort not in NUMERIC_SORTS:
-        raise SortError(f"numeric literal cannot have sort {sort}")
-    return Const(Fraction(value), sort)
+    return Const(value, Sort.BOOL) if isinstance(value, bool) else Const(Fraction(value), sort)
 
 
 def var(name: str, sort: Sort = Sort.REAL) -> Var:

@@ -145,12 +145,13 @@ int_bodies = st.recursive(_int_atoms, _extend_int_bool, max_leaves=6)
 @st.composite
 def rough_int_bodies(draw) -> Term:
     """An `int_bodies` body with one or two nodes replaced by hand, past
-    every constructor's check: by a Real or Int literal, its value a
-    `Fraction`, a plain `int` or a `float`; by a variable that may be the
-    unlisted `d`; by a division, an `ite`, an application of a
-    builtin or of a declared `g` to any number of arguments, or the node
-    itself stating another sort.  Each new piece states the replaced
-    node's sort, or any other."""
+    every constructor's check but that of `Const`: by a literal, `2` or
+    `1/2` under Real or Int and `true` or `false` under Bool; by a
+    variable that may be the unlisted `d`; by a division, an `ite`, an
+    application of a builtin or of a declared `g` to any number of
+    arguments, or the node itself stating another sort, a literal
+    keeping its kind.  Each new piece states the replaced node's sort,
+    or any other."""
 
     body = draw(int_bodies)
     for _ in range(draw(st.integers(1, 2))):
@@ -159,7 +160,8 @@ def rough_int_bodies(draw) -> Term:
         sort = draw(st.sampled_from([target.sort, target.sort, *Sort]))
         kind = draw(st.sampled_from(("literal", "literal", "var", "div", "ite", "apply", "resort")))
         if kind == "literal":
-            new: Term = Const(draw(st.sampled_from([Fraction(2), 2, 0.5, Fraction(1, 2), True, False])), sort)
+            values = [True, False] if sort is Sort.BOOL else [Fraction(2), Fraction(1, 2)]
+            new: Term = Const(draw(st.sampled_from(values)), sort)
         elif kind == "var":
             new = Var(draw(st.sampled_from(INT_POOL + ("d",))), sort)
         elif kind == "div":
@@ -173,8 +175,9 @@ def rough_int_bodies(draw) -> Term:
             new = Apply(target.op, target.args, sort)
         elif type(target) is Var:
             new = Var(target.name, sort)
-        elif type(target) is Const:
-            new = Const(target.value, sort)
+        elif type(target) is Const:  # a literal keeps its kind: Bool, or Real or Int
+            kept = (sort is Sort.BOOL) == (target.sort is Sort.BOOL)
+            new = Const(target.value, sort if kept else target.sort)
         else:  # a division or an `ite` put in before
             new = target
         body = dag_rewrite(body, lambda t: new if t is target else t)

@@ -171,6 +171,42 @@ def test_non_ascii_digit_exits_65(tmp_path, capsys):
     assert "unexpected character" in one_line_error(capsys)
 
 
+def test_a_literal_of_more_digits_than_python_converts_exits_65(tmp_path, capsys):
+    """CPython converts at most 4,300 digits between `int` and text by
+    default; a numeral, or a decimal's digits together, past that is the
+    input's fault, located at the literal, and `scan` records it."""
+
+    for i, literal in enumerate(("1" * 5000, "1" * 3000 + "." + "1" * 3000)):
+        path = tmp_path / f"long{i}.smt2"
+        path.write_text(f"(declare-fun x () Real)\n(assert (= x {literal}))\n")
+        for argv in (["classify"], ["transform", "totalize"]):
+            assert main([*argv, str(path)]) == 65
+            assert one_line_error(capsys) == (
+                "error: literal has more than 4300 digits (line 2, column 14)\n"
+            )
+    capsys.readouterr()
+    assert main(["scan", str(tmp_path)]) == 0
+    records = json.loads(capsys.readouterr().out)["files"]
+    assert [r["status"] for r in records] == ["parse-error", "parse-error"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["transform", "totalize", "--fold"], "(assert (= x (* d d)))"),
+        (["classify"], "(assert (= 1 (/ x (* d d))))"),
+        (["classify", "--json"], "(assert (= 1 (/ x (* d d))))"),
+    ],
+)
+def test_a_computed_value_too_long_to_print_exits_70(tmp_path, capsys, argv, text):
+    """`d` has 3,000 digits, so it prints, and `(* d d)` 6,000."""
+
+    path = tmp_path / "square.smt2"
+    path.write_text("(declare-fun x () Real)\n" + text.replace("d", "7" * 3000) + "\n")
+    assert main([*argv, str(path)]) == 70
+    assert capsys.readouterr() == ("", "error: value too long to print: more than 4300 digits\n")
+
+
 # ---------------------------------------------------------------------------
 # scan
 

@@ -174,28 +174,10 @@ def test_int_formula_rejects_an_application_that_misstates_its_sort():
     with pytest.raises(EncodeError) as excinfo:
         IntFormula(("a", "b"), body)
     assert str(excinfo.value) == "'+' application has sort Bool, not Int"
-    claims_int = Const(True, Sort.INT)  # a Boolean literal that claims Int
-    with pytest.raises(EncodeError) as excinfo:
-        IntFormula(("a",), eq(add(a, claims_int), a))
-    assert str(excinfo.value) == "literal true has sort Int, not Bool"
-    with pytest.raises(EncodeError) as excinfo:  # reported after every earlier fault
-        IntFormula(("a",), eq(add(a, claims_int), Apply("-", (a, const(True)), Sort.INT)))
-    assert str(excinfo.value) == "'-' expects numeric arguments, got Bool"
-
-
-def test_int_formula_rejects_a_numeric_literal_that_is_not_a_fraction():
-    a = ivar("a")
-    for value in (2, 0.5):  # the parser and `const` never build either
-        literal = Const(value, Sort.INT)
-        with pytest.raises(EncodeError) as excinfo:
-            IntFormula(("a",), eq(add(a, literal), iconst(3)))
-        assert str(excinfo.value) == f"literal {value} is not a Fraction"
-        with pytest.raises(EncodeError) as excinfo:  # reported after every earlier fault
-            IntFormula(("a",), eq(add(a, literal), Apply("-", (a, const(True)), Sort.INT)))
-        assert str(excinfo.value) == "'-' expects numeric arguments, got Bool"
-        with pytest.raises(EncodeError) as excinfo:  # the earlier fault prints the literal
-            IntFormula(("a",), eq(Div(literal, a, Sort.INT), iconst(3)))
-        assert str(excinfo.value) == f"construct not allowed in an integer body: (/ {value} a)"
+    later = Apply("and", (Apply("+", (a, b), Sort.BOOL), eq(Div(a, b, Sort.INT), a)), Sort.BOOL)
+    with pytest.raises(EncodeError) as excinfo:  # a piece not allowed wins, wherever it is
+        IntFormula(("a", "b"), later)
+    assert str(excinfo.value) == "construct not allowed in an integer body: (/ a b)"
 
 
 def test_int_formula_accepts_deep_bodies():

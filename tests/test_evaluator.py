@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -337,6 +338,27 @@ def test_brute_force_searches_any_number_of_variables(n, bound):
     for budget in (0, 5 * bound):  # each less than the box
         got = outcome(brute_force_int_sat, odd, bound, budget)
         assert got[0] == "budget" and got == outcome(reference_brute_force, odd, bound, budget)
+
+
+def test_brute_force_copies_no_range_of_a_wide_box():
+    """A bound past `sys.maxsize` overflows nothing, and a budget cut
+    copies no whole range: of 12 variables, `itertools.product` drives two."""
+
+    names = tuple(f"x{i}" for i in range(12))
+    total = add(*[var(name, Sort.INT) for name in names])
+    odd = IntFormula(names, eq(mul(const(2, Sort.INT), total), const(1, Sort.INT)))
+    for bound in (10**6, 10**30):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as excinfo:
+                brute_force_int_sat(odd, bound, budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == f"gave up after 1000 assignments (bound {bound}, 12 variables)"
+        assert peak < 2**22
+    first_point = IntFormula(names, eq(total, const(-12 * 10**30, Sort.INT)))
+    assert brute_force_int_sat(first_point, 10**30, budget=1) == dict.fromkeys(names, -(10**30))
 
 
 def test_brute_force_over_variables_the_body_never_mentions():

@@ -159,12 +159,27 @@ def test_unprintable_symbols_are_reported_in_text_order():
 
     x = var("x")
     shared = add(x, var("p|q"))
-    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'p\|q'$"):
+    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'f\|g'$"):
         format_term(Apply("f|g", (shared, var("r|s"), shared), Sort.REAL))
+    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'h\|i'$"):
+        format_term(Apply("g", (Apply("h|i", (x,), Sort.REAL), var("j|k")), Sort.REAL))
     with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'f\|g'$"):
         format_term(Apply("f|g", (x, add(x, x)), Sort.REAL))
     with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'a\|b'$"):
         format_term(add(x, var("a|b"), var("c|d")))
+
+
+def test_a_value_too_long_to_print_is_reported_in_text_order():
+    from nradiv import NradivError
+    from nradiv.terms import add, var
+
+    x, bad, long = var("x"), var("a|b"), Const(Fraction(10**5000), Sort.REAL)
+    with pytest.raises(NradivError, match=r"^value too long to print: more than 4300 digits$"):
+        format_term(add(x, long, bad))
+    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'a\|b'$"):
+        format_term(add(x, bad, long))
+    with pytest.raises(NradivError, match=r"^value too long to print: more than 4300 digits$"):
+        format_rational(Fraction(1, 3**10000))
 
 
 def test_shared_subterms_print_once_per_occurrence():

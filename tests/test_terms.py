@@ -309,6 +309,23 @@ def test_constructors_raise_what_the_parser_raises(build, text):
     assert str(parsed.value).startswith(f"{built.value} (line 1, column ")
 
 
+def test_a_literal_holds_a_fraction_under_real_or_int_and_a_bool_under_bool():
+    """The one literal rule, checked where a `Const` is built."""
+
+    for value in (2, 0.5, float("nan"), float("inf"), True, "1"):
+        for sort in (Sort.INT, Sort.REAL):
+            want = f"^{sort} literal must be a Fraction, not {type(value).__name__}$"
+            with pytest.raises(SortError, match=want):
+                Const(value, sort)
+    for value in (Fraction(1), 1, "1"):
+        want = f"^Bool literal must be a bool, not {type(value).__name__}$"
+        with pytest.raises(SortError, match=want):
+            Const(value, Sort.BOOL)
+    assert const(2, Sort.INT) == Const(Fraction(2), Sort.INT)
+    assert type(const(2, Sort.INT).value) is Fraction
+    assert const(True) == Const(True, Sort.BOOL)
+
+
 def test_sort_errors_name_the_argument_to_blame():
     with pytest.raises(SortError) as excinfo:
         add(X, X, P)
