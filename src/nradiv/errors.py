@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class NradivError(Exception):
     """Base class for every error raised by this package."""
+
+
+def value_too_long() -> NradivError:
+    """The error for a number of more digits than `sys.get_int_max_str_digits()`."""
+
+    limit = sys.get_int_max_str_digits()
+    return NradivError(f"value too long to print: more than {limit} digits")
 
 
 class ScriptError(NradivError):

@@ -1,8 +1,9 @@
 """SMT-LIB2 reader: one-pass scanner and s-expression reader, sort-checking builder.
 
-The reader matches one compiled pattern per token and builds s-expressions
-on an explicit stack; each keeps the offset at which it starts.  Numerals
-are ASCII digits only (SMT-LIB 2.6 section 3.1); other digits are rejected.
+The reader scans the text with one `findall` and builds s-expressions on
+an explicit stack: a list keeps the offset at which it starts, an atom is
+its token's text, and an error at an atom is located by reading again.
+Numerals are ASCII digits only (SMT-LIB 2.6 section 3.1).
 The term builder keeps its work on an explicit stack too, so depth has no
 limit, and checks builtin sorts with `terms.result_sort`, as constructors do.
 Only the positions that are shown become a line and column (`_loc`): a
@@ -65,32 +66,69 @@ _KNOWN_UNSUPPORTED_OPS = frozenset(
 )
 
 
-class SAtom(NamedTuple):
-    kind: str  # "symbol" | "keyword" | "numeral" | "decimal" | "string"
-    text: str
-    pos: int  # offset into the text
-
-
 class SList(NamedTuple):
-    items: tuple
+    items: tuple  # s-expressions: lists, and atoms, each its token's text
     pos: int  # offset of the "("
 
 
-# One token per match; the name of the group that matched is its kind.
-# The lookaheads keep `12.x` and `"a""` from reading as two tokens: a
-# decimal point must be followed by a digit, and `""` inside a string is an
-# escaped quote, never its end.  Where nothing matches, `_scan_error` says why.
+class _Atom(str):
+    """An atom of a located read: its text, and `pos`, its offset (an
+    attribute: a `str` subclass can hold no slots)."""
+
+
+# One token per match, blanks and comments included, so that the tokens of
+# a text that scans cleanly tile it.  The lookaheads keep `12.x` and `"a""`
+# from reading as two tokens: a decimal point must be followed by a digit,
+# and `""` inside a string is an escaped quote, never its end.  The
+# lookbehinds keep a digit run that fails to scan from being tried again at
+# each of its digits, so a failing scan stays linear.  An alternative that
+# can fail repeats a repeat only where each round starts with text the inner
+# one cannot match (the string's `""`): with no atomic groups (CPython 3.10),
+# a nest such as `(?:[ \t]+)*` backtracks exponentially on a bad character
+# after a long run of blanks.  Where nothing matches, `_scan_error` says why.
 _TOKEN = re.compile(
-    r"(?P<blank>(?:[ \t\r\n]+|;[^\n]*)+)"
-    r"|(?P<open>\()"
-    r"|(?P<close>\))"
-    rf"|(?P<symbol>{SIMPLE_SYMBOL.pattern})"
-    r"|(?P<decimal>[0-9]+\.[0-9]+)"
-    r"|(?P<numeral>[0-9]+)(?![.0-9])"
-    r"|\|(?P<quoted>[^|\\]*)\|"
-    rf"|:(?P<keyword>[{SIMPLE_SYMBOL_CHARS}]+)"
-    r'|"(?P<string>[^"]*(?:""[^"]*)*)"(?!")'
+    r"[ \t\r\n]+|;[^\n]*"
+    r"|\(|\)"
+    rf"|{SIMPLE_SYMBOL.pattern}"
+    r"|(?<![0-9])[0-9]+\.[0-9]+"
+    r"|(?<![0-9])[0-9]+(?![.0-9])"
+    r"|\|[^|\\]*\|"
+    rf"|:[{SIMPLE_SYMBOL_CHARS}]+"
+    r'|"[^"]*(?:""[^"]*)*"(?!")'
 )
+_GAP = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*")  # blanks and comments; never fails
+
+# An atom's kind is read from its first character: a digit starts a
+# numeral or a decimal, "|" a quoted symbol, '"' a string and ":" a
+# keyword; any other character starts a simple symbol.
+_DIGITS = "0123456789"
+_NOT_SYMBOL = frozenset(_DIGITS + '":')
+
+
+def _name(sx) -> str | None:
+    """The name of a symbol atom, a quoted one without its bars; None for
+    any other s-expression."""
+
+    if type(sx) is SList or sx[0] in _NOT_SYMBOL:
+        return None
+    return sx[1:-1] if sx[0] == "|" else sx
+
+
+def _pos(sx) -> int | None:
+    """Where `sx` starts: always known for a list, only in a located read for an atom."""
+
+    return getattr(sx, "pos", None)
+
+
+def _kind_and_text(atom: str) -> tuple[str, str]:
+    """How an error names a non-symbol atom: its kind and its value's text."""
+
+    c = atom[0]
+    if c == '"':
+        return "string", atom[1:-1].replace('""', '"')
+    if c == ":":
+        return "keyword", atom[1:]
+    return "decimal" if "." in atom else "numeral", atom
 
 
 def _loc(line_starts: list[int], pos: int) -> Loc:
@@ -116,91 +154,77 @@ def _scan_error(text: str, pos: int) -> ParseError:
             pos = text.find("\\", pos + 1, end)
     elif c == ":":
         message = "malformed keyword"
-    elif c in "0123456789":
+    elif c in _DIGITS:
         message = "malformed decimal literal"
     else:
         message = f"unexpected character {c!r}"
     return ParseError(message, pos)
 
 
-def _first_scan_error(text: str, pos: int) -> ParseError | None:
-    """The first lexical error at or after `pos`, if any."""
+def _read(text: str, located: bool = False) -> list:
+    """Scan and read `text` into top-level s-expressions.
 
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            return _scan_error(text, pos)
-        pos = m.end()
-    return None
-
-
-def _read(text: str) -> list[SAtom | SList]:
-    """Scan and read `text` into top-level s-expressions in one pass.
-
-    A lexical error anywhere in the text is reported before an unbalanced
-    bracket, as if the whole text had been tokenized first.  Errors carry
-    an offset, as s-expressions do.
+    One `findall` scans the whole text, so a lexical error anywhere is
+    reported before an unbalanced bracket.  Each atom is its token's text;
+    with `located`, an `_Atom` that also keeps its offset.  Errors carry
+    an offset, as lists do.
     """
 
-    forms: list[SAtom | SList] = []
+    tokens = _TOKEN.findall(text)
+    if sum(map(len, tokens)) != len(text):  # some character starts no token:
+        pos = 0  # find the first, token by token
+        while (m := _TOKEN.match(text, pos)) is not None:
+            pos = m.end()
+        raise _scan_error(text, pos)
+    forms: list = []
     items = forms
     stack: list[tuple[list, int]] = []  # (enclosing items, offset of the open list)
-    pos, size = 0, len(text)
-    match = _TOKEN.match
-    while pos < size:
-        m = match(text, pos)
-        if m is None:
-            raise _scan_error(text, pos)
-        kind = m.lastgroup
-        if kind == "open":
+    for token, pos in zip(tokens, accumulate(map(len, tokens), initial=0)):
+        c = token[0]
+        if c == "(":
             stack.append((items, pos))
             items = []
-        elif kind == "close":
+        elif c == ")":
             if not stack:
-                raise _first_scan_error(text, m.end()) or ParseError("unmatched ')'", pos)
+                raise ParseError("unmatched ')'", pos)
             outer, start = stack.pop()
             outer.append(SList(tuple(items), start))
             items = outer
-        elif kind == "quoted":
-            items.append(SAtom("symbol", m.group(kind), pos))
-        elif kind == "string":
-            items.append(SAtom("string", m.group(kind).replace('""', '"'), pos))
-        elif kind != "blank":
-            items.append(SAtom(kind, m.group(kind), pos))
-        pos = m.end()
+        elif c not in " \t\r\n;":
+            if located:
+                token = _Atom(token)
+                token.pos = pos
+            items.append(token)
     if stack:
         raise ParseError("unbalanced '(': input ended inside a list", stack[-1][1])
     return forms
 
 
-def render_sexpr(sx: SAtom | SList) -> str:
+def _render_atom(atom: str) -> str:
+    """An atom as spelled, but a quoted symbol whose name is simple without its bars."""
+
+    return format_symbol(atom[1:-1]) if atom[0] == "|" else atom
+
+
+def render_sexpr(sx) -> str:
     """Canonical one-line rendering, used for unsupported commands."""
 
     out: list[str] = []
-    stack: list = [sx]  # s-expressions and the literal text between them
+    # Lists, and the text of atoms and between them.
+    stack: list = [sx if type(sx) is SList else _render_atom(sx)]
     while stack:
         item = stack.pop()
-        match item:
-            case str():
-                out.append(item)
-            case SAtom("symbol", text, _):
-                out.append(format_symbol(text))
-            case SAtom("string", text, _):
-                escaped = text.replace('"', '""')
-                out.append(f'"{escaped}"')
-            case SAtom("keyword", text, _):
-                out.append(f":{text}")
-            case SAtom(_, text, _):
-                out.append(text)
-            case SList(items, _):
-                out.append("(")
-                stack.append(")")
-                for i in range(len(items) - 1, 0, -1):
-                    stack.append(items[i])
-                    stack.append(" ")
-                stack.extend(items[:1])
-            case _:
-                raise TypeError(f"not an s-expression: {item!r}")
+        if type(item) is not SList:
+            out.append(item)
+            continue
+        items = item.items
+        out.append("(")
+        stack.append(")")
+        for i in range(len(items) - 1, -1, -1):
+            x = items[i]
+            stack.append(x if type(x) is SList else _render_atom(x))
+            if i:
+                stack.append(" ")
     return "".join(out)
 
 
@@ -212,9 +236,10 @@ _SORTS = {s.value: s for s in Sort}
 
 
 def _parse_sort(sx) -> Sort:
-    if isinstance(sx, SAtom) and sx.kind == "symbol" and sx.text in _SORTS:
-        return _SORTS[sx.text]
-    raise _Unsupported()
+    sort = _SORTS.get(_name(sx))
+    if sort is None:
+        raise _Unsupported()
+    return sort
 
 
 class _Defined(NamedTuple):
@@ -227,27 +252,29 @@ class _Defined(NamedTuple):
     names: tuple[str, ...]  # of the parameters
     params: tuple[Sort, ...]  # their sorts, as in a FunDecl
     result: Sort
-    body: SAtom | SList | Term
+    body: str | SList | Term
     env: dict
     logic: str | None
     calls: dict
 
 
 def _symbols(sx) -> set[str]:
-    """Every symbol that occurs in `sx`."""
+    """The name of every symbol that occurs in `sx`."""
 
     names, stack = set(), [sx]
     while stack:
         x = stack.pop()
         if type(x) is SList:
             stack.extend(x.items)
-        elif x.kind == "symbol":
-            names.add(x.text)
+        else:
+            names.add(_name(x))
+    names.discard(None)
     return names
 
 
 class _ScriptBuilder:
-    def __init__(self, line_starts: list[int]) -> None:
+    def __init__(self, text: str, line_starts: list[int]) -> None:
+        self.text = text  # for the offset of a division's `/`
         self.line_starts = line_starts  # of the text, for `_loc`
         self.logic: str | None = None
         self.metadata: list[tuple[str, str]] = []
@@ -269,13 +296,11 @@ class _ScriptBuilder:
 
     def run(self, forms: list) -> Script:
         for form in forms:
-            if not isinstance(form, SList):
-                raise ParseError("expected a command", form.pos)
-            if not form.items or not (
-                isinstance(form.items[0], SAtom) and form.items[0].kind == "symbol"
-            ):
+            if type(form) is not SList:
+                raise ParseError("expected a command", _pos(form))
+            head = _name(form.items[0]) if form.items else None
+            if head is None:
                 raise ParseError("command must start with a symbol", form.pos)
-            head = form.items[0].text
             args = form.items[1:]
             handler = getattr(self, "_cmd_" + head.replace("-", "_"), None)
             try:
@@ -296,16 +321,21 @@ class _ScriptBuilder:
             exit_cmd=self.exit_cmd,
         )
 
-    def _symbol(self, sx, what: str) -> SAtom:
-        if not (isinstance(sx, SAtom) and sx.kind == "symbol"):
-            raise ParseError(f"expected {what}", sx.pos)
-        return sx
+    def _symbol(self, sx, what: str) -> str:
+        name = _name(sx)
+        if name is None:
+            raise ParseError(f"expected {what}", _pos(sx))
+        return name
 
-    def _register(self, name: SAtom) -> None:
-        if name.text in _RESERVED:
-            raise ParseError(f"cannot redefine builtin symbol '{name.text}'", name.pos)
-        if name.text in self.scope:
-            raise ParseError(f"symbol '{name.text}' is already declared", name.pos)
+    def _register(self, sx, what: str) -> str:
+        """The name that `sx` declares or defines, checked."""
+
+        name = self._symbol(sx, what)
+        if name in _RESERVED:
+            raise ParseError(f"cannot redefine builtin symbol '{name}'", _pos(sx))
+        if name in self.scope:
+            raise ParseError(f"symbol '{name}' is already declared", _pos(sx))
+        return name
 
     def _cmd_set_logic(self, form: SList, args) -> None:
         if len(args) != 1:
@@ -313,38 +343,36 @@ class _ScriptBuilder:
         name = self._symbol(args[0], "a logic name")
         if self.logic is not None:
             raise ParseError("logic is already set", form.pos)
-        self.logic = name.text
+        self.logic = name
 
     def _cmd_set_info(self, form: SList, args) -> None:
-        if not args or not (isinstance(args[0], SAtom) and args[0].kind == "keyword"):
+        if not args or type(args[0]) is SList or args[0][0] != ":":
             raise ParseError("set-info needs a keyword", form.pos)
         if len(args) > 2:
             raise ParseError("malformed set-info", form.pos)
         value = render_sexpr(args[1]) if len(args) == 2 else ""
-        self.metadata.append((args[0].text, value))
+        self.metadata.append((args[0][1:], value))
 
     def _cmd_declare_fun(self, form: SList, args) -> None:
-        if len(args) != 3 or not isinstance(args[1], SList):
+        if len(args) != 3 or type(args[1]) is not SList:
             raise ParseError("malformed declare-fun", form.pos)
-        self._declare(self._symbol(args[0], "a function name"), args[1].items, args[2])
+        self._declare(self._register(args[0], "a function name"), args[1].items, args[2])
 
     def _cmd_declare_const(self, form: SList, args) -> None:
         if len(args) != 2:
             raise ParseError("malformed declare-const", form.pos)
-        self._declare(self._symbol(args[0], "a constant name"), (), args[1])
+        self._declare(self._register(args[0], "a constant name"), (), args[1])
 
-    def _declare(self, name: SAtom, params, result) -> None:
-        self._register(name)
+    def _declare(self, name: str, params, result) -> None:
         sorts = tuple(_parse_sort(p) for p in params)
-        self.scope[name.text] = FunDecl(name.text, sorts, _parse_sort(result))
+        self.scope[name] = FunDecl(name, sorts, _parse_sort(result))
 
     def _cmd_define_fun(self, form: SList, args) -> None:
-        if len(args) != 4 or not isinstance(args[1], SList):
+        if len(args) != 4 or type(args[1]) is not SList:
             raise ParseError("malformed define-fun", form.pos)
-        name = self._symbol(args[0], "a function name")
-        self._register(name)
+        name = self._register(args[0], "a function name")
         pairs = self._pairs(args[1], "parameter list", "a parameter name", "parameter")
-        params = {p.text: _parse_sort(sx) for p, sx in pairs}
+        params = {p: _parse_sort(sx) for p, sx in pairs}
         result = _parse_sort(args[2])
         # Built here for its checks.  With parameters, a call in it is left
         # unexpanded (`_call`): the body is built again at each call of it.
@@ -354,18 +382,18 @@ class _ScriptBuilder:
         self.defining = False
         self._unbind(shadowed)
         if body.sort is not result:
-            raise SortError(f"define-fun body has sort {body.sort}, declared {result}", args[3].pos)
+            raise SortError(f"define-fun body has sort {body.sort}, declared {result}", _pos(args[3]))
         env = {s: self.scope[s] for s in _symbols(args[3]) if s in self.scope}
         body = args[3] if params else body
         sorts = tuple(params.values())
-        self.scope[name.text] = _Defined(tuple(params), sorts, result, body, env, self.logic, {})
+        self.scope[name] = _Defined(tuple(params), sorts, result, body, env, self.logic, {})
 
     def _cmd_assert(self, form: SList, args) -> None:
         if len(args) != 1:
             raise ParseError("assert takes one term", form.pos)
         term = self._build(args[0])
         if term.sort is not Sort.BOOL:
-            raise SortError(f"assertion must be Bool, got {term.sort}", args[0].pos)
+            raise SortError(f"assertion must be Bool, got {term.sort}", _pos(args[0]))
         self.assertions.append(term)
 
     def _cmd_check_sat(self, form: SList, args) -> None:
@@ -388,11 +416,11 @@ class _ScriptBuilder:
 
         stack: list[Generator] = []
         while True:
-            if type(sx) is SAtom:
-                term = self._atom_term(sx)
-            else:
+            if type(sx) is SList:
                 stack.append(self._term(sx))
                 term = None
+            else:
+                term = self._atom_term(sx)
             while stack:
                 try:
                     sx = stack[-1].send(term)
@@ -403,46 +431,46 @@ class _ScriptBuilder:
             else:
                 return term
 
-    def _term(self, sx) -> Generator:
+    def _term(self, sx: SList) -> Generator:
         if not sx.items:
             raise ParseError("empty application", sx.pos)
         head = sx.items[0]
-        if isinstance(head, SList):
+        if type(head) is SList:
             raise ParseError("unsupported construct in term position", head.pos)
-        if head.kind != "symbol":
-            raise ParseError(f"cannot apply {head.kind} '{head.text}'", head.pos)
-        if head.text == "let":
+        op = _name(head)
+        if op is None:
+            raise ParseError("cannot apply {} '{}'".format(*_kind_and_text(head)), _pos(head))
+        if op == "let":
             return self._let(head, sx.items[1:])
-        if head.text in ("forall", "exists"):
-            return self._quantifier(head, sx.items[1:])
-        return self._application(head, sx.items[1:])
+        if op in ("forall", "exists"):
+            return self._quantifier(head, op, sx.items[1:])
+        return self._application(sx, op, sx.items[1:])
 
-    def _number(self, sx: SAtom) -> Fraction:
-        value = self.numbers.get(sx.text)
+    def _number(self, sx: str) -> Fraction:
+        value = self.numbers.get(sx)
         if value is None:
-            whole, _, frac = sx.text.partition(".")
+            whole, _, frac = sx.partition(".")
             try:  # `int` refuses more digits than `sys.get_int_max_str_digits()`
-                value = self.numbers[sx.text] = Fraction(int(whole + frac), 10 ** len(frac))
+                value = self.numbers[sx] = Fraction(int(whole + frac), 10 ** len(frac))
             except ValueError:
                 limit = sys.get_int_max_str_digits()
-                raise ParseError(f"literal has more than {limit} digits", sx.pos) from None
+                raise ParseError(f"literal has more than {limit} digits", _pos(sx)) from None
         return value
 
-    def _atom_term(self, sx: SAtom) -> Term:
-        if sx.kind == "numeral":
-            return Const(self._number(sx), numeral_sort(self.logic))
-        if sx.kind == "decimal":
-            return Const(self._number(sx), Sort.REAL)
-        if sx.kind != "symbol":
-            raise ParseError(f"unexpected {sx.kind} in term position", sx.pos)
-        name = sx.text
+    def _atom_term(self, sx: str) -> Term:
+        if sx[0] in _DIGITS:
+            sort = Sort.REAL if "." in sx else numeral_sort(self.logic)
+            return Const(self._number(sx), sort)
+        name = _name(sx)
+        if name is None:
+            raise ParseError("unexpected {} in term position".format(_kind_and_text(sx)[0]), _pos(sx))
         meaning = self.scope.get(name)
         if meaning is None:
-            raise UndeclaredSymbolError(f"undeclared symbol '{name}'", sx.pos)
+            raise UndeclaredSymbolError(f"undeclared symbol '{name}'", _pos(sx))
         if type(meaning) is not FunDecl and type(meaning) is not _Defined:  # a bound name
             return meaning
         if meaning.params:
-            raise SortError(f"'{name}' expects {len(meaning.params)} arguments", sx.pos)
+            raise SortError(f"'{name}' expects {len(meaning.params)} arguments", _pos(sx))
         return Var(name, meaning.result) if type(meaning) is FunDecl else meaning.body
 
     def _built_args(self, items) -> Generator:
@@ -450,7 +478,7 @@ class _ScriptBuilder:
 
         args = []
         for x in items:
-            args.append(self._atom_term(x) if type(x) is SAtom else (yield x))
+            args.append((yield x) if type(x) is SList else self._atom_term(x))
         return tuple(args)
 
     def _bind(self, names: dict[str, Term]) -> list[tuple[str, object]]:
@@ -467,40 +495,39 @@ class _ScriptBuilder:
             else:
                 self.scope[name] = old
 
-    def _pairs(self, sx: SList, pair: str, what: str, dup: str) -> Iterator[tuple[SAtom, object]]:
+    def _pairs(self, sx: SList, pair: str, what: str, dup: str) -> Iterator[tuple[str, object]]:
         """The `(name x)` pairs of a binder list, each checked when reached:
         a list of two, a symbol first, and a name not seen before in `sx`."""
 
         seen: set[str] = set()
         for p in sx.items:
-            if not (isinstance(p, SList) and len(p.items) == 2):
+            if not (type(p) is SList and len(p.items) == 2):
                 raise ParseError(f"malformed {pair}", sx.pos)
             name = self._symbol(p.items[0], what)
-            if name.text in seen:
-                raise ParseError(f"duplicate {dup} '{name.text}'", name.pos)
-            seen.add(name.text)
+            if name in seen:
+                raise ParseError(f"duplicate {dup} '{name}'", _pos(p.items[0]))
+            seen.add(name)
             yield name, p.items[1]
 
-    def _application(self, head: SAtom, items) -> Generator:
-        op = head.text
-        pos = head.pos
-
+    def _application(self, sx: SList, op: str, items) -> Generator:
+        head = sx.items[0]
         if op in _SORT_RULE_OPS:
             why = arity_error(op, len(items))
             if why is not None:
-                raise ParseError(why, pos)
+                raise ParseError(why, _pos(head))
             args = yield from self._built_args(items)
             try:
                 sort = result_sort(op, args)
             except SortError as exc:  # located at the argument to blame
-                at = pos if exc.arg is None else items[exc.arg].pos
-                raise SortError(exc.args[0], at) from None
+                at = head if exc.arg is None else items[exc.arg]
+                raise SortError(exc.args[0], _pos(at)) from None
             if op == "ite":
                 return Ite(*args, sort)
             if op == "/":
                 if sort is Sort.INT and numeral_sort(self.logic) is not Sort.INT:
-                    raise SortError("'/' on Int arguments outside an integer logic", pos)
-                loc = _loc(self.line_starts, pos)
+                    raise SortError("'/' on Int arguments outside an integer logic", _pos(head))
+                # The `/` starts after the `(` and any blanks and comments.
+                loc = _loc(self.line_starts, _GAP.match(self.text, sx.pos + 1).end())
                 term = args[0]
                 for arg in args[1:]:  # n-ary division associates to the left
                     term = Div(term, arg, sort, loc)
@@ -511,29 +538,28 @@ class _ScriptBuilder:
 
         meaning = self.scope.get(op)
         if type(meaning) is FunDecl or type(meaning) is _Defined:
-            return (yield from self._call(head, items, meaning))
+            return (yield from self._call(head, op, items, meaning))
         if op in _KNOWN_UNSUPPORTED_OPS:
-            raise ParseError(f"unsupported operator '{op}'", pos)
-        raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", pos)
+            raise ParseError(f"unsupported operator '{op}'", _pos(head))
+        raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", _pos(head))
 
-    def _call(self, head: SAtom, items, meaning: FunDecl | _Defined) -> Generator:
+    def _call(self, head: str, name: str, items, meaning: FunDecl | _Defined) -> Generator:
         """An application of a declared or a defined function.  A defined
         one is expanded like a `let` of its parameters, once per tuple of
         argument objects, but not while a function with parameters is defined."""
 
-        name = head.text
         declared = type(meaning) is FunDecl
         if declared and not meaning.params:
-            raise ParseError(f"'{name}' is a constant, not a function", head.pos)
+            raise ParseError(f"'{name}' is a constant, not a function", _pos(head))
         sorts = meaning.params
         if len(items) != len(sorts):
-            raise SortError(f"'{name}' expects {len(sorts)} arguments, got {len(items)}", head.pos)
+            raise SortError(f"'{name}' expects {len(sorts)} arguments, got {len(items)}", _pos(head))
         args = yield from self._built_args(items)
         for i, (arg, sort) in enumerate(zip(args, sorts)):
             if arg.sort is not sort:
                 which = i + 1 if declared else f"'{meaning.names[i]}'"
                 raise SortError(
-                    f"argument {which} of '{name}' must be {sort}, got {arg.sort}", items[i].pos
+                    f"argument {which} of '{name}' must be {sort}, got {arg.sort}", _pos(items[i])
                 )
         if declared or self.defining:
             return Apply(name, args, meaning.result)
@@ -548,34 +574,34 @@ class _ScriptBuilder:
             self._unbind(shadowed)
         return meaning.calls[key][1]
 
-    def _let(self, head: SAtom, items) -> Generator:
-        if len(items) != 2 or not isinstance(items[0], SList):
-            raise ParseError("malformed let", head.pos)
+    def _let(self, head: str, items) -> Generator:
+        if len(items) != 2 or type(items[0]) is not SList:
+            raise ParseError("malformed let", _pos(head))
         bindings: dict[str, Term] = {}
         # Bindings are parallel: right-hand sides see the outer scope.
         for name, sx in self._pairs(items[0], "let binding", "a let-bound name", "let binding"):
-            bindings[name.text] = yield sx
+            bindings[name] = yield sx
         shadowed = self._bind(bindings)
         body = yield items[1]
         self._unbind(shadowed)
         return body
 
-    def _quantifier(self, head: SAtom, items) -> Generator:
-        if len(items) != 2 or not isinstance(items[0], SList) or not items[0].items:
-            raise ParseError(f"malformed {head.text}", head.pos)
+    def _quantifier(self, head: str, kind: str, items) -> Generator:
+        if len(items) != 2 or type(items[0]) is not SList or not items[0].items:
+            raise ParseError(f"malformed {kind}", _pos(head))
         binders: dict[str, Term] = {}
         for name, sx in self._pairs(items[0], "binder", "a bound variable", "bound variable"):
             try:
                 sort = _parse_sort(sx)
             except _Unsupported:
-                raise ParseError("unsupported sort in binder", sx.pos)
-            binders[name.text] = Var(name.text, sort)
+                raise ParseError("unsupported sort in binder", _pos(sx))
+            binders[name] = Var(name, sort)
         shadowed = self._bind(binders)
         body = yield items[1]
         self._unbind(shadowed)
         if body.sort is not Sort.BOOL:
-            raise SortError(f"{head.text} body must be Bool, got {body.sort}", items[1].pos)
-        q = Quantifier(head.text, tuple((n, v.sort) for n, v in binders.items()), body)
+            raise SortError(f"{kind} body must be Bool, got {body.sort}", _pos(items[1]))
+        q = Quantifier(kind, tuple((n, v.sort) for n, v in binders.items()), body)
         for name, outer in shadowed:
             if outer is not None and _captures(body, binders[name]):
                 q = _rename_binder(q, binders[name])
@@ -609,14 +635,21 @@ def _rename_binder(q: Quantifier, own: Var) -> Quantifier:
 def parse_script(text: str) -> Script:
     """Parse a whole script; raises a ScriptError subclass with a location.
 
-    The text is first read into s-expressions in one iterative pass, so
-    lexical and bracket errors come before any sort or scope error.  Terms
-    are then built on an explicit stack, so nesting has no depth limit.
+    The text is first read into s-expressions in one pass, so lexical and
+    bracket errors come before any sort or scope error.  Terms are then
+    built on an explicit stack, so nesting has no depth limit.  Atoms keep
+    no offset: an error at one is raised again from a located read.
     """
 
     line_starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
     try:
-        return _ScriptBuilder(line_starts).run(_read(text))
+        try:
+            return _ScriptBuilder(text, line_starts).run(_read(text))
+        except ScriptError as exc:
+            if exc.loc is not None:
+                raise
+        _ScriptBuilder(text, line_starts).run(_read(text, located=True))
+        raise AssertionError("a located read built what an unlocated one refused")
     except ScriptError as exc:  # located at an offset until here
         exc.loc = _loc(line_starts, exc.loc)
         raise

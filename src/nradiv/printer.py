@@ -12,10 +12,10 @@ is exact; only hand-built terms can hit the caveat.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
+from typing import Iterator
 
-from .errors import NradivError
+from .errors import NradivError, value_too_long
 from .terms import (
     Apply,
     Const,
@@ -79,8 +79,7 @@ def format_value(value: Fraction | int) -> str:
     try:
         return str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise NradivError(f"value too long to print: more than {limit} digits") from None
+        raise value_too_long() from None
 
 
 def format_rational(value: Fraction, point: bool = False) -> str:
@@ -102,14 +101,16 @@ def format_sort(sort: Sort) -> str:
     return sort.value
 
 
-def _shared_nodes(term: Term) -> set[int]:
-    """Ids of the non-leaf nodes below `term` that have more than one parent."""
+def _shared_nodes(terms) -> set[int]:
+    """Ids of the non-leaf nodes that have more than one parent below
+    `terms`, each of which counts as a parent of its own."""
 
     seen: set[int] = set()
     shared: set[int] = set()
-    stack = [term]
-    while stack:
-        for c in children(stack.pop()):
+    stack: list[Term] = []
+    kids = terms  # of the next node, the roots first
+    while True:
+        for c in kids:
             if type(c) is Var or type(c) is Const:
                 continue
             if id(c) in seen:
@@ -117,7 +118,9 @@ def _shared_nodes(term: Term) -> set[int]:
             else:
                 seen.add(id(c))
                 stack.append(c)
-    return shared
+        if not stack:
+            return shared
+        kids = children(stack.pop())
 
 
 def _format_leaf(term: Term, point: bool) -> str | None:
@@ -140,71 +143,81 @@ def format_term(term: Term, numerals: Sort = Sort.REAL) -> str:
     `numerals` is the sort a numeral reads as where the text is read
     (`terms.numeral_sort`): where it is Int, a Real literal with an
     integral value is written `1.0`, so that it reads back as Real.
+    """
+
+    return next(_format_terms((term,), numerals))
+
+
+def _format_terms(terms, numerals: Sort) -> Iterator[str]:
+    """The text of each of `terms`, as `format_term` writes it.
 
     Text is emitted left to right from an explicit stack, so depth costs
-    no recursion.  The text of a node with several parents is joined once
-    and reused; other nodes keep no text of their own.
+    no recursion.  The text of a node with several parents, within one
+    term or across them, is joined once and reused; other nodes keep no
+    text of their own.
     """
 
     point = numerals is Sort.INT
-    leaf = _format_leaf(term, point)
-    if leaf is not None:
-        return leaf
-    shared = _shared_nodes(term)
+    shared = _shared_nodes(terms)
     texts: dict[int, str] = {}  # id(shared node) -> its text
-    out: list[str] = []
-    # Text, nodes, (id, start) at the end of a shared node's text, and the
-    # error of an unprintable leaf, raised where the leaf stands.
-    stack: list = [term]
-    while stack:
-        item = stack.pop()
-        t = type(item)
-        if t is str:
-            out.append(item)
+    for term in terms:
+        leaf = _format_leaf(term, point)
+        if leaf is not None:
+            yield leaf
             continue
-        if t is tuple:
-            key, start = item
-            text = "".join(out[start:])
-            del out[start:]
-            out.append(text)
-            texts[key] = text
-            continue
-        if id(item) in texts:
-            out.append(texts[id(item)])
-            continue
-        if id(item) in shared:
-            stack.append((id(item), len(out)))
-        stack.append(")")
-        if t is Apply:
-            out.append(f"({format_symbol(item.op)} ")
-            args = item.args
-        elif t is Div:
-            out.append("(/ ")
-            args = (item.num, item.den)
-        elif t is Ite:
-            out.append("(ite ")
-            args = (item.cond, item.then, item.orelse)
-        elif t is Quantifier:
-            binder = " ".join(f"({format_symbol(n)} {format_sort(s)})" for n, s in item.bound)
-            out.append(f"({item.kind} ({binder}) ")
-            args = (item.body,)
-        else:  # a leaf's error: `_shared_nodes` has refused any other non-term
-            raise item
-        # Arguments go on the stack last first; a leaf goes as its text,
-        # joined to the space before it, or as the error it raised.
-        for i in range(len(args) - 1, -1, -1):
-            a = args[i]
-            try:
-                leaf = _format_leaf(a, point)
-            except (ValueError, NradivError) as exc:
-                leaf, a = None, exc
-            if leaf is None:
-                stack.append(a)
-                if i:
-                    stack.append(" ")
-            else:
-                stack.append(" " + leaf if i else leaf)
-    return "".join(out)
+        out: list[str] = []
+        # Text, nodes, (id, start) at the end of a shared node's text, and
+        # the error of an unprintable leaf, raised where the leaf stands.
+        stack: list = [term]
+        while stack:
+            item = stack.pop()
+            t = type(item)
+            if t is str:
+                out.append(item)
+                continue
+            if t is tuple:
+                key, start = item
+                text = "".join(out[start:])
+                del out[start:]
+                out.append(text)
+                texts[key] = text
+                continue
+            if id(item) in texts:
+                out.append(texts[id(item)])
+                continue
+            if id(item) in shared:
+                stack.append((id(item), len(out)))
+            stack.append(")")
+            if t is Apply:
+                out.append(f"({format_symbol(item.op)} ")
+                args = item.args
+            elif t is Div:
+                out.append("(/ ")
+                args = (item.num, item.den)
+            elif t is Ite:
+                out.append("(ite ")
+                args = (item.cond, item.then, item.orelse)
+            elif t is Quantifier:
+                binder = " ".join(f"({format_symbol(n)} {format_sort(s)})" for n, s in item.bound)
+                out.append(f"({item.kind} ({binder}) ")
+                args = (item.body,)
+            else:  # a leaf's error: `_shared_nodes` has refused any other non-term
+                raise item
+            # Arguments go on the stack last first; a leaf goes as its text,
+            # joined to the space before it, or as the error it raised.
+            for i in range(len(args) - 1, -1, -1):
+                a = args[i]
+                try:
+                    leaf = _format_leaf(a, point)
+                except (ValueError, NradivError) as exc:
+                    leaf, a = None, exc
+                if leaf is None:
+                    stack.append(a)
+                    if i:
+                        stack.append(" ")
+                else:
+                    stack.append(" " + leaf if i else leaf)
+        yield "".join(out)
 
 
 def _format_decl(decl: FunDecl) -> str:
@@ -222,9 +235,8 @@ def print_script(script: Script) -> str:
         lines.append(u.text)
     for d in script.decls:
         lines.append(_format_decl(d))
-    numerals = numeral_sort(script.logic)
-    for a in script.assertions:
-        lines.append(f"(assert {format_term(a, numerals)})")
+    for text in _format_terms(script.assertions, numeral_sort(script.logic)):
+        lines.append(f"(assert {text})")
     if script.check_sat:
         lines.append("(check-sat)")
     if script.exit_cmd:

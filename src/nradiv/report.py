@@ -21,7 +21,7 @@ from .analyzer import (
     count_divisions,
     fragment_label,
 )
-from .errors import ScriptError
+from .errors import NradivError, ScriptError
 from .parser import parse_script
 
 SCHEMA_VERSION = 1
@@ -37,7 +37,10 @@ def _record(root: Path, path: Path) -> dict:
         script = parse_script(text)
     except ScriptError as exc:
         return {"path": rel, "status": "parse-error", "error": str(exc)}
-    counts = count_divisions(script)
+    try:
+        counts = count_divisions(script)
+    except NradivError as exc:  # a folded divisor past the digits CPython prints
+        return {"path": rel, "status": "error", "error": str(exc)}
     return {
         "path": rel,
         "status": "ok",

@@ -9,14 +9,15 @@ rebuilt programmatically or re-parsed from printed output.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import SortError
+from .errors import SortError, value_too_long
 
 
 class Sort(Enum):
@@ -122,6 +123,20 @@ def op_source(op: str, args: Sequence[str]) -> str:
     return "(" + f" {m.infix} ".join(args) + ")"  # a fold, or a Python comparison chain
 
 
+_power_of_ten = cache((10).__pow__)
+
+
+def _printable(value: Fraction) -> Fraction:
+    """`value`; NradivError when its numerator or denominator has more
+    digits than CPython converts to text (`sys.get_int_max_str_digits()`,
+    0 for no limit)."""
+
+    limit = sys.get_int_max_str_digits()
+    if limit and max(abs(value.numerator), value.denominator) >= _power_of_ten(limit):
+        raise value_too_long()
+    return value
+
+
 def fold_node(t: Term) -> Term:
     """One node whose children are already folded, folded over literals.
 
@@ -129,7 +144,9 @@ def fold_node(t: Term) -> Term:
     when `arity_error` and `OPS[op].args` accept it; a division of
     numeric literals by a nonzero literal becomes its quotient; an `ite`
     with a literal condition becomes the branch it selects.  Any other
-    node is returned as it is.
+    node is returned as it is.  A number folded past the digits CPython
+    prints raises NradivError at once, so folding stops at the limit
+    rather than growing a value that cannot be shown.
     """
 
     match t:
@@ -139,9 +156,11 @@ def fold_node(t: Term) -> Term:
             if arity_error(op, len(args)) or not (m.args == "any" or kinds == {m.args}):
                 return t
             out = apply_op(op, [a.value for a in args])
-            return Const(out, sort if m.result == "num" else Sort.BOOL)
+            if m.result == "num":
+                return Const(_printable(out), sort)
+            return Const(out, Sort.BOOL)
         case Div(Const(n, _), Const(d, _), sort) if bool not in (type(n), type(d)) and d != 0:
-            return Const(n / d, sort)
+            return Const(_printable(n / d), sort)
         case Ite(Const(c, _), then, orelse) if isinstance(c, bool):
             return then if c else orelse
         case _:

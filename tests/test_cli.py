@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import warnings
 
 import pytest
@@ -205,6 +206,42 @@ def test_a_computed_value_too_long_to_print_exits_70(tmp_path, capsys, argv, tex
     path.write_text("(declare-fun x () Real)\n" + text.replace("d", "7" * 3000) + "\n")
     assert main([*argv, str(path)]) == 70
     assert capsys.readouterr() == ("", "error: value too long to print: more than 4300 digits\n")
+
+
+def squaring_lets(k: int) -> str:
+    """`(/ x a{k-1})` where `a0` is 100 and each `let` squares the one
+    before: the divisor has 2^k + 1 digits."""
+
+    body = f"a{k - 1}"
+    for i in range(k - 1, 0, -1):
+        body = f"(let ((a{i} (* a{i - 1} a{i - 1}))) {body})"
+    return f"(declare-fun x () Real)\n(assert (= x (/ x (let ((a0 (* 10 10))) {body}))))\n"
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["classify", "--json"], ["transform", "totalize", "--fold"]])
+def test_folding_stops_at_the_digits_python_prints(tmp_path, capsys, argv):
+    path = tmp_path / "square.smt2"
+    path.write_text(squaring_lets(24))
+    start = time.perf_counter()
+    assert main([*argv, str(path)]) == 70
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: value too long to print: more than 4300 digits\n")
+
+
+def test_scan_records_a_value_too_long_to_print_as_an_error(tmp_path, capsys):
+    (tmp_path / "square.smt2").write_text(squaring_lets(24))
+    start = time.perf_counter()
+    assert main(["scan", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["files"] == [
+        {
+            "path": "square.smt2",
+            "status": "error",
+            "error": "value too long to print: more than 4300 digits",
+        }
+    ]
+    assert report["totals"]["failures"] == 1 and report["totals"]["parsed"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
+from conftest import REPO
 from nradiv import (
     Apply,
     Const,
@@ -12,6 +13,7 @@ from nradiv import (
     FunDecl,
     ParseError,
     Script,
+    ScriptError,
     Sort,
     SortError,
     UndeclaredSymbolError,
@@ -22,7 +24,8 @@ from nradiv import (
     parse_script,
     print_script,
 )
-from nradiv.terms import subterms
+from nradiv.parser import SList, _read
+from nradiv.terms import Loc, subterms
 
 
 def first_assertion(text: str):
@@ -527,6 +530,97 @@ def test_non_ascii_digit_does_not_extend_a_number(number, message):
     with pytest.raises(ParseError) as excinfo:
         parse_script(f"(assert (= x {number}))")
     assert str(excinfo.value) == message
+
+
+def test_quoted_symbols_spelled_as_numbers_are_not_numbers():
+    text = (
+        "(declare-fun |12| () Real)(declare-fun |1.5| () Real)\n"
+        "(assert (= (+ |12| 12) (* |1.5| 1.5)))"
+    )
+    (eq,) = parse_script(text).assertions
+    twelve, half = Var("12", Sort.REAL), Var("1.5", Sort.REAL)
+    assert eq.args[0] == Apply("+", (twelve, Const(Fraction(12), Sort.REAL)), Sort.REAL)
+    assert eq.args[1] == Apply("*", (half, Const(Fraction(3, 2), Sort.REAL)), Sort.REAL)
+    with pytest.raises(ParseError, match=r"^expected a function name \(line 1, column 14\)$"):
+        parse_script("(declare-fun 12 () Real)")
+
+
+def test_a_quoted_slash_is_a_division():
+    (gt,) = parse_script("(declare-fun x () Real)\n(assert (> (|/| x 2) 0))").assertions
+    div = gt.args[0]
+    assert div == Div(Var("x", Sort.REAL), Const(Fraction(2), Sort.REAL), Sort.REAL)
+    assert tuple(div.loc) == (2, 13)
+
+
+def test_a_division_is_located_at_its_slash_after_a_comment_and_newline(tmp_path, capsys):
+    from nradiv.cli import main
+
+    text = "(declare-fun x () Real)\n(assert (> ( ; (a comment)\n   / x 2) 0))\n"
+    (gt,) = parse_script(text).assertions
+    assert tuple(gt.args[0].loc) == (3, 4)
+    path = tmp_path / "gap.smt2"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "  line 3 col 4: constant-nonzero (value 2)"
+
+
+def test_parentheses_inside_comments_strings_and_quoted_symbols_are_text():
+    text = (
+        '; (((\n(set-info :note "a ( b "")"" c")\n'
+        "(declare-fun |f (| () Real)\n(assert (> |f (| 0)) ; )\n"
+    )
+    script = parse_script(text)
+    assert script.metadata == (("note", '"a ( b "")"" c"'),)
+    assert script.assertions == (Apply(">", (Var("f (", Sort.REAL), Const(Fraction(0), Sort.REAL)), Sort.BOOL),)
+
+
+_READER_ALPHABET = '()|":;\\ \n\t.0123456789abx+-/*=<>_!#\u00e9\u0663'
+_CORPUS_TEXTS = [p.read_text() for p in sorted((REPO / "corpus").glob("*.smt2"))]
+
+
+@st.composite
+def _reader_texts(draw) -> str:
+    """Text from an SMT-LIB alphabet, or a corpus script with a few
+    short spans replaced by such text."""
+
+    pieces = st.text(st.sampled_from(_READER_ALPHABET), max_size=6)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(pieces, max_size=8)))
+    text = draw(st.sampled_from(_CORPUS_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(pieces) + text[j:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reader_texts())
+def test_a_located_read_is_the_read_with_offsets(text):
+    """The two reads agree, every located atom and list starts where it
+    says, and every error that leaves `parse_script` has a line and column."""
+
+    try:
+        forms = _read(text)
+    except ParseError as fast:
+        with pytest.raises(ParseError) as located:
+            _read(text, located=True)
+        assert (located.value.args, located.value.loc) == (fast.args, fast.loc)
+    else:
+        located = _read(text, located=True)
+        assert forms == located
+        stack = list(located)
+        while stack:
+            x = stack.pop()
+            if type(x) is SList:
+                assert text[x.pos] == "("
+                stack.extend(x.items)
+            else:
+                assert text.startswith(x, x.pos)
+    try:
+        parse_script(text)
+    except ScriptError as exc:
+        assert type(exc.loc) is Loc and exc.loc.line >= 1 and exc.loc.col >= 1
 
 
 _SEPARATORS = st.lists(st.sampled_from([" ", "\n", "\r\n", "\t ", " ; note (\n", "\n\n  "]), min_size=1)

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from fractions import Fraction
 
@@ -9,8 +10,11 @@ import strategies
 import support
 from nradiv import (
     FLOOR,
+    Apply,
+    Const,
     Div,
     FragmentLabel,
+    NradivError,
     Script,
     Sort,
     SortError,
@@ -208,6 +212,34 @@ def test_fold_keeps_zero_division():
     assert format_term(fold_term(s.assertions[0])) == "(= (/ 1 0) x)"
     s2 = parse_script("(declare-fun x () Real)(assert (= (/ 1 4) x))")
     assert format_term(fold_term(s2.assertions[0])) == "(= 0.25 x)"
+
+
+def test_fold_stops_at_the_digits_python_prints():
+    """A folded value of `sys.get_int_max_str_digits()` digits folds; one
+    of more raises at once, also where a later step would cancel it back
+    to a small value; a limit of 0 is no limit."""
+
+    limit = sys.get_int_max_str_digits()
+    big = Const(Fraction(10 ** (limit - 1)), Sort.REAL)  # `limit` digits
+    nine, ten, one = (Const(Fraction(n), Sort.REAL) for n in (9, 10, 1))
+    widest = Apply("*", (big, nine), Sort.REAL)
+    too_wide = Apply("*", (big, ten), Sort.REAL)
+    assert fold_term(widest) == Const(Fraction(9 * 10 ** (limit - 1)), Sort.REAL)
+    assert fold_term(Div(one, big, Sort.REAL)) == Const(Fraction(1, 10 ** (limit - 1)), Sort.REAL)
+    message = rf"^value too long to print: more than {limit} digits$"
+    for term in (
+        too_wide,
+        Apply("-", (Const(Fraction(0), Sort.REAL), too_wide), Sort.REAL),
+        Div(one, too_wide, Sort.REAL),
+        Div(too_wide, too_wide, Sort.REAL),
+    ):
+        with pytest.raises(NradivError, match=message):
+            fold_term(term)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert fold_term(too_wide) == Const(Fraction(10**limit), Sort.REAL)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_fold_script_only_touches_assertions(parsed_corpus):

@@ -41,7 +41,7 @@ from nradiv import (
 )
 from nradiv.analyzer import count_divisions
 from nradiv.cli import main
-from nradiv.terms import add, const, dag_fold, distinct_subterms, div, eq, lt, var
+from nradiv.terms import add, const, dag_fold, distinct_subterms, div, eq, lt, numeral_sort, var
 
 from strategies import scripts, shared_scripts
 
@@ -354,6 +354,30 @@ def define_fun_chain(n: int, twice: bool) -> str:
         + "".join(f"(define-fun f{i} ((p Real)) Real {step.format(i - 1)})\n" for i in range(1, n))
         + f"(assert (> (f{n - 1} x) 0))\n"
     )
+
+
+def assertion_lines_alone(script: Script) -> list[str]:
+    """Each assertion as `format_term` prints it alone, with its own memo."""
+
+    return [f"(assert {format_term(a, numeral_sort(script.logic))})" for a in script.assertions]
+
+
+def test_assertions_that_share_a_node_print_as_each_would_alone():
+    constant = parse_script(
+        "(set-logic QF_NIA)(declare-fun y () Real)(define-fun c () Real (+ y 1.0))"
+        "(assert (> c 0.0))(assert (< (* c c) 5.0))"
+    )
+    first, second = constant.assertions
+    assert first.args[0] is second.args[0].args[0]  # one node under both
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fresh = totalize(parse_script(HEADER + f"(assert {doubling_lets(6)})"),
+                         TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL))
+    guards = Counter(id(n) for a in fresh.assertions for n in distinct_subterms(a))
+    assert max(guards.values()) > 1  # a node under several defining assertions
+    for script in (constant, fresh):
+        lines = print_script(script).splitlines()
+        assert [line for line in lines if line.startswith("(assert ")] == assertion_lines_alone(script)
 
 
 def test_a_doubling_define_fun_chain_is_built_once_per_link():
