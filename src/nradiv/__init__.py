@@ -54,11 +54,9 @@ from .evaluator import (
     default_sample_grid,
     eval_term,
     floor_oracle,
-    forced_value,
 )
 from .parser import parse_script
 from .passes import (
-    TotalizeConfig,
     TotalizeStyle,
     UfLiftResult,
     division_axiom,
@@ -87,8 +85,6 @@ from .terms import (
     count_nodes,
     free_vars,
     is_quantifier_free,
-    subterms,
-    term_at,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -51,7 +51,6 @@ class DivisorClass:
 class DivOccurrence:
     """One division node: where it sits and what its divisor looks like."""
 
-    path: tuple[int, ...]  # assertion index, then child indices
     divisor_class: DivisorClass
     loc: Loc
     under_quantifier: bool
@@ -106,44 +105,37 @@ def classify_divisor(divisor: Term) -> DivisorClass:
     return DivisorClass(DivisorKind.CONSTANT_NONZERO, value)
 
 
-def division_sites(script: Script) -> Iterator[tuple[list[int], Div, tuple | None]]:
+def division_sites(script: Script) -> Iterator[tuple[Div, tuple | None]]:
     """Every division occurrence, in assertion order, pre-order within a term.
 
-    Yields its path (assertion index, then child indices: one list, changed
-    in place as the walk goes on), the `Div` node and its scope: None at the
-    top of an assertion, else the cell `(outer, node, k, quantified)` of the
-    innermost `ite` branch (k = 1 then, 2 else) or quantifier body (k = 0)
-    above it, where `outer` is the scope of `node` and `quantified` says
-    whether a quantifier is among them.  A condition keeps the scope of its
-    `ite`, and every other child the scope of its parent, so nothing is
-    copied per level.  A node is entered again only when it holds a division.
+    Yields the `Div` node and its scope: None at the top of an assertion,
+    else the cell `(outer, node, k, quantified)` of the innermost `ite`
+    branch (k = 1 then, 2 else) or quantifier body (k = 0) above it, where
+    `outer` is the scope of `node` and `quantified` says whether a
+    quantifier is among them.  A condition keeps the scope of its `ite`,
+    and every other child the scope of its parent, so nothing is copied per
+    level.  A node is entered again only when it holds a division.
     """
 
-    path: list[int] = []
     skip = division_free_repeats()
-    for i, assertion in enumerate(script.assertions):
-        stack = [(assertion, i, 0, None)]  # node, index in its parent, depth, scope
+    for assertion in script.assertions:
+        stack = [(assertion, None)]  # node, scope
         while stack:
-            term, j, depth, scope = stack.pop()
+            term, scope = stack.pop()
             if skip(term):
                 continue
-            del path[depth:]
-            path.append(j)
             t = type(term)
             if t is Div:
-                yield path, term, scope
-            depth += 1
+                yield term, scope
             if t is Ite:
                 quantified = scope is not None and scope[3]
-                stack.append((term.orelse, 2, depth, (scope, term, 2, quantified)))
-                stack.append((term.then, 1, depth, (scope, term, 1, quantified)))
-                stack.append((term.cond, 0, depth, scope))
+                stack.append((term.orelse, (scope, term, 2, quantified)))
+                stack.append((term.then, (scope, term, 1, quantified)))
+                stack.append((term.cond, scope))
             elif t is Quantifier:
-                stack.append((term.body, 0, depth, (scope, term, 0, True)))
+                stack.append((term.body, (scope, term, 0, True)))
             else:
-                kids = children(term)
-                for k in range(len(kids) - 1, -1, -1):
-                    stack.append((kids[k], k, depth, scope))
+                stack.extend([(kid, scope) for kid in reversed(children(term))])
 
 
 def collect_divisions(script: Script) -> list[DivOccurrence]:
@@ -155,11 +147,11 @@ def collect_divisions(script: Script) -> list[DivOccurrence]:
 
     out: list[DivOccurrence] = []
     classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
-    for path, d, scope in division_sites(script):
+    for d, scope in division_sites(script):
         cls = classes.get(id(d.den))
         if cls is None:
             cls = classes[id(d.den)] = classify_divisor(d.den)
-        out.append(DivOccurrence(tuple(path), cls, d.loc, scope is not None and scope[3]))
+        out.append(DivOccurrence(cls, d.loc, scope is not None and scope[3]))
     return out
 
 

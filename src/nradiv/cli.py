@@ -28,7 +28,7 @@ from .encoder import IntFormula, encode_integer_formula, encode_via_div0
 from .errors import NradivError, ScriptError
 from .evaluator import brute_force_int_sat
 from .parser import parse_script
-from .passes import TotalizeConfig, TotalizeStyle, lift_to_uf, totalize
+from .passes import TotalizeStyle, lift_to_uf, totalize
 from .printer import format_value, print_script
 from .report import render_report, scan_directory
 from .terms import (
@@ -135,10 +135,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
             value = Fraction(args.div0_value)
         except (ValueError, ZeroDivisionError) as exc:
             raise NradivError(f"bad --div0-value {args.div0_value!r}: {exc}") from exc
-        cfg = TotalizeConfig(div0_value=value, style=TotalizeStyle(args.style))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # whatever the caller's filters say
-            out_script = totalize(script, cfg, fold=args.fold)
+            out_script = totalize(script, value, TotalizeStyle(args.style), args.fold)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
     elif args.transform_pass == "uf-lift":

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
 
 from .errors import BudgetExceededError, EvalError
 from .terms import (
@@ -53,24 +53,6 @@ def floor_oracle(x: Fraction) -> Fraction:
     """Reference floor, delegated to `math.floor` on the exact rational."""
 
     return Fraction(math.floor(x))
-
-
-def forced_value(x: Fraction) -> Fraction:
-    """Floor computed from its two characteristic properties alone.
-
-    Shift x into [0, 1) one unit at a time, counting the steps; the
-    count is what the shift and base properties force `x/0` to be.
-    Independent of `floor_oracle`, so the two can cross-check.
-    """
-
-    steps = Fraction(0)
-    while x < 0:
-        x += 1
-        steps -= 1
-    while x >= 1:
-        x -= 1
-        steps += 1
-    return steps
 
 
 FLOOR = DivInterpretation("floor", floor_oracle)
@@ -192,13 +174,15 @@ class AxiomReport:
         return not self.violations
 
 
-def default_sample_grid(
-    k_max: int = 70, denominators: Sequence[int] = (1, 2, 3, 7)
-) -> list[Fraction]:
-    """Deduplicated, sorted grid {k/q : |k| <= k_max, q in denominators}."""
+GRID_K_MAX = 70
+GRID_DENOMINATORS = (1, 2, 3, 7)
 
-    grid = {Fraction(k, q) for q in denominators for k in range(-k_max, k_max + 1)}
-    return sorted(grid)
+
+def default_sample_grid() -> list[Fraction]:
+    """Deduplicated, sorted grid {k/q : |k| <= GRID_K_MAX, q in GRID_DENOMINATORS}."""
+
+    ks = range(-GRID_K_MAX, GRID_K_MAX + 1)
+    return sorted({Fraction(k, q) for q in GRID_DENOMINATORS for k in ks})
 
 
 def check_axiom_samples(

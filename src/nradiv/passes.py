@@ -51,12 +51,6 @@ class TotalizeStyle(Enum):
     FRESH_SYMBOL = "fresh"
 
 
-@dataclass(frozen=True)
-class TotalizeConfig:
-    div0_value: Fraction = Fraction(0)
-    style: TotalizeStyle = TotalizeStyle.BRANCH_INLINE
-
-
 def _is_guard(term: Term) -> bool:
     """Recognize `(ite (= u 0) c (/ t u))`, the shape this pass emits.
 
@@ -96,30 +90,31 @@ def _rebuild_guard(guard: Ite, den: Term, num: Term, then: Term) -> Ite:
 
 
 def totalize(
-    script: Script, config: TotalizeConfig | None = None, fold: bool = False
+    script: Script,
+    div0_value: Fraction = Fraction(0),
+    style: TotalizeStyle = TotalizeStyle.BRANCH_INLINE,
+    fold: bool = False,
 ) -> Script:
     """Give every division a value at zero divisors via an explicit branch.
 
-    BRANCH_INLINE turns `(/ t u)` into `(ite (= u 0) c (/ t u))` in
-    place, rewriting each shared node once.  FRESH_SYMBOL instead names
-    the guarded value of each occurrence with a fresh constant and a
-    defining assertion; divisions under a quantifier fall back to the
-    inline branch, since a script-level constant cannot depend on bound
-    variables.  The pass is idempotent either way.
+    BRANCH_INLINE turns `(/ t u)` into `(ite (= u 0) c (/ t u))`, where
+    c is `div0_value`, in place, rewriting each shared node once.
+    FRESH_SYMBOL instead names the guarded value of each occurrence with
+    a fresh constant and a defining assertion; divisions under a
+    quantifier fall back to the inline branch, since a script-level
+    constant cannot depend on bound variables.  The pass is idempotent
+    either way, and `fold` constant-folds the result.
     """
 
-    cfg = config or TotalizeConfig()
     taken = {d.name for d in script.decls}
     fresh_names = (n for n in map("div0.{}".format, count()) if n not in taken)
     new_decls: list[FunDecl] = list(script.decls)
     defining: list[Term] = []
 
     def guard_value(sort: Sort) -> Const:
-        if sort is Sort.INT and cfg.div0_value.denominator != 1:
-            raise SortError(
-                f"total-division value {cfg.div0_value} is not an integer"
-            )
-        return const(cfg.div0_value, sort)
+        if sort is Sort.INT and div0_value.denominator != 1:
+            raise SortError(f"total-division value {div0_value} is not an integer")
+        return const(div0_value, sort)
 
     guards: dict[int, Ite] = {}  # id(division) -> its guard, which holds it
 
@@ -143,7 +138,7 @@ def totalize(
         return v
 
     memo: dict[int, Term] = {}  # id(node) -> its inline rewrite
-    if cfg.style is TotalizeStyle.BRANCH_INLINE:
+    if style is TotalizeStyle.BRANCH_INLINE:
         assertions = [dag_fold(a, inline, _guard_pieces, memo) for a in script.assertions]
     else:
         # Each occurrence gets its own name, so the walk goes over the tree,
@@ -314,7 +309,7 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
 
     vcs: list[Term] = []
     memo: dict[tuple, Term] = {}  # id(division), then (id(node), k) of each scope cell -> VC
-    for _, d, scope in division_sites(script):
+    for d, scope in division_sites(script):
         cells: list[tuple[Term, int]] = []  # innermost first
         while scope is not None:
             scope, node, k, _ = scope

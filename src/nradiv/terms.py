@@ -615,20 +615,9 @@ def dag_rewrite(term: Term, fn: Callable[[Term], Term], memo: dict | None = None
     return dag_fold(term, lambda node, new: fn(with_children(node, new)), memo=memo)
 
 
-def subterms(term: Term) -> Iterator[Term]:
-    """Pre-order traversal of the tree, the node itself first: a node
-    reached by several paths is produced once per path."""
-
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        yield t
-        stack.extend(reversed(children(t)))
-
-
 def distinct_subterms(term: Term) -> Iterator[Term]:
     """Pre-order traversal producing each distinct node once, at its first
-    visit: `subterms` with every repeat left out."""
+    visit: a node reached by several paths is not entered again."""
 
     seen: set[int] = set()
     stack = [term]
@@ -733,18 +722,6 @@ class Script:
     unsupported: tuple[Unsupported, ...] = ()
     check_sat: bool = False
     exit_cmd: bool = False
-
-    def decl_map(self) -> dict[str, FunDecl]:
-        return {d.name: d for d in self.decls}
-
-
-def term_at(script: Script, path: tuple[int, ...]) -> Term:
-    """Resolve an occurrence path: assertion index, then child indices."""
-
-    t = script.assertions[path[0]]
-    for i in path[1:]:
-        t = children(t)[i]
-    return t
 
 
 def is_quantifier_free(term: Term) -> bool:

@@ -23,7 +23,6 @@ from nradiv import (
     DecodeError,
     FragmentLabel,
     IntFormula,
-    TotalizeConfig,
     TotalizeStyle,
     brute_force_int_sat,
     check_axiom_samples,
@@ -35,7 +34,6 @@ from nradiv import (
     eval_term,
     floor_oracle,
     fold_script,
-    forced_value,
     format_term,
     lift_to_uf,
     parse_script,
@@ -152,7 +150,7 @@ def test_criterion_2_floor_forcing(capsys):
         )
         # 4 * 401 raw samples collapse to 1,213 distinct rationals
         assert len(grid) == 1213
-        mismatches = [x for x in grid if forced_value(x) != floor_oracle(x)]
+        mismatches = [x for x in grid if support.forced_value(x) != floor_oracle(x)]
         assert mismatches == []
         assert all(floor_oracle(x) == math.floor(x) for x in grid)
 
@@ -236,14 +234,13 @@ def test_criterion_6_corpus_census(capsys, corpus_dir):
 def test_criterion_7_round_trips(capsys, parsed_corpus):
     summary = "parse then print then parse is identity on corpus and outputs"
     with criterion(capsys, 7, summary, 5.0):
-        fresh = TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL)
         scripts = []
         for script in parsed_corpus.values():
             scripts.append(script)
             scripts.append(totalize(script))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                scripts.append(totalize(script, fresh))
+                scripts.append(totalize(script, style=TotalizeStyle.FRESH_SYMBOL))
             scripts.append(fold_script(script))
             scripts.append(lift_to_uf(script).script)
         for _, formula, _ in SUITE:

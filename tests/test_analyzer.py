@@ -24,9 +24,9 @@ from nradiv import (
     format_rational,
     format_term,
     parse_script,
-    subterms,
-    term_at,
 )
+from nradiv.analyzer import division_sites
+from support import subterms
 
 CN = DivisorKind.CONSTANT_NONZERO
 CZ = DivisorKind.CONSTANT_ZERO
@@ -94,9 +94,9 @@ def test_nested_divisions_in_source_order():
     )
     occ = collect_divisions(script)
     assert [o.divisor_class.kind for o in occ] == [NC, CN]
-    assert [o.path for o in occ] == [(0, 0), (0, 0, 0)]
-    for o in occ:
-        assert isinstance(term_at(script, o.path), Div)
+    outer = script.assertions[0].args[0]
+    (first, _), (second, _) = division_sites(script)
+    assert first is outer and second is outer.num
     # pre-order equals source order: outer '(' comes first
     assert occ[0].loc.col < occ[1].loc.col
 
@@ -112,7 +112,7 @@ def test_occurrences_span_assertions():
         "(declare-fun x () Real)(assert (< (/ x 2) 1))(assert (< (/ x 3) 1))"
     )
     occ = collect_divisions(script)
-    assert [o.path[0] for o in occ] == [0, 1]
+    assert [o.divisor_class.value for o in occ] == [2, 3]
 
 
 @pytest.mark.parametrize("name,expected", sorted(CORPUS_EXPECTED.items()))
@@ -176,11 +176,32 @@ def test_constant_verdicts_match_evaluation(term):
 def test_division_20000_deep_keeps_its_path_class_and_location():
     depth = 20_000
     text = "(declare-fun x () Real)\n(assert (= x " + "(+ 1 " * depth + "(/ x 2)" + ")" * depth + "))"
-    (occurrence,) = collect_divisions(parse_script(text))
-    assert occurrence.path == (0, 1) + (1,) * depth
+    script = parse_script(text)
+    (occurrence,) = collect_divisions(script)
+    node = script.assertions[0].args[1]
+    for _ in range(depth):
+        node = node.args[1]
+    ((site, _),) = division_sites(script)
+    assert site is node
     assert occurrence.divisor_class == DivisorClass(CN, Fraction(2))
     assert tuple(occurrence.loc) == (2, len("(assert (= x ") + len("(+ 1 ") * depth + 2)  # at its /
     assert not occurrence.under_quantifier
+
+
+def both_walks_within(script, limit: int) -> list:
+    """`collect_divisions` and `emit_nonzero_vcs` of the script, each
+    required to peak under `limit` bytes of traced memory."""
+
+    results = []
+    for walk in (collect_divisions, emit_nonzero_vcs):
+        tracemalloc.start()
+        try:
+            results.append(walk(script))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{walk.__name__} peaked at {peak / 1e6:.1f} MB"
+    return results
 
 
 @pytest.mark.parametrize("quantified", [False, True], ids=["ite-else-chain", "forall-nest"])
@@ -196,23 +217,33 @@ def test_5000_nested_scopes_cost_no_copy_per_level(quantified):
     else:
         body = "(= x " + "(ite c x " * depth + "(/ x y)" + ")" * depth + ")"
     script = parse_script(f"{head}(assert {body})")
-    results = []
-    for walk in (collect_divisions, emit_nonzero_vcs):
-        tracemalloc.start()
-        try:
-            results.append(walk(script))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20_000_000, f"{walk.__name__} peaked at {peak / 1e6:.1f} MB"
-    (occurrence,), (vc,) = results
+    (occurrence,), (vc,) = both_walks_within(script, 20_000_000)
     assert occurrence.under_quantifier is quantified
-    assert occurrence.path == ((0,) + (0,) * depth + (0,) if quantified else (0, 1) + (2,) * depth)
+    ((site, _),) = division_sites(script)
     if quantified:
+        node = script.assertions[0]
         for i in range(depth):
             assert vc.bound == ((f"q{i}", Sort.REAL),)
-            vc = vc.body
+            vc, node = vc.body, node.body
+        assert site is node.args[0]
     else:
+        node = script.assertions[0].args[1]
+        for _ in range(depth):
+            node = node.orelse
+        assert site is node
         guards, vc = vc.args
         assert [format_term(g) for g in guards.args] == ["(not c)"] * depth
     assert format_term(vc) == "(not (= y 0))"
+
+
+def test_8000_chained_divisions_keep_nothing_per_level():
+    """`(+ (/ x 2) (+ (/ x 3) ... x))`: n divisions, each one level below
+    the one before.  Both users of the division walk list them in order
+    and keep nothing per occurrence that grows with its depth."""
+
+    n = 8_000
+    chain = "".join(f"(+ (/ x {i}) " for i in range(2, n + 2)) + "x" + ")" * n
+    script = parse_script(f"(declare-fun x () Real)\n(assert (> {chain} 0))")
+    occurrences, vcs = both_walks_within(script, 20_000_000)
+    assert [o.divisor_class.value for o in occurrences] == list(range(2, n + 2))
+    assert len(vcs) == n

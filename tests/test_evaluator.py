@@ -23,7 +23,6 @@ from nradiv import (
     default_sample_grid,
     eval_term,
     floor_oracle,
-    forced_value,
     parse_script,
 )
 from nradiv.evaluator import compile_int_body
@@ -115,12 +114,12 @@ def test_declared_functions_need_a_table():
 )
 def test_floor_oracle_and_forced_value(x, expected):
     assert floor_oracle(x) == expected
-    assert forced_value(x) == expected
+    assert support.forced_value(x) == expected
 
 
 @given(st.fractions(min_value=-500, max_value=500, max_denominator=64))
 def test_forced_value_matches_floor_everywhere(x):
-    assert forced_value(x) == floor_oracle(x) == math.floor(x)
+    assert support.forced_value(x) == floor_oracle(x) == math.floor(x)
 
 
 def test_default_sample_grid_is_deduped_and_sorted():
@@ -198,10 +197,10 @@ def test_brute_force_respects_bound():
 def test_interpretation_independent_when_divisors_are_nonzero(term, rng):
     from hypothesis import assume
 
-    from nradiv import Div, subterms
+    from nradiv import Div
 
     assignment = {name: support.random_rational(rng) for name in strategies.VAR_POOL}
-    for t in subterms(term):
+    for t in support.subterms(term):
         if isinstance(t, Div):
             try:
                 dv = eval_term(t.den, assignment, FLOOR)

@@ -25,7 +25,8 @@ from nradiv import (
     print_script,
 )
 from nradiv.parser import SList, _read
-from nradiv.terms import Loc, subterms
+from nradiv.terms import Loc
+from support import subterms
 
 
 def first_assertion(text: str):

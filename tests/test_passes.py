@@ -18,7 +18,6 @@ from nradiv import (
     Script,
     Sort,
     SortError,
-    TotalizeConfig,
     TotalizeStyle,
     classify_script,
     collect_divisions,
@@ -32,12 +31,13 @@ from nradiv import (
     lift_to_uf,
     parse_script,
     print_script,
-    subterms,
     totalize,
 )
-from nradiv.terms import FunDecl, Quantifier, eq, term_at, var
+from nradiv.analyzer import division_sites
+from nradiv.terms import FunDecl, Quantifier, eq, var
+from support import subterms
 
-FRESH = TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL)
+FRESH = TotalizeStyle.FRESH_SYMBOL
 
 
 def assertions_of(text: str) -> Script:
@@ -62,7 +62,7 @@ def test_totalize_then_fold():
 
 def test_totalize_custom_value():
     s = parse_script("(declare-fun a () Real)(assert (= (/ a 0) a))")
-    out = totalize(s, TotalizeConfig(div0_value=Fraction(1, 2)))
+    out = totalize(s, Fraction(1, 2))
     t = out.assertions[0].args[0]
     assert eval_term(t, {"a": Fraction(9)}, FLOOR) == Fraction(1, 2)
 
@@ -74,7 +74,7 @@ def test_totalize_matches_constant_interpretation():
         "(declare-fun x () Real)(declare-fun y () Real)"
         "(assert (< (/ x y) (+ (/ 1 0) y)))"
     )
-    out = totalize(s, TotalizeConfig(div0_value=Fraction(17)))
+    out = totalize(s, Fraction(17))
     for xv in (Fraction(0), Fraction(3), Fraction(-5, 2)):
         for yv in (Fraction(0), Fraction(2)):
             a = {"x": xv, "y": yv}
@@ -109,8 +109,8 @@ def test_totalize_idempotent_fresh(parsed_corpus):
     for script in parsed_corpus.values():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            once = totalize(script, FRESH)
-            assert totalize(once, FRESH) == once
+            once = totalize(script, style=FRESH)
+            assert totalize(once, style=FRESH) == once
 
 
 def test_totalize_leaves_existing_guards_alone():
@@ -127,7 +127,7 @@ def test_totalize_fresh_names_and_definitions():
         "(declare-fun x () Real)(declare-fun y () Real)"
         "(assert (= (/ x y) (/ y x)))"
     )
-    out = totalize(s, FRESH)
+    out = totalize(s, style=FRESH)
     names = [d.name for d in out.decls]
     assert names[-2:] == ["div0.0", "div0.1"]
     assert format_term(out.assertions[0]) == "(= div0.0 div0.1)"
@@ -146,14 +146,14 @@ def test_totalize_fresh_skips_taken_names():
         "(declare-fun div0.0 () Real)(declare-fun x () Real)"
         "(assert (= (/ x x) div0.0))"
     )
-    out = totalize(s, FRESH)
+    out = totalize(s, style=FRESH)
     assert [d.name for d in out.decls][-1] == "div0.1"
 
 
 def test_totalize_fresh_warns_under_quantifier():
     s = parse_script("(assert (forall ((q Real)) (= (/ q q) 1)))")
     with pytest.warns(UserWarning, match="under a quantifier"):
-        out = totalize(s, FRESH)
+        out = totalize(s, style=FRESH)
     assert "(ite (= q 0) 0 (/ q q))" in print_script(out)
     assert len(out.decls) == 0
 
@@ -162,7 +162,7 @@ def test_totalize_fresh_warns_once_at_the_caller():
     s = parse_script("(assert (forall ((q Real)) (= (/ q q) (/ 1 q))))")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        totalize(s, FRESH)
+        totalize(s, style=FRESH)
     assert len(caught) == 1
     assert caught[0].filename == __file__
 
@@ -178,11 +178,11 @@ def test_totalize_int_value_check():
         check_sat=True,
         exit_cmd=False,
     )
-    out = totalize(s, TotalizeConfig(div0_value=Fraction(3)))
+    out = totalize(s, Fraction(3))
     guard = out.assertions[0].args[0]
     assert guard.then.value == Fraction(3) and guard.then.sort is Sort.INT
     with pytest.raises(SortError):
-        totalize(s, TotalizeConfig(div0_value=Fraction(1, 2)))
+        totalize(s, Fraction(1, 2))
 
 
 def test_totalized_still_nonconstant_label_but_tautological_vcs():
@@ -282,7 +282,7 @@ def test_lift_structure():
     assert result.script.logic == "QF_UFNRA"
     assert result.script.assertions[-1] == division_axiom(result.div_symbol)
     assert format_term(result.script.assertions[0]) == "(= (udiv x y) 1)"
-    decl = result.script.decl_map()["udiv"]
+    (decl,) = [d for d in result.script.decls if d.name == "udiv"]
     assert decl.params == (Sort.REAL, Sort.REAL) and decl.result is Sort.REAL
 
 
@@ -434,12 +434,14 @@ def test_vc_count_and_order_follow_collection(parsed_corpus):
     for script in scripts:
         vcs = emit_nonzero_vcs(script)
         occs = collect_divisions(script)
-        assert len(vcs) == len(occs)
-        for vc, occ in zip(vcs, occs):
+        sites = list(division_sites(script))
+        assert len(vcs) == len(occs) == len(sites)
+        for vc, occ, (d, _) in zip(vcs, occs, sites):
+            assert occ.loc == d.loc
             assert (type(vc) is Quantifier) == occ.under_quantifier
             while type(vc) is Quantifier:
                 vc = vc.body
             if vc.op == "=>":
                 vc = vc.args[1]
             assert vc.op == "not" and vc.args[0].op == "="
-            assert vc.args[0].args[0] is term_at(script, occ.path).den
+            assert vc.args[0].args[0] is d.den

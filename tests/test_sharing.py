@@ -26,7 +26,6 @@ from nradiv import (
     Script,
     Sort,
     Term,
-    TotalizeConfig,
     TotalizeStyle,
     collect_divisions,
     count_nodes,
@@ -39,7 +38,7 @@ from nradiv import (
     print_script,
     totalize,
 )
-from nradiv.analyzer import count_divisions
+from nradiv.analyzer import count_divisions, division_sites
 from nradiv.cli import main
 from nradiv.terms import add, const, dag_fold, distinct_subterms, div, eq, lt, numeral_sort, var
 
@@ -105,11 +104,10 @@ def outcome(fn, *args):
 def library_results(script: Script) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fresh = TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL)
         passes = {
             "totalize": outcome(lambda: print_script(totalize(script))),
             "totalize-fold": outcome(lambda: print_script(totalize(script, fold=True))),
-            "totalize-fresh": outcome(lambda: print_script(totalize(script, fresh))),
+            "totalize-fresh": outcome(lambda: print_script(totalize(script, style=TotalizeStyle.FRESH_SYMBOL))),
             "uf-lift": outcome(lambda: print_script(lift_to_uf(script).script)),
             "fold": outcome(lambda: print_script(fold_script(script))),
         }
@@ -165,13 +163,12 @@ def test_transform_summary_counts_what_the_library_counts(script):
     input and the output, are those `count_nodes` and `count_divisions`
     give on the library's own result."""
 
-    fresh = TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL)
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         outputs = {
             "totalize": totalize(script),
             "totalize-fold": totalize(script, fold=True),
-            "totalize-fresh": totalize(script, fresh),
+            "totalize-fresh": totalize(script, style=TotalizeStyle.FRESH_SYMBOL),
             "uf-lift": lift_to_uf(script).script,
         }
         path = Path(tmp) / "script.smt2"
@@ -297,9 +294,10 @@ def test_per_occurrence_walks_skip_shared_terms_without_division():
         t = add(t, t)  # 2^60 paths, no division
     a = lt(add(div(X, Y), t), const(0))
     script = Script(logic="QF_NRA", decls=DECLS, assertions=(a,))
-    (occurrence,) = collect_divisions(script)
-    assert occurrence.path == (0, 0, 0)
-    out = totalize(script, TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL))
+    assert len(collect_divisions(script)) == 1
+    ((site, _),) = division_sites(script)
+    assert site is a.args[0].args[0]
+    out = totalize(script, style=TotalizeStyle.FRESH_SYMBOL)
     assert [d.name for d in out.decls] == ["x", "y", "div0.0"]
     assert len(out.assertions) == 2
 
@@ -320,7 +318,7 @@ def test_fresh_totalize_rewrites_a_quantifier_once():
     script = parse_script(HEADER + f"(assert (forall ((z Real)) {text}))")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = totalize(script, TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL))
+        out = totalize(script, style=TotalizeStyle.FRESH_SYMBOL)
     assert len(caught) == 1 and "under a quantifier" in str(caught[0].message)
     assert out.assertions == totalize(script).assertions
     assert out.decls == script.decls
@@ -332,7 +330,7 @@ def test_fresh_totalize_enters_a_shared_quantifier_once():
     script = parse_script(HEADER + f"(assert {doubling_lets(k).replace('(/ x y)', guard)})")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = totalize(script, TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL))
+        out = totalize(script, style=TotalizeStyle.FRESH_SYMBOL)
     assert len(caught) == 1 and "under a quantifier" in str(caught[0].message)
     assert out.assertions == totalize(script).assertions
     assert out.decls == script.decls
@@ -372,7 +370,7 @@ def test_assertions_that_share_a_node_print_as_each_would_alone():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fresh = totalize(parse_script(HEADER + f"(assert {doubling_lets(6)})"),
-                         TotalizeConfig(style=TotalizeStyle.FRESH_SYMBOL))
+                         style=TotalizeStyle.FRESH_SYMBOL)
     guards = Counter(id(n) for a in fresh.assertions for n in distinct_subterms(a))
     assert max(guards.values()) > 1  # a node under several defining assertions
     for script in (constant, fresh):

@@ -45,11 +45,11 @@ from nradiv.terms import (
     neg,
     same_term,
     sub,
-    subterms,
     var,
 )
 
 from strategies import bool_terms, numeric_terms, shared_scripts
+from support import subterms
 
 HERE, THERE = Loc(3, 7), Loc(9, 1)
 
