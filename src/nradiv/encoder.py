@@ -107,12 +107,7 @@ class IntFormula:
             if d.result is not Sort.INT:
                 raise EncodeError(f"'{d.name}' must be Int, got {d.result}")
             names.append(d.name)
-        if not script.assertions:
-            body: Term = Const(True, Sort.BOOL)
-        elif len(script.assertions) == 1:
-            body = script.assertions[0]
-        else:
-            body = conj(*script.assertions)
+        body = conj(*script.assertions) if script.assertions else Const(True, Sort.BOOL)
         return IntFormula(tuple(names), body)
 
 

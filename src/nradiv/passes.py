@@ -143,9 +143,10 @@ def totalize(
     else:
         # Each occurrence gets its own name, so the walk goes over the tree,
         # post-order over `_named_pieces`, and leaves each finished rewrite
-        # in `assertions` for its parent.  A quantifier is rewritten once,
-        # inline.  A leaf is its own rewrite, and so is the inline rewrite
-        # of a node seen before that holds nothing to name.
+        # in `assertions` for its parent.  A quantifier, and a node seen
+        # before that holds nothing to name, get their inline rewrite, which
+        # is not the node only where a quantifier below it was rewritten;
+        # a leaf is its own rewrite.
         nothing_to_name = division_free_repeats(_named_pieces)
         fell_back = False
         assertions = []
@@ -158,13 +159,11 @@ def totalize(
                 new = assertions[start:]
                 del assertions[start:]
                 assertions.append((named if type(node) is Div else inline)(node, new))
-            elif nothing_to_name(node):
+            elif nothing_to_name(node) or type(node) is Quantifier:
                 leaf = type(node) is Var or type(node) is Const
-                assertions.append(node if leaf else dag_fold(node, inline, _guard_pieces, memo))
-            elif type(node) is Quantifier:
-                q = dag_fold(node, inline, _guard_pieces, memo)
-                fell_back = fell_back or q is not node
-                assertions.append(q)
+                rewrite = node if leaf else dag_fold(node, inline, _guard_pieces, memo)
+                fell_back = fell_back or rewrite is not node
+                assertions.append(rewrite)
             else:
                 waiting.append((node, len(assertions)))
                 stack.append(None)
@@ -308,21 +307,40 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
     """
 
     vcs: list[Term] = []
-    memo: dict[tuple, Term] = {}  # id(division), then (id(node), k) of each scope cell -> VC
+    # A context stands for one distinct chain of the cells' `(node, k)`:
+    # `(outer context, guard or None, quantifier or None)`, its guard built once.
+    contexts: dict[tuple[int, int, int], tuple] = {}  # (id(outer), id(node), k) -> context
+    seen: dict[int, tuple] = {}  # id(scope cell) -> the cell, kept alive, and its context
+    memo: dict[tuple[int, int], Term] = {}  # (id(division), id(context)) -> VC
     for d, scope in division_sites(script):
-        cells: list[tuple[Term, int]] = []  # innermost first
-        while scope is not None:
-            scope, node, k, _ = scope
-            cells.append((node, k))
-        key = (id(d), *[(id(node), k) for node, k in cells])
+        cells = []  # cells not met before, innermost first
+        while scope is not None and id(scope) not in seen:
+            cells.append(scope)
+            scope = scope[0]
+        context = None if scope is None else seen[id(scope)][1]
+        for cell in reversed(cells):
+            _, node, k, _ = cell
+            key = (id(context), id(node), k)
+            if key not in contexts:
+                guard = None if k == 0 else node.cond if k == 1 else neg(node.cond)
+                contexts[key] = (context, guard, None if k else node)
+            context = contexts[key]
+            seen[id(cell)] = (cell, context)
+        key = (id(d), id(context))
         if key not in memo:
-            guards = [node.cond if k == 1 else neg(node.cond) for node, k in reversed(cells) if k]
+            guards: list[Term] = []
+            quantifiers: list[Quantifier] = []  # innermost first
+            while context is not None:
+                context, guard, q = context
+                if guard is None:
+                    quantifiers.append(q)
+                else:
+                    guards.append(guard)
             vc: Term = neg(eq(d.den, const(0, d.den.sort)))
             if guards:
-                vc = implies(conj(*guards), vc)
-            for node, k in cells:
-                if k == 0:
-                    vc = forall(node.bound, vc)
+                vc = implies(conj(*reversed(guards)), vc)
+            for q in quantifiers:
+                vc = forall(q.bound, vc)
             memo[key] = vc
         vcs.append(memo[key])
     return vcs

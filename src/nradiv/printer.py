@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import NradivError, value_too_long
+from .errors import value_too_long
 from .terms import (
     Apply,
     Const,
@@ -97,10 +97,6 @@ def format_rational(value: Fraction, point: bool = False) -> str:
     return f"{digits[:-s]}.{digits[-s:]}"
 
 
-def format_sort(sort: Sort) -> str:
-    return sort.value
-
-
 def _shared_nodes(terms) -> set[int]:
     """Ids of the non-leaf nodes that have more than one parent below
     `terms`, each of which counts as a parent of its own."""
@@ -123,18 +119,15 @@ def _shared_nodes(terms) -> set[int]:
         kids = children(stack.pop())
 
 
-def _format_leaf(term: Term, point: bool) -> str | None:
-    """Text of a variable or literal; None for any other node.  With
-    `point`, a Real literal is written with a decimal point."""
+def _format_leaf(term: Var | Const, point: bool) -> str:
+    """Text of a variable or literal.  With `point`, a Real literal is
+    written with a decimal point."""
 
-    t = type(term)
-    if t is Var:
+    if type(term) is Var:
         return format_symbol(term.name)
-    if t is Const:
-        if term.sort is Sort.BOOL:
-            return "true" if term.value else "false"
-        return format_rational(term.value, point and term.sort is Sort.REAL)
-    return None
+    if term.sort is Sort.BOOL:
+        return "true" if term.value else "false"
+    return format_rational(term.value, point and term.sort is Sort.REAL)
 
 
 def format_term(term: Term, numerals: Sort = Sort.REAL) -> str:
@@ -152,28 +145,26 @@ def _format_terms(terms, numerals: Sort) -> Iterator[str]:
     """The text of each of `terms`, as `format_term` writes it.
 
     Text is emitted left to right from an explicit stack, so depth costs
-    no recursion.  The text of a node with several parents, within one
-    term or across them, is joined once and reused; other nodes keep no
-    text of their own.
+    no recursion, and a piece that cannot be printed raises where it
+    stands in the text.  The text of a node with several parents, within
+    one term or across them, is joined once and reused; other nodes keep
+    no text of their own.
     """
 
     point = numerals is Sort.INT
     shared = _shared_nodes(terms)
     texts: dict[int, str] = {}  # id(shared node) -> its text
     for term in terms:
-        leaf = _format_leaf(term, point)
-        if leaf is not None:
-            yield leaf
-            continue
         out: list[str] = []
-        # Text, nodes, (id, start) at the end of a shared node's text, and
-        # the error of an unprintable leaf, raised where the leaf stands.
-        stack: list = [term]
+        stack: list = [term]  # text, terms, and (id, start) at the end of a shared node's text
         while stack:
             item = stack.pop()
             t = type(item)
             if t is str:
                 out.append(item)
+                continue
+            if t is Var or t is Const:
+                out.append(_format_leaf(item, point))
                 continue
             if t is tuple:
                 key, start = item
@@ -197,32 +188,21 @@ def _format_terms(terms, numerals: Sort) -> Iterator[str]:
             elif t is Ite:
                 out.append("(ite ")
                 args = (item.cond, item.then, item.orelse)
-            elif t is Quantifier:
-                binder = " ".join(f"({format_symbol(n)} {format_sort(s)})" for n, s in item.bound)
+            else:
+                binder = " ".join(f"({format_symbol(n)} {s.value})" for n, s in item.bound)
                 out.append(f"({item.kind} ({binder}) ")
                 args = (item.body,)
-            else:  # a leaf's error: `_shared_nodes` has refused any other non-term
-                raise item
-            # Arguments go on the stack last first; a leaf goes as its text,
-            # joined to the space before it, or as the error it raised.
-            for i in range(len(args) - 1, -1, -1):
-                a = args[i]
-                try:
-                    leaf = _format_leaf(a, point)
-                except (ValueError, NradivError) as exc:
-                    leaf, a = None, exc
-                if leaf is None:
-                    stack.append(a)
-                    if i:
-                        stack.append(" ")
-                else:
-                    stack.append(" " + leaf if i else leaf)
+            for i in range(len(args) - 1, 0, -1):  # last first
+                stack.append(args[i])
+                stack.append(" ")
+            if args:
+                stack.append(args[0])
         yield "".join(out)
 
 
 def _format_decl(decl: FunDecl) -> str:
-    params = " ".join(format_sort(s) for s in decl.params)
-    return f"(declare-fun {format_symbol(decl.name)} ({params}) {format_sort(decl.result)})"
+    params = " ".join(s.value for s in decl.params)
+    return f"(declare-fun {format_symbol(decl.name)} ({params}) {decl.result.value})"
 
 
 def print_script(script: Script) -> str:

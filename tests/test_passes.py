@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -445,3 +446,31 @@ def test_vc_count_and_order_follow_collection(parsed_corpus):
                 vc = vc.args[1]
             assert vc.op == "not" and vc.args[0].op == "="
             assert vc.args[0].args[0] is d.den
+
+
+def test_vcs_of_a_chain_of_guarded_divisions_share_their_guards():
+    # (ite c (/ x 2) (ite c (/ x 3) ... x)): VC i has i + 1 hypotheses, so
+    # the VCs are quadratic as text, but the `(not c)` of each `ite` is one
+    # term, shared by the VCs of every division below it.
+    n = 1000
+    s = parse_script(
+        "(declare-fun x () Real)(declare-fun c () Bool)(assert (= x "
+        + "".join(f"(ite c (/ x {i}) " for i in range(2, n + 2))
+        + "x"
+        + ")" * n
+        + "))"
+    )
+    tracemalloc.start()
+    try:
+        vcs = emit_nonzero_vcs(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, f"emit_nonzero_vcs peaked at {peak / 1e6:.1f} MB"
+    assert len(vcs) == n
+    assert format_term(vcs[0]) == "(=> c (not (= 2 0)))"
+    for i in range(1, n):
+        hypotheses = "(not c) " * i + "c"
+        assert format_term(vcs[i]) == f"(=> (and {hypotheses}) (not (= {i + 2} 0)))"
+    inner, outer = vcs[-1].args[0].args, vcs[-2].args[0].args
+    assert all(a is b for a, b in zip(inner, outer[:-1]))
