@@ -141,17 +141,24 @@ def division_sites(script: Script) -> Iterator[tuple[Div, tuple | None]]:
 def collect_divisions(script: Script) -> list[DivOccurrence]:
     """Every division occurrence, as `division_sites` finds them.
 
-    A division reached by several paths is listed once per path; each
-    distinct divisor node is classified once.
+    A division reached by several paths is listed once per path, as one
+    `DivOccurrence` per distinct division node and quantifier context: the
+    paths that share both share the object.  Each distinct divisor node is
+    classified once.
     """
 
     out: list[DivOccurrence] = []
     classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
+    made: dict[tuple[int, bool], DivOccurrence] = {}  # (id(division), quantified)
     for d, scope in division_sites(script):
-        cls = classes.get(id(d.den))
-        if cls is None:
-            cls = classes[id(d.den)] = classify_divisor(d.den)
-        out.append(DivOccurrence(cls, d.loc, scope is not None and scope[3]))
+        quantified = scope is not None and scope[3]
+        occ = made.get((id(d), quantified))
+        if occ is None:
+            cls = classes.get(id(d.den))
+            if cls is None:
+                cls = classes[id(d.den)] = classify_divisor(d.den)
+            occ = made[id(d), quantified] = DivOccurrence(cls, d.loc, quantified)
+        out.append(occ)
     return out
 
 
@@ -197,7 +204,9 @@ def classify_script(script: Script) -> FragmentVerdict:
     """
 
     occurrences = tuple(collect_divisions(script))
+    # The label reads only which classes occur, so each distinct occurrence
+    # object is counted once, however many paths list it.
     counts = dict.fromkeys(DivisorKind, 0)
-    for o in occurrences:
+    for o in dict(zip(map(id, occurrences), occurrences)).values():
         counts[o.divisor_class.kind] += 1
     return FragmentVerdict(fragment_label(counts), occurrences)

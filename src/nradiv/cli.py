@@ -72,29 +72,50 @@ def _occurrence_line(occ) -> str:
     return f"  line {occ.loc.line} col {occ.loc.col}: {detail}"
 
 
+# `json.dumps(payload, indent=2, sort_keys=True)` as fixed text, so that
+# only its strings, bools and nulls go through the (C-backed) encoder;
+# `indent` alone would turn it off for the whole payload.
+_OCCURRENCE_JSON = """    {{
+      "class": {},
+      "col": {},
+      "line": {},
+      "under_quantifier": {},
+      "value": {}
+    }}"""
+_CLASSIFY_JSON = """{{
+  "occurrences": {},
+  "path": {},
+  "verdict": {}
+}}"""
+
+
+def _occurrence_json(occ) -> str:
+    value = occ.divisor_class.value
+    return _OCCURRENCE_JSON.format(
+        json.dumps(occ.divisor_class.kind.value),
+        occ.loc.col,
+        occ.loc.line,
+        json.dumps(occ.under_quantifier),
+        json.dumps(None if value is None else format_value(value)),
+    )
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     verdict = classify_script(args.script)
+    # A shared occurrence object is formatted once, however many paths list it.
+    occurrences = verdict.occurrences
+    fmt = _occurrence_json if args.json else _occurrence_line
+    text = {i: fmt(occ) for i, occ in dict(zip(map(id, occurrences), occurrences)).items()}
+    lines = list(map(text.__getitem__, map(id, occurrences)))
     if args.json:
-        payload = {
-            "path": args.path,
-            "verdict": verdict.label.value,
-            "occurrences": [
-                {
-                    "line": occ.loc.line,
-                    "col": occ.loc.col,
-                    "class": occ.divisor_class.kind.value,
-                    "value": None
-                    if occ.divisor_class.value is None
-                    else format_value(occ.divisor_class.value),
-                    "under_quantifier": occ.under_quantifier,
-                }
-                for occ in verdict.occurrences
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        out = _CLASSIFY_JSON.format(
+            ("[\n" + ",\n".join(lines) + "\n  ]") if lines else "[]",
+            json.dumps(args.path),
+            json.dumps(verdict.label.value),
+        )
     else:
-        lines = [f"{args.path}: {verdict.label}", *map(_occurrence_line, verdict.occurrences)]
-        print("\n".join(lines))  # nothing is printed when a line fails
+        out = "\n".join([f"{args.path}: {verdict.label}", *lines])
+    print(out)  # nothing is printed when a line fails
     return _VERDICT_EXIT[verdict.label]
 
 

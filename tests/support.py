@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator
 
-from nradiv import Script, Sort, Term, children, is_quantifier_free
+from nradiv import Script, Sort, Term, children, classify_script, is_quantifier_free, parse_script
+from nradiv.printer import format_value
 
 DENOMINATOR_CHOICES = (1, 1, 1, 2, 2, 3, 4, 7)
 
@@ -66,3 +69,38 @@ def forced_value(x: Fraction) -> Fraction:
         x -= 1
         steps += 1
     return steps
+
+
+def doubling_let_script(k: int) -> str:
+    """`(> a{k-1} 0)` under k nested lets, `a0` bound to `(/ x y)` and each
+    `a{i}` to `(+ a{i-1} a{i-1})`: one division node on 2^(k-1) paths."""
+
+    lets = "".join(f"(let ((a{i} (+ a{i - 1} a{i - 1}))) " for i in range(1, k))
+    return (
+        "(declare-fun x () Real)\n(declare-fun y () Real)\n"
+        f"(assert (let ((a0 (/ x y))) {lets}(> a{k - 1} 0){')' * k})\n"
+    )
+
+
+def classify_json_oracle(path: str) -> str:
+    """What `nradiv classify --json path` prints, built as one payload and
+    written by `json.dumps(payload, indent=2, sort_keys=True)`."""
+
+    verdict = classify_script(parse_script(Path(path).read_text(encoding="utf-8")))
+    payload = {
+        "path": path,
+        "verdict": verdict.label.value,
+        "occurrences": [
+            {
+                "line": occ.loc.line,
+                "col": occ.loc.col,
+                "class": occ.divisor_class.kind.value,
+                "value": None
+                if occ.divisor_class.value is None
+                else format_value(occ.divisor_class.value),
+                "under_quantifier": occ.under_quantifier,
+            }
+            for occ in verdict.occurrences
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from nradiv import (
     Div,
     DivisorClass,
     DivisorKind,
+    DivOccurrence,
     FragmentLabel,
     Sort,
     classify_divisor,
@@ -26,7 +29,8 @@ from nradiv import (
     parse_script,
 )
 from nradiv.analyzer import division_sites
-from support import subterms
+from nradiv.cli import main
+from support import classify_json_oracle, doubling_let_script, subterms
 
 CN = DivisorKind.CONSTANT_NONZERO
 CZ = DivisorKind.CONSTANT_ZERO
@@ -188,19 +192,26 @@ def test_division_20000_deep_keeps_its_path_class_and_location():
     assert not occurrence.under_quantifier
 
 
+def traced_peak(call) -> tuple[object, int]:
+    """`call()` and the peak of traced memory while it ran, in bytes."""
+
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def both_walks_within(script, limit: int) -> list:
     """`collect_divisions` and `emit_nonzero_vcs` of the script, each
     required to peak under `limit` bytes of traced memory."""
 
     results = []
     for walk in (collect_divisions, emit_nonzero_vcs):
-        tracemalloc.start()
-        try:
-            results.append(walk(script))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: walk(script))
         assert peak < limit, f"{walk.__name__} peaked at {peak / 1e6:.1f} MB"
+        results.append(result)
     return results
 
 
@@ -247,3 +258,36 @@ def test_8000_chained_divisions_keep_nothing_per_level():
     occurrences, vcs = both_walks_within(script, 20_000_000)
     assert [o.divisor_class.value for o in occurrences] == list(range(2, n + 2))
     assert len(vcs) == n
+
+
+def test_a_division_on_32768_paths_is_one_occurrence_object():
+    """16 doubling lets: the one division is listed once per path, as one
+    shared `DivOccurrence`, so the list costs a reference per path."""
+
+    script = parse_script(doubling_let_script(16))
+    occurrences, peak = traced_peak(lambda: collect_divisions(script))
+    assert len(occurrences) == 32_768
+    assert len(set(map(id, occurrences))) == 1
+    assert occurrences[0] == DivOccurrence(DivisorClass(NC), occurrences[0].loc, False)
+    assert peak < 1_000_000, f"collect_divisions peaked at {peak / 1e6:.2f} MB"
+
+
+def test_a_shared_division_in_and_under_a_quantifier_is_two_objects():
+    script = parse_script(
+        "(declare-fun x () Real)(declare-fun y () Real)"
+        "(assert (let ((d (/ x y))) (and (> d 0) (forall ((q Real)) (> d q)))))"
+    )
+    free, bound = collect_divisions(script)
+    assert free is not bound and free.loc == bound.loc
+    assert (free.under_quantifier, bound.under_quantifier) == (False, True)
+
+
+def test_classify_json_of_32768_paths_formats_one_occurrence(tmp_path):
+    path = tmp_path / "doubling.smt2"
+    path.write_text(doubling_let_script(16))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code, peak = traced_peak(lambda: main(["classify", "--json", str(path)]))
+    assert code == 2
+    assert peak < 15_000_000, f"classify --json peaked at {peak / 1e6:.1f} MB"
+    assert out.getvalue() == classify_json_oracle(str(path))

@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import MALFORMED, REPO
 from nradiv import cli, count_divisions, emit_nonzero_vcs, parse_script, print_script
 from nradiv.cli import main
+from strategies import scripts, shared_scripts
+from support import classify_json_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +64,52 @@ def test_classify_json(corpus_dir, capsys):
     assert occ["class"] == "constant-nonzero"
     assert occ["value"] == "2"
     assert occ["under_quantifier"] is False
+
+
+# `classify --json` writes, byte for byte, what `json.dumps(payload,
+# indent=2, sort_keys=True)` of its whole payload writes.
+ORACLE_FILES = [
+    *(p for p in sorted((REPO / "corpus").glob("*.smt2")) if p.name != MALFORMED),
+    *sorted((REPO / "golden").glob("*.smt2")),
+]
+
+
+@pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_classify_json_of_each_shipped_script_is_what_json_dumps_writes(path, capsys):
+    main(["classify", "--json", str(path)])
+    assert capsys.readouterr().out == classify_json_oracle(str(path))
+
+
+@pytest.mark.parametrize(
+    "name,body,code",
+    [
+        ("none.smt2", "(> x 0)", 0),
+        ("negated.smt2", "(> (/ x (- 0 2)) 0)", 1),
+        ("third.smt2", "(> (/ x (/ 1 3)) 0)", 1),
+        ("zero.smt2", "(> (/ x 0) 0)", 2),
+        ("quantified.smt2", "(forall ((q Real)) (> (/ q x) 0))", 2),
+        ('caf\u00e9 "q" \\.smt2', "(> (/ x 2) 0)", 1),
+    ],
+)
+def test_classify_json_of_each_edge_case_is_what_json_dumps_writes(tmp_path, capsys, name, body, code):
+    path = tmp_path / name
+    path.write_text(f"(declare-fun x () Real)\n(assert {body})\n", encoding="utf-8")
+    assert main(["classify", "--json", str(path)]) == code
+    out = capsys.readouterr().out
+    assert out == classify_json_oracle(str(path))
+    assert ('"occurrences": [],' in out) is (code == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scripts, shared_scripts()))
+def test_classify_json_of_generated_scripts_is_what_json_dumps_writes(script):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "script.smt2")
+        Path(path).write_text(print_script(script))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["classify", "--json", path]) in (0, 1, 2)
+        assert out.getvalue() == classify_json_oracle(path)
 
 
 def test_classify_missing_file(tmp_path, capsys):
