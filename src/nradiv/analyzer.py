@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add
-from typing import Iterator
 
 from .terms import (
     ARITH_OPS,
@@ -24,10 +23,11 @@ from .terms import (
     Quantifier,
     Script,
     Term,
+    Var,
     children,
     dag_fold,
-    division_free_repeats,
     fold_node,
+    holds_division,
     with_children,
 )
 
@@ -49,11 +49,13 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class DivOccurrence:
-    """One division node: where it sits and what its divisor looks like."""
+    """One division node in one quantifier context: where it sits, what its
+    divisor looks like, and on how many tree paths it is reached there."""
 
     divisor_class: DivisorClass
     loc: Loc
     under_quantifier: bool
+    paths: int
 
 
 class FragmentLabel(Enum):
@@ -105,67 +107,114 @@ def classify_divisor(divisor: Term) -> DivisorClass:
     return DivisorClass(DivisorKind.CONSTANT_NONZERO, value)
 
 
-def division_sites(script: Script) -> Iterator[tuple[Div, tuple | None]]:
-    """Every division occurrence, in assertion order, pre-order within a term.
+def division_sites(script: Script, chains: bool = False) -> list[tuple[Div, object, int]]:
+    """Each distinct division and context, with `paths`, the number of tree
+    paths that reach the division there, in the order a pre-order walk of
+    the assertions first reaches them.
 
-    Yields the `Div` node and its scope: None at the top of an assertion,
-    else the cell `(outer, node, k, quantified)` of the innermost `ite`
+    The context is None at the top of an assertion.  Without `chains` it is
+    True under a quantifier and None elsewhere.  With `chains` it is the
+    scope: the cell `(outer, node, k, quantified)` of the innermost `ite`
     branch (k = 1 then, 2 else) or quantifier body (k = 0) above it, where
     `outer` is the scope of `node` and `quantified` says whether a
-    quantifier is among them.  A condition keeps the scope of its `ite`,
-    and every other child the scope of its parent, so nothing is copied per
-    level.  A node is entered again only when it holds a division.
+    quantifier is among them.  Cells are interned, so one cell stands for
+    one distinct chain of `(node, k)`.
+
+    The walk enters each distinct pair of node and context once: a repeat
+    arrival only records its parent, and a node met before in another
+    context is entered again only when it holds a division.  One pass in
+    reverse post-order then sums the paths of each pair's parents.
     """
 
-    skip = division_free_repeats()
-    for assertion in script.assertions:
-        stack = [(assertion, None)]  # node, scope
-        while stack:
-            term, scope = stack.pop()
-            if skip(term):
-                continue
-            t = type(term)
-            if t is Div:
-                yield term, scope
-            if t is Ite:
-                quantified = scope is not None and scope[3]
-                stack.append((term.orelse, (scope, term, 2, quantified)))
-                stack.append((term.then, (scope, term, 1, quantified)))
-                stack.append((term.cond, scope))
-            elif t is Quantifier:
-                stack.append((term.body, (scope, term, 0, True)))
+    cells: dict[tuple[int, int, int], tuple] = {}  # (id(outer), id(node), k) -> cell
+
+    def inner(outer, node: Term, k: int):
+        if not chains:
+            return True if k == 0 else outer
+        key = (id(outer), id(node), k)
+        cell = cells.get(key)
+        if cell is None:
+            quantified = k == 0 or (outer is not None and outer[3])
+            cell = cells[key] = (outer, node, k, quantified)
+        return cell
+
+    holds = holds_division()
+    seen: set[int] = set()  # id(node) of each node entered in some context
+    pairs: dict = {}  # id(node) at context None, else (id(node), id(context)) -> pair number
+    parents: list = []  # pair number -> its parent's number (-1 for none), or a list of them
+    finished: list[int] = []  # pair numbers in post-order
+    sites: list[tuple[int, Div, object]] = []  # pair number, division, context
+    shared = False
+    stack: list = [(a, None, -1) for a in reversed(script.assertions)]  # node, context, parent
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            finished.append(item)
+            continue
+        term, context, parent = item
+        t = type(term)
+        if t is Var or t is Const:
+            continue
+        key = id(term) if context is None else (id(term), id(context))
+        new = len(parents)
+        i = pairs.setdefault(key, new)
+        if i != new:  # a repeat arrival
+            shared = True
+            first = parents[i]
+            if type(first) is int:
+                parents[i] = [first, parent]
             else:
-                stack.extend([(kid, scope) for kid in reversed(children(term))])
+                first.append(parent)
+            continue
+        parents.append(parent)
+        if id(term) not in seen:
+            seen.add(id(term))
+        elif not holds(term):
+            continue  # a pair that is never entered, and reaches no division
+        stack.append(i)
+        if t is Div:
+            sites.append((i, term, context))
+        if t is Ite:
+            stack.append((term.orelse, inner(context, term, 2), i))
+            stack.append((term.then, inner(context, term, 1), i))
+            stack.append((term.cond, context, i))
+        elif t is Quantifier:
+            stack.append((term.body, inner(context, term, 0), i))
+        else:
+            stack.extend([(kid, context, i) for kid in reversed(children(term))])
+    if not shared:
+        return [(d, context, 1) for _, d, context in sites]
+    paths = [1] * len(parents)  # an assertion's own pair has one path
+    for i in reversed(finished):
+        p = parents[i]
+        if type(p) is int:
+            if p >= 0:
+                paths[i] = paths[p]
+        else:
+            paths[i] = sum(paths[q] if q >= 0 else 1 for q in p)
+    return [(d, context, paths[i]) for i, d, context in sites]
 
 
 def collect_divisions(script: Script) -> list[DivOccurrence]:
-    """Every division occurrence, as `division_sites` finds them.
-
-    A division reached by several paths is listed once per path, as one
-    `DivOccurrence` per distinct division node and quantifier context: the
-    paths that share both share the object.  Each distinct divisor node is
-    classified once.
-    """
+    """One occurrence per distinct division and quantifier context, in the
+    order `division_sites` first reaches them, each with the number of tree
+    paths that reach it there.  Each distinct divisor node is classified
+    once."""
 
     out: list[DivOccurrence] = []
     classes: dict[int, DivisorClass] = {}  # id(divisor) -> its class
-    made: dict[tuple[int, bool], DivOccurrence] = {}  # (id(division), quantified)
-    for d, scope in division_sites(script):
-        quantified = scope is not None and scope[3]
-        occ = made.get((id(d), quantified))
-        if occ is None:
-            cls = classes.get(id(d.den))
-            if cls is None:
-                cls = classes[id(d.den)] = classify_divisor(d.den)
-            occ = made[id(d), quantified] = DivOccurrence(cls, d.loc, quantified)
-        out.append(occ)
+    for d, quantified, paths in division_sites(script):
+        cls = classes.get(id(d.den))
+        if cls is None:
+            cls = classes[id(d.den)] = classify_divisor(d.den)
+        out.append(DivOccurrence(cls, d.loc, quantified is True, paths))
     return out
 
 
 def count_divisions(script: Script) -> dict[DivisorKind, int]:
-    """Division occurrences per divisor class, as `collect_divisions`
-    would list them, without listing them: each distinct node is visited
-    once and a shared division counts once per path."""
+    """Division occurrences per divisor class, a shared division counting
+    once per tree path: the `paths` of `collect_divisions`, summed per
+    class, with each distinct node visited once."""
 
     kinds = tuple(DivisorKind)
     none = (0,) * len(kinds)
@@ -204,9 +253,7 @@ def classify_script(script: Script) -> FragmentVerdict:
     """
 
     occurrences = tuple(collect_divisions(script))
-    # The label reads only which classes occur, so each distinct occurrence
-    # object is counted once, however many paths list it.
     counts = dict.fromkeys(DivisorKind, 0)
-    for o in dict(zip(map(id, occurrences), occurrences)).values():
-        counts[o.divisor_class.kind] += 1
+    for o in occurrences:
+        counts[o.divisor_class.kind] += o.paths
     return FragmentVerdict(fragment_label(counts), occurrences)

@@ -69,6 +69,8 @@ def _occurrence_line(occ) -> str:
         detail += f" (value {format_value(occ.divisor_class.value)})"
     if occ.under_quantifier:
         detail += ", under a quantifier"
+    if occ.paths > 1:
+        detail += f", on {occ.paths} paths"
     return f"  line {occ.loc.line} col {occ.loc.col}: {detail}"
 
 
@@ -79,14 +81,17 @@ _OCCURRENCE_JSON = """    {{
       "class": {},
       "col": {},
       "line": {},
+      "paths": {},
       "under_quantifier": {},
       "value": {}
     }}"""
 _CLASSIFY_JSON = """{{
   "occurrences": {},
   "path": {},
+  "schema_version": {},
   "verdict": {}
 }}"""
+CLASSIFY_SCHEMA_VERSION = 2  # 2: one occurrence per division and context, with its paths
 
 
 def _occurrence_json(occ) -> str:
@@ -95,6 +100,7 @@ def _occurrence_json(occ) -> str:
         json.dumps(occ.divisor_class.kind.value),
         occ.loc.col,
         occ.loc.line,
+        occ.paths,
         json.dumps(occ.under_quantifier),
         json.dumps(None if value is None else format_value(value)),
     )
@@ -102,15 +108,12 @@ def _occurrence_json(occ) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     verdict = classify_script(args.script)
-    # A shared occurrence object is formatted once, however many paths list it.
-    occurrences = verdict.occurrences
-    fmt = _occurrence_json if args.json else _occurrence_line
-    text = {i: fmt(occ) for i, occ in dict(zip(map(id, occurrences), occurrences)).items()}
-    lines = list(map(text.__getitem__, map(id, occurrences)))
+    lines = list(map(_occurrence_json if args.json else _occurrence_line, verdict.occurrences))
     if args.json:
         out = _CLASSIFY_JSON.format(
             ("[\n" + ",\n".join(lines) + "\n  ]") if lines else "[]",
             json.dumps(args.path),
+            CLASSIFY_SCHEMA_VERSION,
             json.dumps(verdict.label.value),
         )
     else:

@@ -296,51 +296,43 @@ def lift_to_uf(script: Script) -> UfLiftResult:
 
 
 def emit_nonzero_vcs(script: Script) -> list[Term]:
-    """One closed Boolean term per division: its divisor is nonzero there.
+    """One closed Boolean term per division and distinct chain of `ite`
+    branches and quantifiers above it: its divisor is nonzero there.
 
     `ite` branch conditions become hypotheses, so a division guarded by
     its own zero test yields a tautology.  A division under quantifiers
     is universally closed over the bound variables; for an `exists`
     binder this is stronger than necessary, erring toward soundness.
-    The list has one entry per occurrence of `division_sites`, in its
-    order; equal VCs of one division share one term.
+    The list follows `division_sites` with scope chains, in its order.
     """
 
     vcs: list[Term] = []
-    # A context stands for one distinct chain of the cells' `(node, k)`:
-    # `(outer context, guard or None, quantifier or None)`, its guard built once.
-    contexts: dict[tuple[int, int, int], tuple] = {}  # (id(outer), id(node), k) -> context
-    seen: dict[int, tuple] = {}  # id(scope cell) -> the cell, kept alive, and its context
-    memo: dict[tuple[int, int], Term] = {}  # (id(division), id(context)) -> VC
-    for d, scope in division_sites(script):
+    # Each scope cell stands for one distinct chain, so it gets one context,
+    # linked like the cells: `(outer context, guard or None, quantifier or
+    # None)`, whose `(not c)` guard is built once.
+    contexts: dict[int, tuple] = {}  # id(scope cell) -> its context
+    for d, scope, _ in division_sites(script, chains=True):
         cells = []  # cells not met before, innermost first
-        while scope is not None and id(scope) not in seen:
+        while scope is not None and id(scope) not in contexts:
             cells.append(scope)
             scope = scope[0]
-        context = None if scope is None else seen[id(scope)][1]
+        context = None if scope is None else contexts[id(scope)]
         for cell in reversed(cells):
             _, node, k, _ = cell
-            key = (id(context), id(node), k)
-            if key not in contexts:
-                guard = None if k == 0 else node.cond if k == 1 else neg(node.cond)
-                contexts[key] = (context, guard, None if k else node)
-            context = contexts[key]
-            seen[id(cell)] = (cell, context)
-        key = (id(d), id(context))
-        if key not in memo:
-            guards: list[Term] = []
-            quantifiers: list[Quantifier] = []  # innermost first
-            while context is not None:
-                context, guard, q = context
-                if guard is None:
-                    quantifiers.append(q)
-                else:
-                    guards.append(guard)
-            vc: Term = neg(eq(d.den, const(0, d.den.sort)))
-            if guards:
-                vc = implies(conj(*reversed(guards)), vc)
-            for q in quantifiers:
-                vc = forall(q.bound, vc)
-            memo[key] = vc
-        vcs.append(memo[key])
+            guard = None if k == 0 else node.cond if k == 1 else neg(node.cond)
+            context = contexts[id(cell)] = (context, guard, None if k else node)
+        guards: list[Term] = []
+        quantifiers: list[Quantifier] = []  # innermost first
+        while context is not None:
+            context, guard, q = context
+            if guard is None:
+                quantifiers.append(q)
+            else:
+                guards.append(guard)
+        vc: Term = neg(eq(d.den, const(0, d.den.sort)))
+        if guards:
+            vc = implies(conj(*reversed(guards)), vc)
+        for q in quantifiers:
+            vc = forall(q.bound, vc)
+        vcs.append(vc)
     return vcs

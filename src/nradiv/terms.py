@@ -629,14 +629,27 @@ def distinct_subterms(term: Term) -> Iterator[Term]:
             stack.extend(reversed(children(t)))
 
 
+def holds_division(pieces: Callable = children) -> Callable[[Term], bool]:
+    """A test of whether a node, or one of the nodes a walk enters below it
+    through `pieces`, is a division, folded into a memo once per node."""
+
+    held: dict[int, bool] = {}
+
+    def holds(t: Term) -> bool:
+        if id(t) not in held:
+            dag_fold(t, lambda node, below: type(node) is Div or True in below, pieces, held)
+        return held[id(t)]
+
+    return holds
+
+
 def division_free_repeats(pieces: Callable = children) -> Callable[[Term], bool]:
     """For one per-occurrence walk: a test of whether a node adds nothing to
     it, being a leaf or a node seen before that holds no division among its
-    `pieces`, the nodes the walk enters below it.  A repeat visit folds
-    "holds a division" into a memo, once per node."""
+    `pieces`, the nodes the walk enters below it."""
 
     seen: set[int] = set()
-    held: dict[int, bool] = {}
+    holds = holds_division(pieces)
 
     def skip(t: Term) -> bool:
         if type(t) is Var or type(t) is Const:
@@ -644,9 +657,7 @@ def division_free_repeats(pieces: Callable = children) -> Callable[[Term], bool]
         if id(t) not in seen:
             seen.add(id(t))
             return False
-        if id(t) not in held:
-            dag_fold(t, lambda node, below: type(node) is Div or True in below, pieces, held)
-        return not held[id(t)]
+        return not holds(t)
 
     return skip
 

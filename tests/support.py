@@ -8,8 +8,23 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from nradiv import Script, Sort, Term, children, classify_script, is_quantifier_free, parse_script
+from nradiv import (
+    Div,
+    DivOccurrence,
+    Ite,
+    Quantifier,
+    Script,
+    Sort,
+    Term,
+    children,
+    classify_divisor,
+    classify_script,
+    format_term,
+    is_quantifier_free,
+    parse_script,
+)
 from nradiv.printer import format_value
+from nradiv.terms import conj, const, division_free_repeats, eq, forall, implies, neg
 
 DENOMINATOR_CHOICES = (1, 1, 1, 2, 2, 3, 4, 7)
 
@@ -82,6 +97,91 @@ def doubling_let_script(k: int) -> str:
     )
 
 
+def ite_chain_script(k: int) -> str:
+    """`(> a{k-1} 0)` under k nested lets, `a0` bound to `(/ x y)` and each
+    `a{i}` to `(ite c a{i-1} a{i-1})`: one division node on 2^(k-1) paths,
+    each under its own chain of k - 1 branches."""
+
+    lets = "".join(f"(let ((a{i} (ite c a{i - 1} a{i - 1}))) " for i in range(1, k))
+    return (
+        "(declare-fun x () Real)\n(declare-fun y () Real)\n(declare-fun c () Bool)\n"
+        f"(assert (let ((a0 (/ x y))) {lets}(> a{k - 1} 0){')' * k})\n"
+    )
+
+
+def per_path_sites(script: Script) -> Iterator[tuple[Div, tuple | None]]:
+    """Every division occurrence, once per tree path, in assertion order,
+    pre-order within a term: the reference for `division_sites`.
+
+    Yields the `Div` node and its scope: None at the top of an assertion,
+    else a fresh cell `(outer, node, k, quantified)` for the innermost `ite`
+    branch (k = 1 then, 2 else) or quantifier body (k = 0) above it.  A
+    node seen before is entered again only when it holds a division, so
+    this costs the tree paths that reach a division."""
+
+    skip = division_free_repeats()
+    for assertion in script.assertions:
+        stack = [(assertion, None)]  # node, scope
+        while stack:
+            term, scope = stack.pop()
+            if skip(term):
+                continue
+            t = type(term)
+            if t is Div:
+                yield term, scope
+            if t is Ite:
+                quantified = scope is not None and scope[3]
+                stack.append((term.orelse, (scope, term, 2, quantified)))
+                stack.append((term.then, (scope, term, 1, quantified)))
+                stack.append((term.cond, scope))
+            elif t is Quantifier:
+                stack.append((term.body, (scope, term, 0, True)))
+            else:
+                stack.extend([(kid, scope) for kid in reversed(children(term))])
+
+
+def per_path_occurrences(script: Script) -> list[DivOccurrence]:
+    """`per_path_sites` collapsed by division and quantifier context, in
+    first-occurrence order, each with its number of paths."""
+
+    paths: dict[tuple[int, bool], int] = {}
+    first: dict[tuple[int, bool], tuple[Div, bool]] = {}
+    for d, scope in per_path_sites(script):
+        key = (id(d), scope is not None and scope[3])
+        paths[key] = paths.get(key, 0) + 1
+        first.setdefault(key, (d, key[1]))
+    return [
+        DivOccurrence(classify_divisor(d.den), d.loc, quantified, paths[key])
+        for key, (d, quantified) in first.items()
+    ]
+
+
+def per_path_vc_texts(script: Script) -> list[str]:
+    """The nonzero-divisor VC of each `per_path_sites` occurrence, as text,
+    once per division and chain of `(ite or quantifier, k)` above it, in
+    first-occurrence order."""
+
+    out: dict[tuple, str] = {}
+    for d, scope in per_path_sites(script):
+        chain, guards, quantifiers = [], [], []
+        while scope is not None:
+            scope, node, k, _ = scope
+            chain.append((id(node), k))
+            if k == 0:
+                quantifiers.append(node)
+            else:
+                guards.append(node.cond if k == 1 else neg(node.cond))
+        key = (id(d), tuple(chain))
+        if key not in out:
+            vc = neg(eq(d.den, const(0, d.den.sort)))
+            if guards:
+                vc = implies(conj(*reversed(guards)), vc)
+            for q in quantifiers:
+                vc = forall(q.bound, vc)
+            out[key] = format_term(vc)
+    return list(out.values())
+
+
 def classify_json_oracle(path: str) -> str:
     """What `nradiv classify --json path` prints, built as one payload and
     written by `json.dumps(payload, indent=2, sort_keys=True)`."""
@@ -89,6 +189,7 @@ def classify_json_oracle(path: str) -> str:
     verdict = classify_script(parse_script(Path(path).read_text(encoding="utf-8")))
     payload = {
         "path": path,
+        "schema_version": 2,
         "verdict": verdict.label.value,
         "occurrences": [
             {
@@ -99,6 +200,7 @@ def classify_json_oracle(path: str) -> str:
                 if occ.divisor_class.value is None
                 else format_value(occ.divisor_class.value),
                 "under_quantifier": occ.under_quantifier,
+                "paths": occ.paths,
             }
             for occ in verdict.occurrences
         ],

@@ -99,7 +99,7 @@ def test_nested_divisions_in_source_order():
     occ = collect_divisions(script)
     assert [o.divisor_class.kind for o in occ] == [NC, CN]
     outer = script.assertions[0].args[0]
-    (first, _), (second, _) = division_sites(script)
+    (first, _, _), (second, _, _) = division_sites(script)
     assert first is outer and second is outer.num
     # pre-order equals source order: outer '(' comes first
     assert occ[0].loc.col < occ[1].loc.col
@@ -185,8 +185,8 @@ def test_division_20000_deep_keeps_its_path_class_and_location():
     node = script.assertions[0].args[1]
     for _ in range(depth):
         node = node.args[1]
-    ((site, _),) = division_sites(script)
-    assert site is node
+    ((site, _, paths),) = division_sites(script)
+    assert site is node and paths == 1
     assert occurrence.divisor_class == DivisorClass(CN, Fraction(2))
     assert tuple(occurrence.loc) == (2, len("(assert (= x ") + len("(+ 1 ") * depth + 2)  # at its /
     assert not occurrence.under_quantifier
@@ -230,7 +230,8 @@ def test_5000_nested_scopes_cost_no_copy_per_level(quantified):
     script = parse_script(f"{head}(assert {body})")
     (occurrence,), (vc,) = both_walks_within(script, 20_000_000)
     assert occurrence.under_quantifier is quantified
-    ((site, _),) = division_sites(script)
+    ((site, _, paths),) = division_sites(script, chains=True)
+    assert paths == 1
     if quantified:
         node = script.assertions[0]
         for i in range(depth):
@@ -261,14 +262,12 @@ def test_8000_chained_divisions_keep_nothing_per_level():
 
 
 def test_a_division_on_32768_paths_is_one_occurrence_object():
-    """16 doubling lets: the one division is listed once per path, as one
-    shared `DivOccurrence`, so the list costs a reference per path."""
+    """16 doubling lets: the one division is listed once, with the number of
+    paths that reach it, so the list costs nothing per path."""
 
     script = parse_script(doubling_let_script(16))
     occurrences, peak = traced_peak(lambda: collect_divisions(script))
-    assert len(occurrences) == 32_768
-    assert len(set(map(id, occurrences))) == 1
-    assert occurrences[0] == DivOccurrence(DivisorClass(NC), occurrences[0].loc, False)
+    assert occurrences == [DivOccurrence(DivisorClass(NC), occurrences[0].loc, False, 32_768)]
     assert peak < 1_000_000, f"collect_divisions peaked at {peak / 1e6:.2f} MB"
 
 

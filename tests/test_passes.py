@@ -434,18 +434,24 @@ def test_vc_count_and_order_follow_collection(parsed_corpus):
     scripts = [*parsed_corpus.values(), parse_script(GUARDED_AND_QUANTIFIED)]
     for script in scripts:
         vcs = emit_nonzero_vcs(script)
-        occs = collect_divisions(script)
-        sites = list(division_sites(script))
-        assert len(vcs) == len(occs) == len(sites)
-        for vc, occ, (d, _) in zip(vcs, occs, sites):
-            assert occ.loc == d.loc
-            assert (type(vc) is Quantifier) == occ.under_quantifier
+        sites = division_sites(script, chains=True)
+        assert len(vcs) == len(sites)
+        firsts: dict[tuple[int, bool], Div] = {}  # (id(division), quantified) -> division
+        for vc, (d, scope, _) in zip(vcs, sites):
+            quantified = scope is not None and scope[3]
+            firsts.setdefault((id(d), quantified), d)
+            assert (type(vc) is Quantifier) == quantified
             while type(vc) is Quantifier:
                 vc = vc.body
             if vc.op == "=>":
                 vc = vc.args[1]
             assert vc.op == "not" and vc.args[0].op == "="
             assert vc.args[0].args[0] is d.den
+        # The occurrences are the VCs' divisions, one per quantifier context.
+        occs = collect_divisions(script)
+        assert [(o.loc, o.under_quantifier) for o in occs] == [
+            (d.loc, quantified) for (_, quantified), d in firsts.items()
+        ]
 
 
 def test_vcs_of_a_chain_of_guarded_divisions_share_their_guards():

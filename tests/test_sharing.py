@@ -10,6 +10,7 @@ import io
 import json
 import re
 import tempfile
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -42,7 +43,14 @@ from nradiv.analyzer import count_divisions, division_sites
 from nradiv.cli import main
 from nradiv.terms import add, const, dag_fold, distinct_subterms, div, eq, lt, numeral_sort, var
 
+from conftest import MALFORMED, REPO
 from strategies import scripts, shared_scripts
+from support import (
+    doubling_let_script,
+    ite_chain_script,
+    per_path_occurrences,
+    per_path_vc_texts,
+)
 
 TRANSFORMS = {
     "totalize": ["totalize"],
@@ -89,7 +97,12 @@ def unshared(script: Script) -> Script:
 
 
 def division_classes(script: Script) -> Counter:
-    return Counter(o.divisor_class for o in collect_divisions(script))
+    """Division occurrences per divisor class, each counted on its paths."""
+
+    out: Counter = Counter()
+    for o in collect_divisions(script):
+        out[o.divisor_class] += o.paths
+    return out
 
 
 def outcome(fn, *args):
@@ -120,7 +133,8 @@ def library_results(script: Script) -> dict:
         "nodes": [count_nodes(a) for a in script.assertions],
         "divisions": division_classes(script),
         "values": [outcome(eval_term, a, env) for a in script.assertions for env in envs],
-        "vcs": [format_term(vc) for vc in emit_nonzero_vcs(script)],
+        # A tree lists a VC per path; the DAG one per distinct path condition.
+        "vcs": list(dict.fromkeys(format_term(vc) for vc in emit_nonzero_vcs(script))),
     }
 
 
@@ -204,12 +218,14 @@ def test_k3_classify_json_lists_every_occurrence(k3_path, capsys):
         "class": "non-constant",
         "col": 20,
         "line": 4,
+        "paths": 8,
         "under_quantifier": False,
         "value": None,
     }
     expected = {
-        "occurrences": [occurrence] * 8,
+        "occurrences": [occurrence],
         "path": str(k3_path),
+        "schema_version": 2,
         "verdict": "non-constant-division",
     }
     assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
@@ -295,7 +311,7 @@ def test_per_occurrence_walks_skip_shared_terms_without_division():
     a = lt(add(div(X, Y), t), const(0))
     script = Script(logic="QF_NRA", decls=DECLS, assertions=(a,))
     assert len(collect_divisions(script)) == 1
-    ((site, _),) = division_sites(script)
+    ((site, _, _),) = division_sites(script)
     assert site is a.args[0].args[0]
     out = totalize(script, style=TotalizeStyle.FRESH_SYMBOL)
     assert [d.name for d in out.decls] == ["x", "y", "div0.0"]
@@ -307,9 +323,8 @@ def test_equal_vcs_of_a_shared_guarded_division_are_one_term():
         "(declare-fun x () Real)(declare-fun y () Real)(declare-fun c () Bool)"
         "(assert " + doubling_lets(12).replace("(/ x y)", "(ite c (/ x y) 0)") + ")"
     )
-    vcs = emit_nonzero_vcs(script)
-    assert len(vcs) == 2**12 and len({id(vc) for vc in vcs}) == 1
-    assert format_term(vcs[0]) == "(=> c (not (= y 0)))"
+    (vc,) = emit_nonzero_vcs(script)  # one division under one branch, on 2^12 paths
+    assert format_term(vc) == "(=> c (not (= y 0)))"
 
 
 def test_fresh_totalize_rewrites_a_quantifier_once():
@@ -334,6 +349,82 @@ def test_fresh_totalize_enters_a_shared_quantifier_once():
     assert len(caught) == 1 and "under a quantifier" in str(caught[0].message)
     assert out.assertions == totalize(script).assertions
     assert out.decls == script.decls
+
+
+# ---------------------------------------------------------------------------
+# The division walk enters each distinct node and context once: it lists
+# what a walk per tree path lists, collapsed, with the number of paths.
+
+SHIPPED = [
+    parse_script(p.read_text())
+    for p in [*sorted((REPO / "corpus").glob("*.smt2")), *sorted((REPO / "golden").glob("*.smt2"))]
+    if p.name != MALFORMED
+]
+
+
+def assert_division_walk_is_per_path_walk_collapsed(script: Script) -> None:
+    occurrences = collect_divisions(script)
+    assert occurrences == per_path_occurrences(script)
+    assert sum(o.paths for o in occurrences) == sum(count_divisions(script).values())
+    assert [format_term(vc) for vc in emit_nonzero_vcs(script)] == per_path_vc_texts(script)
+
+
+def test_division_walk_of_each_shipped_script_is_the_per_path_walk_collapsed():
+    for script in SHIPPED:
+        assert_division_walk_is_per_path_walk_collapsed(script)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scripts, shared_scripts(), st.sampled_from(SHIPPED)))
+def test_division_walk_is_the_per_path_walk_collapsed(script):
+    assert_division_walk_is_per_path_walk_collapsed(script)
+
+
+def classify_in_process(path: Path, *flags: str) -> tuple[int, str, float]:
+    """Exit code, stdout and wall seconds of `nradiv classify`, in-process."""
+
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["classify", *flags, str(path)])
+    return code, out.getvalue(), time.perf_counter() - start
+
+
+def test_40_doubling_lets_list_one_occurrence_on_2_to_39_paths(tmp_path):
+    # At 12 lets first, so that a walk per path fails here, not hangs below.
+    small = parse_script(doubling_let_script(12))
+    assert [o.paths for o in collect_divisions(small)] == [2**11]
+    assert len(emit_nonzero_vcs(small)) == 1
+    script = parse_script(doubling_let_script(40))
+    (occurrence,) = collect_divisions(script)
+    assert occurrence.paths == 2**39
+    assert len(emit_nonzero_vcs(script)) == 1
+    path = tmp_path / "doubling.smt2"
+    path.write_text(doubling_let_script(40))
+    code, out, seconds = classify_in_process(path, "--json")
+    assert code == 2 and seconds < 1
+    assert len(out.encode()) < 10_000
+    (listed,) = json.loads(out)["occurrences"]
+    assert listed["paths"] == 2**39
+
+
+def test_a_30_level_shared_ite_chain_classifies_as_one_occurrence(tmp_path):
+    assert [o.paths for o in collect_divisions(parse_script(ite_chain_script(12)))] == [2**11]
+    path = tmp_path / "ite.smt2"
+    path.write_text(ite_chain_script(30))
+    code, out, seconds = classify_in_process(path)
+    assert code == 2 and seconds < 1
+    assert out.splitlines()[1:] == [f"  line 4 col 20: non-constant, on {2**29} paths"]
+
+
+def test_each_path_condition_of_a_shared_ite_chain_keeps_its_vc():
+    """12 levels put the division under 11 shared `ite`s: 2^11 distinct
+    path conditions, so 2^11 VCs, one per condition."""
+
+    vcs = [format_term(vc) for vc in emit_nonzero_vcs(parse_script(ite_chain_script(12)))]
+    assert len(vcs) == len(set(vcs)) == 2**11
+    assert vcs[0] == "(=> (and" + " c" * 11 + ") (not (= y 0)))"
+    assert vcs[-1] == "(=> (and" + " (not c)" * 11 + ") (not (= y 0)))"
 
 
 # ---------------------------------------------------------------------------
