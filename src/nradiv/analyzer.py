@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add
 
 from .terms import (
     ARITH_OPS,
@@ -71,6 +70,16 @@ class FragmentLabel(Enum):
 class FragmentVerdict:
     label: FragmentLabel
     occurrences: tuple[DivOccurrence, ...]
+
+    @property
+    def counts(self) -> dict[DivisorKind, int]:
+        """Division occurrences per divisor class, a shared division
+        counting once per tree path: the `paths` summed per class."""
+
+        counts = dict.fromkeys(DivisorKind, 0)
+        for o in self.occurrences:
+            counts[o.divisor_class.kind] += o.paths
+        return counts
 
 
 def _literal_parts(term: Term) -> tuple[Term, ...]:
@@ -211,41 +220,10 @@ def collect_divisions(script: Script) -> list[DivOccurrence]:
     return out
 
 
-def count_divisions(script: Script) -> dict[DivisorKind, int]:
-    """Division occurrences per divisor class, a shared division counting
-    once per tree path: the `paths` of `collect_divisions`, summed per
-    class, with each distinct node visited once."""
-
-    kinds = tuple(DivisorKind)
-    none = (0,) * len(kinds)
-    one = {k: tuple(int(k is other) for other in kinds) for k in kinds}
-
-    def tally(node: Term, below: list[tuple[int, ...]]) -> tuple[int, ...]:
-        total = one[classify_divisor(node.den).kind] if type(node) is Div else none
-        for counts in below:
-            if counts is not none:
-                total = tuple(map(add, total, counts))
-        return total
-
-    memo: dict[int, tuple[int, ...]] = {}
-    totals = none
-    for assertion in script.assertions:
-        totals = tuple(map(add, totals, dag_fold(assertion, tally, memo=memo)))
-    return dict(zip(kinds, totals))
-
-
-def fragment_label(counts: dict[DivisorKind, int]) -> FragmentLabel:
-    """The fragment of a script with these division counts per class."""
-
-    if not any(counts.values()):
-        return FragmentLabel.POLYNOMIAL_ONLY
-    if counts[DivisorKind.CONSTANT_NONZERO] == sum(counts.values()):
-        return FragmentLabel.CONSTANT_DIVISION_ONLY
-    return FragmentLabel.NON_CONSTANT_DIVISION
-
-
 def classify_script(script: Script) -> FragmentVerdict:
-    """Fragment label: no division, only constant nonzero divisors, or worse.
+    """The census of a script's divisions: its occurrences, their `counts`
+    per divisor class, and its fragment label: no division, only constant
+    nonzero divisors, or worse.
 
     Any constant-zero divisor lands in the non-constant-division bucket:
     the division axiom says nothing about it, so the same decidability
@@ -253,7 +231,11 @@ def classify_script(script: Script) -> FragmentVerdict:
     """
 
     occurrences = tuple(collect_divisions(script))
-    counts = dict.fromkeys(DivisorKind, 0)
-    for o in occurrences:
-        counts[o.divisor_class.kind] += o.paths
-    return FragmentVerdict(fragment_label(counts), occurrences)
+    kinds = {o.divisor_class.kind for o in occurrences}
+    if not kinds:
+        label = FragmentLabel.POLYNOMIAL_ONLY
+    elif kinds == {DivisorKind.CONSTANT_NONZERO}:
+        label = FragmentLabel.CONSTANT_DIVISION_ONLY
+    else:
+        label = FragmentLabel.NON_CONSTANT_DIVISION
+    return FragmentVerdict(label, occurrences)

@@ -56,10 +56,13 @@ def _read(path: str) -> str:
 
 
 def _write_output(text: str, output: str | None) -> None:
-    if output is None:
+    if output is not None:
+        Path(output).write_text(text, encoding="utf-8")
+        return
+    try:  # a text stream encodes all of `text` before it writes any of it
         sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
+    except UnicodeEncodeError as exc:
+        raise NradivError(f"stdout cannot encode the output (use --output): {exc}") from exc
 
 
 def _occurrence_line(occ) -> str:

@@ -12,15 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-# `classify_script` is not called here, but perfbench's tracer patches it
-# on this module by name, so it stays importable from it.
-from .analyzer import (
-    DivisorKind,
-    FragmentLabel,
-    classify_script,  # noqa: F401
-    count_divisions,
-    fragment_label,
-)
+from .analyzer import DivisorKind, FragmentLabel, classify_script
 from .errors import NradivError, ScriptError
 from .parser import parse_script
 
@@ -38,13 +30,14 @@ def _record(root: Path, path: Path) -> dict:
     except ScriptError as exc:
         return {"path": rel, "status": "parse-error", "error": str(exc)}
     try:
-        counts = count_divisions(script)
+        verdict = classify_script(script)
     except NradivError as exc:  # a folded divisor past the digits CPython prints
         return {"path": rel, "status": "error", "error": str(exc)}
+    counts = verdict.counts
     return {
         "path": rel,
         "status": "ok",
-        "verdict": fragment_label(counts).value,
+        "verdict": verdict.label.value,
         "occurrences": sum(counts.values()),
         "classes": {kind.value: n for kind, n in counts.items()},
     }

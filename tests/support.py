@@ -10,6 +10,7 @@ from typing import Iterator
 
 from nradiv import (
     Div,
+    DivisorKind,
     DivOccurrence,
     Ite,
     Quantifier,
@@ -138,6 +139,16 @@ def per_path_sites(script: Script) -> Iterator[tuple[Div, tuple | None]]:
                 stack.append((term.body, (scope, term, 0, True)))
             else:
                 stack.extend([(kid, scope) for kid in reversed(children(term))])
+
+
+def per_path_counts(script: Script) -> dict[DivisorKind, int]:
+    """Division occurrences per divisor class, one per `per_path_sites`
+    site: the reference for the census of `classify_script`."""
+
+    counts = dict.fromkeys(DivisorKind, 0)
+    for d, _ in per_path_sites(script):
+        counts[classify_divisor(d.den).kind] += 1
+    return counts
 
 
 def per_path_occurrences(script: Script) -> list[DivOccurrence]:

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import MALFORMED, REPO
-from nradiv import cli, count_divisions, emit_nonzero_vcs, parse_script, print_script
+from nradiv import cli, classify_script, emit_nonzero_vcs, parse_script, print_script
 from nradiv.cli import main
 from strategies import scripts, shared_scripts
 from support import classify_json_oracle
@@ -369,7 +372,7 @@ def test_transform_fold_prints_what_its_summary_counts(tmp_path, capsys, text, f
     again = parse_script(out)
     assert print_script(again) == out
     reported = int(re.search(r"divisions \d+ -> (\d+)$", err).group(1))
-    assert reported == sum(count_divisions(again).values())
+    assert reported == sum(classify_script(again).counts.values())
 
 
 def test_transform_totalize_value_and_style(tmp_path, capsys):
@@ -479,6 +482,33 @@ def test_a_pass_error_on_parsed_input_exits_70(tmp_path, capsys, argv, message):
     src.write_text("(set-logic QF_NIA)(declare-fun x () Int)(assert (= (/ x 2) 1))\n")
     assert main(["transform", argv[0], str(src), *argv[1:]]) == 70
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_transform_of_non_ascii_text_in_an_ascii_locale(tmp_path, to_file):
+    """`-o` writes UTF-8, as the input is read; a stdout that cannot encode
+    the output gets none of it, and the error is one line."""
+
+    src = tmp_path / "u.smt2"
+    src.write_bytes(b"(declare-fun |\xc3\xa9| () Real)\n(assert (> (/ 1 |\xc3\xa9|) 0))\n")
+    out = tmp_path / "out.smt2"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONPATH=str(REPO / "src"))
+    argv = [sys.executable, "-X", "utf8=0", "-m", "nradiv.cli", "transform", "totalize", str(src)]
+    if to_file:
+        argv += ["-o", str(out)]
+    run = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    if to_file:
+        assert (run.returncode, run.stdout) == (0, b"")
+        assert run.stderr == b"[totalize] nodes 5 -> 10; divisions 1 -> 1\n"
+        assert out.read_bytes() == (
+            b"(declare-fun |\xc3\xa9| () Real)\n"
+            b"(assert (> (ite (= |\xc3\xa9| 0) 0 (/ 1 |\xc3\xa9|)) 0))\n"
+        )
+    else:
+        assert (run.returncode, run.stdout) == (70, b"")
+        assert run.stderr.startswith(b"error: stdout cannot encode the output")
+        assert run.stderr.count(b"\n") == 1
 
 
 def test_transform_rejects_unknown_pass(tmp_path, capsys):

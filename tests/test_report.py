@@ -1,6 +1,27 @@
 import json
+import tempfile
+import time
+from pathlib import Path
 
-from nradiv import SCHEMA_VERSION, __version__, render_report, scan_directory
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from nradiv import (
+    SCHEMA_VERSION,
+    DivisorKind,
+    FunDecl,
+    Script,
+    Sort,
+    __version__,
+    print_script,
+    render_report,
+    scan_directory,
+)
+from nradiv.cli import main
+from nradiv.terms import const, div, lt, var
+
+from strategies import literal_terms, scripts, shared_scripts
+from support import doubling_let_script, per_path_counts
 
 EXPECTED_TOTALS = {
     "files": 12,
@@ -141,3 +162,49 @@ def test_totals_are_sums_over_the_file_records(tmp_path):
     assert totals["classes"] == {
         key: sum(r["classes"][key] for r in ok) for key in totals["classes"]
     } == {"constant-nonzero": 2, "constant-zero": 0, "non-constant": 1}
+
+
+# ---------------------------------------------------------------------------
+# The census: each file's record counts a division once per tree path.
+
+
+def per_path_record(script: Script) -> dict:
+    """The verdict, classes and occurrences of a scan record, from a walk
+    over every tree path classified per class."""
+
+    counts = per_path_counts(script)
+    total = sum(counts.values())
+    if total == 0:
+        verdict = "polynomial-only"
+    elif counts[DivisorKind.CONSTANT_NONZERO] == total:
+        verdict = "constant-division-only"
+    else:
+        verdict = "non-constant-division"
+    classes = {kind.value: n for kind, n in counts.items()}
+    return {"verdict": verdict, "classes": classes, "occurrences": total}
+
+
+# Divisors of literals, zero often: the constant classes that `scripts`
+# seldom draws.
+literal_divisor_scripts = st.lists(
+    literal_terms.map(lambda d: lt(div(var("x"), d), const(0))), min_size=1, max_size=3
+).map(lambda assertions: Script(decls=(FunDecl("x", (), Sort.REAL),), assertions=tuple(assertions)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scripts, shared_scripts(), literal_divisor_scripts))
+def test_scan_record_is_the_per_path_census(script):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "s.smt2").write_text(print_script(script))
+        (record,) = scan_directory(tmp)["files"]
+    assert record == {"path": "s.smt2", "status": "ok", **per_path_record(script)}
+
+
+def test_scan_counts_2_to_39_occurrences_in_under_a_second(tmp_path, capsys):
+    (tmp_path / "doubling.smt2").write_text(doubling_let_script(40))
+    start = time.perf_counter()
+    assert main(["scan", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    (record,) = json.loads(capsys.readouterr().out)["files"]
+    assert record["occurrences"] == 2**39
+    assert record["classes"] == {"constant-nonzero": 0, "constant-zero": 0, "non-constant": 2**39}

@@ -28,6 +28,7 @@ from nradiv import (
     Sort,
     Term,
     TotalizeStyle,
+    classify_script,
     collect_divisions,
     count_nodes,
     emit_nonzero_vcs,
@@ -39,7 +40,7 @@ from nradiv import (
     print_script,
     totalize,
 )
-from nradiv.analyzer import count_divisions, division_sites
+from nradiv.analyzer import division_sites
 from nradiv.cli import main
 from nradiv.terms import add, const, dag_fold, distinct_subterms, div, eq, lt, numeral_sort, var
 
@@ -48,6 +49,7 @@ from strategies import scripts, shared_scripts
 from support import (
     doubling_let_script,
     ite_chain_script,
+    per_path_counts,
     per_path_occurrences,
     per_path_vc_texts,
 )
@@ -174,8 +176,8 @@ SUMMARY = re.compile(r"\] nodes (\d+) -> (\d+); divisions (\d+) -> (\d+)")
 @given(st.one_of(scripts, shared_scripts()))
 def test_transform_summary_counts_what_the_library_counts(script):
     """The summary line's tree nodes and division occurrences, for the
-    input and the output, are those `count_nodes` and `count_divisions`
-    give on the library's own result."""
+    input and the output, are those `count_nodes` and the division census
+    of `classify_script` give on the library's own result."""
 
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -195,7 +197,7 @@ def test_transform_summary_counts_what_the_library_counts(script):
             pair = (script, outputs[variant])
             assert printed == (
                 *(sum(count_nodes(a) for a in s.assertions) for s in pair),
-                *(sum(count_divisions(s).values()) for s in pair),
+                *(sum(classify_script(s).counts.values()) for s in pair),
             )
 
 
@@ -286,7 +288,7 @@ def test_walkers_finish_on_2_to_60_occurrences():
     a = eq(doubled(k), const(2 ** (k - 1)))
     script = Script(logic="QF_NRA", decls=DECLS, assertions=(a,))
     assert count_nodes(a) == tree + 2
-    assert count_divisions(script) == {
+    assert classify_script(script).counts == {
         DivisorKind.CONSTANT_NONZERO: 0,
         DivisorKind.CONSTANT_ZERO: 0,
         DivisorKind.NON_CONSTANT: 2**k,
@@ -298,7 +300,7 @@ def test_walkers_finish_on_2_to_60_occurrences():
     assert count_nodes(folded) == tree + 2
     lifted = lift_to_uf(script).script
     assert count_nodes(lifted.assertions[0]) == tree + 2
-    assert sum(count_divisions(lifted).values()) == 0
+    assert sum(classify_script(lifted).counts.values()) == 0
     assert eval_term(a, {"x": Fraction(1), "y": Fraction(2)}) is True
     assert eval_term(a, {"x": Fraction(1), "y": Fraction(0)}) is False  # floor(1) * 2^60
 
@@ -365,7 +367,7 @@ SHIPPED = [
 def assert_division_walk_is_per_path_walk_collapsed(script: Script) -> None:
     occurrences = collect_divisions(script)
     assert occurrences == per_path_occurrences(script)
-    assert sum(o.paths for o in occurrences) == sum(count_divisions(script).values())
+    assert classify_script(script).counts == per_path_counts(script)
     assert [format_term(vc) for vc in emit_nonzero_vcs(script)] == per_path_vc_texts(script)
 
 
@@ -474,7 +476,7 @@ def test_a_doubling_define_fun_chain_is_built_once_per_link():
     assert sum(1 for _ in distinct_subterms(a)) <= 40
     assert count_nodes(a) == 2**17 + 1
     script = parse_script(define_fun_chain(40, twice=True))
-    assert count_divisions(script)[DivisorKind.NON_CONSTANT] == 2**39
+    assert classify_script(script).counts[DivisorKind.NON_CONSTANT] == 2**39
 
 
 def test_a_500_link_define_fun_chain_parses_in_little_memory():
