@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .terms import (
     ARITH_OPS,
@@ -116,36 +117,28 @@ def classify_divisor(divisor: Term) -> DivisorClass:
     return DivisorClass(DivisorKind.CONSTANT_NONZERO, value)
 
 
-def division_sites(script: Script, chains: bool = False) -> list[tuple[Div, object, int]]:
+def _quantified(outer, node: Term, k: int):
+    """The context rule of `collect_divisions`: True under a quantifier."""
+
+    return True if k == 0 else outer
+
+
+def division_sites(script: Script, scope: Callable = _quantified) -> list[tuple[Div, object, int]]:
     """Each distinct division and context, with `paths`, the number of tree
     paths that reach the division there, in the order a pre-order walk of
     the assertions first reaches them.
 
-    The context is None at the top of an assertion.  Without `chains` it is
-    True under a quantifier and None elsewhere.  With `chains` it is the
-    scope: the cell `(outer, node, k, quantified)` of the innermost `ite`
-    branch (k = 1 then, 2 else) or quantifier body (k = 0) above it, where
-    `outer` is the scope of `node` and `quantified` says whether a
-    quantifier is among them.  Cells are interned, so one cell stands for
-    one distinct chain of `(node, k)`.
+    The context is None at the top of an assertion, and `scope(outer, node,
+    k)` in the `ite` branch (k = 1 then, 2 else) or quantifier body (k = 0)
+    of `node` reached in context `outer`.  Contexts are told apart by
+    identity, so a rule returns one object per context it means and keeps
+    it alive.  The default is True under a quantifier and None elsewhere.
 
     The walk enters each distinct pair of node and context once: a repeat
     arrival only records its parent, and a node met before in another
     context is entered again only when it holds a division.  One pass in
     reverse post-order then sums the paths of each pair's parents.
     """
-
-    cells: dict[tuple[int, int, int], tuple] = {}  # (id(outer), id(node), k) -> cell
-
-    def inner(outer, node: Term, k: int):
-        if not chains:
-            return True if k == 0 else outer
-        key = (id(outer), id(node), k)
-        cell = cells.get(key)
-        if cell is None:
-            quantified = k == 0 or (outer is not None and outer[3])
-            cell = cells[key] = (outer, node, k, quantified)
-        return cell
 
     holds = holds_division()
     seen: set[int] = set()  # id(node) of each node entered in some context
@@ -184,11 +177,11 @@ def division_sites(script: Script, chains: bool = False) -> list[tuple[Div, obje
         if t is Div:
             sites.append((i, term, context))
         if t is Ite:
-            stack.append((term.orelse, inner(context, term, 2), i))
-            stack.append((term.then, inner(context, term, 1), i))
+            stack.append((term.orelse, scope(context, term, 2), i))
+            stack.append((term.then, scope(context, term, 1), i))
             stack.append((term.cond, context, i))
         elif t is Quantifier:
-            stack.append((term.body, inner(context, term, 0), i))
+            stack.append((term.body, scope(context, term, 0), i))
         else:
             stack.extend([(kid, context, i) for kid in reversed(children(term))])
     if not shared:

@@ -10,7 +10,7 @@ Only the positions that are shown become a line and column (`_loc`): a
 division's, and a parse error's.
 
 Supported commands: set-logic, set-info, declare-fun, declare-const,
-define-fun, assert, check-sat, exit.  Anything else is preserved
+define-fun, define-const, assert, check-sat, exit.  Anything else is preserved
 verbatim as an "unsupported" record and re-emitted on printing; an
 unsupported construct inside an assertion is an error.
 
@@ -367,9 +367,13 @@ class _ScriptBuilder:
         sorts = tuple(_parse_sort(p) for p in params)
         self.scope[name] = FunDecl(name, sorts, _parse_sort(result))
 
+    def _cmd_define_const(self, form: SList, args) -> None:
+        self._cmd_define_fun(form, (*args[:1], SList((), form.pos), *args[1:]))
+
     def _cmd_define_fun(self, form: SList, args) -> None:
+        command = form.items[0]  # define-fun, or define-const: one with no parameters
         if len(args) != 4 or type(args[1]) is not SList:
-            raise ParseError("malformed define-fun", form.pos)
+            raise ParseError(f"malformed {command}", form.pos)
         name = self._register(args[0], "a function name")
         pairs = self._pairs(args[1], "parameter list", "a parameter name", "parameter")
         params = {p: _parse_sort(sx) for p, sx in pairs}
@@ -382,7 +386,7 @@ class _ScriptBuilder:
         self.defining = False
         self._unbind(shadowed)
         if body.sort is not result:
-            raise SortError(f"define-fun body has sort {body.sort}, declared {result}", _pos(args[3]))
+            raise SortError(f"{command} body has sort {body.sort}, declared {result}", _pos(args[3]))
         env = {s: self.scope[s] for s in _symbols(args[3]) if s in self.scope}
         body = args[3] if params else body
         sorts = tuple(params.values())

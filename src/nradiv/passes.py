@@ -33,11 +33,11 @@ from .terms import (
     dag_fold,
     dag_rewrite,
     distinct_subterms,
-    division_free_repeats,
     eq,
     forall,
     fold_node,
     fresh_name,
+    holds_division,
     implies,
     mul,
     neg,
@@ -143,11 +143,11 @@ def totalize(
     else:
         # Each occurrence gets its own name, so the walk goes over the tree,
         # post-order over `_named_pieces`, and leaves each finished rewrite
-        # in `assertions` for its parent.  A quantifier, and a node seen
+        # in `assertions` for its parent.  A quantifier, and a node met
         # before that holds nothing to name, get their inline rewrite, which
-        # is not the node only where a quantifier below it was rewritten;
-        # a leaf is its own rewrite.
-        nothing_to_name = division_free_repeats(_named_pieces)
+        # is not the node only where a quantifier below it was rewritten.
+        holds = holds_division(_named_pieces)
+        seen: set[int] = set()  # id(node) of each node entered
         fell_back = False
         assertions = []
         waiting: list[tuple[Term, int]] = []  # node, where its pieces start in `assertions`
@@ -159,12 +159,14 @@ def totalize(
                 new = assertions[start:]
                 del assertions[start:]
                 assertions.append((named if type(node) is Div else inline)(node, new))
-            elif nothing_to_name(node) or type(node) is Quantifier:
-                leaf = type(node) is Var or type(node) is Const
-                rewrite = node if leaf else dag_fold(node, inline, _guard_pieces, memo)
+            elif type(node) is Var or type(node) is Const:
+                assertions.append(node)
+            elif type(node) is Quantifier or id(node) in seen and not holds(node):
+                rewrite = dag_fold(node, inline, _guard_pieces, memo)
                 fell_back = fell_back or rewrite is not node
                 assertions.append(rewrite)
             else:
+                seen.add(id(node))
                 waiting.append((node, len(assertions)))
                 stack.append(None)
                 stack.extend(reversed(_guard_pieces(node)))
@@ -303,24 +305,22 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
     its own zero test yields a tautology.  A division under quantifiers
     is universally closed over the bound variables; for an `exists`
     binder this is stronger than necessary, erring toward soundness.
-    The list follows `division_sites` with scope chains, in its order.
+    The list follows `division_sites`, in its order, under a scope rule
+    whose context is the chain `(outer, guard or None, quantifier or None)`,
+    interned per distinct chain, so each `(not c)` is built once.
     """
 
-    vcs: list[Term] = []
-    # Each scope cell stands for one distinct chain, so it gets one context,
-    # linked like the cells: `(outer context, guard or None, quantifier or
-    # None)`, whose `(not c)` guard is built once.
-    contexts: dict[int, tuple] = {}  # id(scope cell) -> its context
-    for d, scope, _ in division_sites(script, chains=True):
-        cells = []  # cells not met before, innermost first
-        while scope is not None and id(scope) not in contexts:
-            cells.append(scope)
-            scope = scope[0]
-        context = None if scope is None else contexts[id(scope)]
-        for cell in reversed(cells):
-            _, node, k, _ = cell
+    contexts: dict[tuple[int, int, int], tuple] = {}  # (id(outer), id(node), k) -> context
+
+    def scope(outer, node: Ite | Quantifier, k: int) -> tuple:
+        key = (id(outer), id(node), k)
+        if key not in contexts:
             guard = None if k == 0 else node.cond if k == 1 else neg(node.cond)
-            context = contexts[id(cell)] = (context, guard, None if k else node)
+            contexts[key] = (outer, guard, None if k else node)
+        return contexts[key]
+
+    vcs: list[Term] = []
+    for d, context, _ in division_sites(script, scope):
         guards: list[Term] = []
         quantifiers: list[Quantifier] = []  # innermost first
         while context is not None:

@@ -643,25 +643,6 @@ def holds_division(pieces: Callable = children) -> Callable[[Term], bool]:
     return holds
 
 
-def division_free_repeats(pieces: Callable = children) -> Callable[[Term], bool]:
-    """For one per-occurrence walk: a test of whether a node adds nothing to
-    it, being a leaf or a node seen before that holds no division among its
-    `pieces`, the nodes the walk enters below it."""
-
-    seen: set[int] = set()
-    holds = holds_division(pieces)
-
-    def skip(t: Term) -> bool:
-        if type(t) is Var or type(t) is Const:
-            return True
-        if id(t) not in seen:
-            seen.add(id(t))
-            return False
-        return not holds(t)
-
-    return skip
-
-
 def count_nodes(term: Term) -> int:
     """Size of `term` as a tree, counting a shared node once per path."""
 

@@ -25,7 +25,7 @@ from nradiv import (
     parse_script,
 )
 from nradiv.printer import format_value
-from nradiv.terms import conj, const, division_free_repeats, eq, forall, implies, neg
+from nradiv.terms import Const, Var, conj, const, eq, forall, holds_division, implies, neg
 
 DENOMINATOR_CHOICES = (1, 1, 1, 2, 2, 3, 4, 7)
 
@@ -110,6 +110,22 @@ def ite_chain_script(k: int) -> str:
     )
 
 
+def chain_scope():
+    """A `division_sites` scope rule whose context is the interned cell
+    `(outer, node, k, quantified)`: one cell per distinct chain of `(node,
+    k)`, `quantified` saying whether a quantifier is among them."""
+
+    cells: dict[tuple[int, int, int], tuple] = {}  # (id(outer), id(node), k) -> cell
+
+    def scope(outer, node: Term, k: int) -> tuple:
+        key = (id(outer), id(node), k)
+        if key not in cells:
+            cells[key] = (outer, node, k, k == 0 or (outer is not None and outer[3]))
+        return cells[key]
+
+    return scope
+
+
 def per_path_sites(script: Script) -> Iterator[tuple[Div, tuple | None]]:
     """Every division occurrence, once per tree path, in assertion order,
     pre-order within a term: the reference for `division_sites`.
@@ -120,13 +136,15 @@ def per_path_sites(script: Script) -> Iterator[tuple[Div, tuple | None]]:
     node seen before is entered again only when it holds a division, so
     this costs the tree paths that reach a division."""
 
-    skip = division_free_repeats()
+    holds = holds_division()
+    seen: set[int] = set()  # id(node) of each node entered
     for assertion in script.assertions:
         stack = [(assertion, None)]  # node, scope
         while stack:
             term, scope = stack.pop()
-            if skip(term):
+            if type(term) is Var or type(term) is Const or id(term) in seen and not holds(term):
                 continue
+            seen.add(id(term))
             t = type(term)
             if t is Div:
                 yield term, scope

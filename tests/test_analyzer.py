@@ -30,7 +30,7 @@ from nradiv import (
 )
 from nradiv.analyzer import division_sites
 from nradiv.cli import main
-from support import classify_json_oracle, doubling_let_script, subterms
+from support import chain_scope, classify_json_oracle, doubling_let_script, subterms
 
 CN = DivisorKind.CONSTANT_NONZERO
 CZ = DivisorKind.CONSTANT_ZERO
@@ -230,7 +230,7 @@ def test_5000_nested_scopes_cost_no_copy_per_level(quantified):
     script = parse_script(f"{head}(assert {body})")
     (occurrence,), (vc,) = both_walks_within(script, 20_000_000)
     assert occurrence.under_quantifier is quantified
-    ((site, _, paths),) = division_sites(script, chains=True)
+    ((site, _, paths),) = division_sites(script, chain_scope())
     assert paths == 1
     if quantified:
         node = script.assertions[0]

@@ -221,6 +221,46 @@ def test_a_parameter_named_as_a_global_does_not_capture_it(tmp_path, capsys):
     assert print_script(parse_script(out)) == out
 
 
+DEFINE_CONST = "(declare-fun x () Real)(define-const k Real 2.0)(assert (> (/ x k) 0))"
+
+
+def test_define_const_names_its_value(tmp_path, capsys):
+    """`define-const` is a `define-fun` with no parameters: its name stands
+    for its value, and the definition does not print."""
+
+    path = tmp_path / "const.smt2"
+    path.write_text(DEFINE_CONST)
+    assert main(["classify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "  line 1 col 61: constant-nonzero (value 2)"
+    for argv in (["totalize"], ["totalize", "--style", "fresh"], ["uf-lift"]):
+        assert main(["transform", *argv, str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "define-const" not in out and " x 2)" in out
+        assert print_script(parse_script(out)) == out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            DEFINE_CONST.replace("2.0", "true"),
+            "error: define-const body has sort Bool, declared Real (line 1, column 45)\n",
+        ),
+        (
+            DEFINE_CONST.replace("(assert", "(define-const k Real 3.0)(assert"),
+            "error: symbol 'k' is already declared (line 1, column 63)\n",
+        ),
+        ("(define-const k Real)", "error: malformed define-const (line 1, column 1)\n"),
+    ],
+    ids=["sort", "twice", "malformed"],
+)
+def test_a_bad_define_const_exits_65(tmp_path, capsys, text, message):
+    path = tmp_path / "const.smt2"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 65
+    assert one_line_error(capsys) == message
+
+
 def test_non_ascii_digit_exits_65(tmp_path, capsys):
     path = tmp_path / "digit.smt2"
     path.write_text("(declare-fun x () Real)(assert (= x \u00b2))", encoding="utf-8")

@@ -1,10 +1,15 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+
+import strategies
 
 from nradiv import (
     DecodeError,
     EncodeError,
+    FLOOR,
     EvalError,
     IntFormula,
     Sort,
@@ -13,7 +18,9 @@ from nradiv import (
     encode_via_div0,
     eval_term,
     floor_axioms,
+    floor_oracle,
     format_term,
+    is_quantifier_free,
     parse_script,
     print_script,
     replace_uf_with_div0,
@@ -326,3 +333,30 @@ def test_encoded_division_census(cubic_sum_formula):
         o.divisor_class.kind is DivisorKind.CONSTANT_ZERO for o in verdict.occurrences
     )
     assert sum(1 for o in verdict.occurrences if o.under_quantifier) == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(strategies.int_bodies)
+def test_encodings_hold_exactly_at_the_integer_solutions(body):
+    """The paper's reduction, on the printed and re-parsed script of each
+    encoding: with `x/0` read as floor, the quantifier-free conjuncts hold
+    at an integer point of the box exactly when the body holds there, and
+    moving one coordinate by 1/2 breaks them, since the fixpoints
+    `(= (/ v 0) v)` admit only integers."""
+
+    names = strategies.INT_POOL
+    formula = IntFormula(names, body)
+    for encode in (encode_integer_formula, encode_via_div0):
+        script = parse_script(print_script(encode(formula).script))
+        conjuncts = [a for a in script.assertions if is_quantifier_free(a)]
+        funcs = {d.name: floor_oracle for d in script.decls if d.params}
+
+        def holds(values: dict) -> bool:
+            return all(eval_term(a, values, FLOOR, funcs) is True for a in conjuncts)
+
+        for point in product((-1, 0, 1), repeat=len(names)):
+            values = {n: Fraction(v) for n, v in zip(names, point)}
+            assert holds(values) == eval_term(body, values), (encode.__name__, point)
+            for n in names:
+                moved = {**values, n: values[n] + Fraction(1, 2)}
+                assert not holds(moved), (encode.__name__, point, n)

@@ -434,7 +434,7 @@ def test_vc_count_and_order_follow_collection(parsed_corpus):
     scripts = [*parsed_corpus.values(), parse_script(GUARDED_AND_QUANTIFIED)]
     for script in scripts:
         vcs = emit_nonzero_vcs(script)
-        sites = division_sites(script, chains=True)
+        sites = division_sites(script, support.chain_scope())
         assert len(vcs) == len(sites)
         firsts: dict[tuple[int, bool], Div] = {}  # (id(division), quantified) -> division
         for vc, (d, scope, _) in zip(vcs, sites):
