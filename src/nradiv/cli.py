@@ -77,49 +77,33 @@ def _occurrence_line(occ) -> str:
     return f"  line {occ.loc.line} col {occ.loc.col}: {detail}"
 
 
-# `json.dumps(payload, indent=2, sort_keys=True)` as fixed text, so that
-# only its strings, bools and nulls go through the (C-backed) encoder;
-# `indent` alone would turn it off for the whole payload.
-_OCCURRENCE_JSON = """    {{
-      "class": {},
-      "col": {},
-      "line": {},
-      "paths": {},
-      "under_quantifier": {},
-      "value": {}
-    }}"""
-_CLASSIFY_JSON = """{{
-  "occurrences": {},
-  "path": {},
-  "schema_version": {},
-  "verdict": {}
-}}"""
 CLASSIFY_SCHEMA_VERSION = 2  # 2: one occurrence per division and context, with its paths
 
 
-def _occurrence_json(occ) -> str:
+def _occurrence_record(occ) -> dict:
     value = occ.divisor_class.value
-    return _OCCURRENCE_JSON.format(
-        json.dumps(occ.divisor_class.kind.value),
-        occ.loc.col,
-        occ.loc.line,
-        occ.paths,
-        json.dumps(occ.under_quantifier),
-        json.dumps(None if value is None else format_value(value)),
-    )
+    return {
+        "line": occ.loc.line,
+        "col": occ.loc.col,
+        "class": occ.divisor_class.kind.value,
+        "value": None if value is None else format_value(value),
+        "under_quantifier": occ.under_quantifier,
+        "paths": occ.paths,
+    }
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     verdict = classify_script(args.script)
-    lines = list(map(_occurrence_json if args.json else _occurrence_line, verdict.occurrences))
     if args.json:
-        out = _CLASSIFY_JSON.format(
-            ("[\n" + ",\n".join(lines) + "\n  ]") if lines else "[]",
-            json.dumps(args.path),
-            CLASSIFY_SCHEMA_VERSION,
-            json.dumps(verdict.label.value),
-        )
+        payload = {
+            "path": args.path,
+            "schema_version": CLASSIFY_SCHEMA_VERSION,
+            "verdict": verdict.label.value,
+            "occurrences": list(map(_occurrence_record, verdict.occurrences)),
+        }
+        out = json.dumps(payload, indent=2, sort_keys=True)
     else:
+        lines = map(_occurrence_line, verdict.occurrences)
         out = "\n".join([f"{args.path}: {verdict.label}", *lines])
     print(out)  # nothing is printed when a line fails
     return _VERDICT_EXIT[verdict.label]

@@ -553,7 +553,7 @@ class _ScriptBuilder:
         argument objects, but not while a function with parameters is defined."""
 
         declared = type(meaning) is FunDecl
-        if declared and not meaning.params:
+        if not meaning.params:  # an application has an argument (SMT-LIB 2.6 §3.6)
             raise ParseError(f"'{name}' is a constant, not a function", _pos(head))
         sorts = meaning.params
         if len(items) != len(sorts):
@@ -567,8 +567,6 @@ class _ScriptBuilder:
                 )
         if declared or self.defining:
             return Apply(name, args, meaning.result)
-        if not meaning.params:
-            return meaning.body
         key = tuple(map(id, args))
         if key not in meaning.calls:
             shadowed = self._bind(meaning.env | dict(zip(meaning.names, args)))

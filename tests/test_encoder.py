@@ -9,18 +9,17 @@ import strategies
 from nradiv import (
     DecodeError,
     EncodeError,
-    FLOOR,
+    EncodedProblem,
     EvalError,
     IntFormula,
     Sort,
+    brute_force_int_sat,
     decode_witness,
     encode_integer_formula,
     encode_via_div0,
     eval_term,
     floor_axioms,
-    floor_oracle,
     format_term,
-    is_quantifier_free,
     parse_script,
     print_script,
     replace_uf_with_div0,
@@ -34,6 +33,10 @@ def ivar(name: str):
 
 def iconst(n: int):
     return const(n, Sort.INT)
+
+
+def rationals(point: dict) -> dict:
+    return {name: Fraction(v) for name, v in point.items()}
 
 
 UF_SHIFT = "(forall ((x Real)) (= (+ (f x) 1) (f (+ x 1))))"
@@ -339,24 +342,29 @@ def test_encoded_division_census(cubic_sum_formula):
 @given(strategies.int_bodies)
 def test_encodings_hold_exactly_at_the_integer_solutions(body):
     """The paper's reduction, on the printed and re-parsed script of each
-    encoding: with `x/0` read as floor, the quantifier-free conjuncts hold
-    at an integer point of the box exactly when the body holds there, and
-    moving one coordinate by 1/2 breaks them, since the fixpoints
-    `(= (/ v 0) v)` admit only integers."""
+    encoding.  With `x/0` read as floor, `decode_witness` returns an
+    integer point of the box exactly when the body holds there, and
+    rejects the point moved by 1/2 in any coordinate, since the
+    fixpoints `(= (/ v 0) v)` admit only integers.  The first point in
+    lexicographic order where the body holds is what
+    `brute_force_int_sat` finds, and that witness decodes."""
 
     names = strategies.INT_POOL
     formula = IntFormula(names, body)
+    box = [dict(zip(names, point)) for point in product((-1, 0, 1), repeat=len(names))]
+    witness = next((p for p in box if eval_term(body, rationals(p))), None)
+    assert brute_force_int_sat(formula, 1) == witness
     for encode in (encode_integer_formula, encode_via_div0):
-        script = parse_script(print_script(encode(formula).script))
-        conjuncts = [a for a in script.assertions if is_quantifier_free(a)]
-        funcs = {d.name: floor_oracle for d in script.decls if d.params}
-
-        def holds(values: dict) -> bool:
-            return all(eval_term(a, values, FLOOR, funcs) is True for a in conjuncts)
-
-        for point in product((-1, 0, 1), repeat=len(names)):
-            values = {n: Fraction(v) for n, v in zip(names, point)}
-            assert holds(values) == eval_term(body, values), (encode.__name__, point)
+        problem = EncodedProblem(parse_script(print_script(encode(formula).script)), formula)
+        for point in box:
+            values = rationals(point)
+            if eval_term(body, values):
+                assert decode_witness(problem, values) == point, (encode.__name__, point)
+            else:
+                with pytest.raises(DecodeError):
+                    decode_witness(problem, values)
             for n in names:
-                moved = {**values, n: values[n] + Fraction(1, 2)}
-                assert not holds(moved), (encode.__name__, point, n)
+                with pytest.raises(DecodeError):
+                    decode_witness(problem, {**values, n: values[n] + Fraction(1, 2)})
+        if witness is not None:
+            assert decode_witness(problem, rationals(witness)) == witness

@@ -346,6 +346,12 @@ CALL_HEADER = (
         ("(assert (= (f p 1) 0))", SortError, "argument 1 of 'f' must be Real, got Bool", 15),
         ("(assert (= (g 1 p) 0))", SortError, "argument 'v' of 'g' must be Real, got Bool", 17),
         ("(assert (= (c 1) 0))", ParseError, "'c' is a constant, not a function", 13),
+        ("(define-const k Real 2.0)(assert (= (k) 0))", ParseError,
+         "'k' is a constant, not a function", 38),
+        ("(define-fun k () Real 2.0)(assert (= (k) 0))", ParseError,
+         "'k' is a constant, not a function", 39),
+        ("(define-const k Real 2.0)(define-fun h ((u Real)) Real (+ u (k)))", ParseError,
+         "'k' is a constant, not a function", 62),
         ("(assert (= f 0))", SortError, "'f' expects 2 arguments", 12),
         ("(assert (= g 0))", SortError, "'g' expects 2 arguments", 12),
         ("(assert (= (let ((f 1)) (f c)) 0))", UndeclaredSymbolError,

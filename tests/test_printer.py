@@ -65,7 +65,7 @@ def test_format_rational(value, expected):
         ),
         (  # numerals in the body are Real, from before the logic was set
             "(declare-fun x () Real)(define-fun g () Real (+ x 1))"
-            "(set-logic QF_LIA)(assert (= (g) x))",
+            "(set-logic QF_LIA)(assert (= g x))",
             "(= (+ x 1.0) x)",
         ),
         (  # under a Real logic an integral Real literal prints as a numeral
