@@ -176,9 +176,11 @@ def division_sites(script: Script, scope: Callable = _quantified) -> list[tuple[
         stack.append(i)
         if t is Div:
             sites.append((i, term, context))
-        if t is Ite:
-            stack.append((term.orelse, scope(context, term, 2), i))
-            stack.append((term.then, scope(context, term, 1), i))
+        if t is Ite:  # a leaf branch is skipped at once, so it gets no context
+            if type(term.orelse) is not Var and type(term.orelse) is not Const:
+                stack.append((term.orelse, scope(context, term, 2), i))
+            if type(term.then) is not Var and type(term.then) is not Const:
+                stack.append((term.then, scope(context, term, 1), i))
             stack.append((term.cond, context, i))
         elif t is Quantifier:
             stack.append((term.body, scope(context, term, 0), i))

@@ -55,14 +55,19 @@ def _read(path: str) -> str:
         raise NradivError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _write_output(text: str, output: str | None) -> None:
+def _write_output(text: str, args: argparse.Namespace) -> None:
+    """Write `text` to `args.output` if the command has that option and it
+    is set, else to stdout."""
+
+    output = getattr(args, "output", None)
     if output is not None:
         Path(output).write_text(text, encoding="utf-8")
         return
     try:  # a text stream encodes all of `text` before it writes any of it
         sys.stdout.write(text)
     except UnicodeEncodeError as exc:
-        raise NradivError(f"stdout cannot encode the output (use --output): {exc}") from exc
+        hint = " (use --output)" if hasattr(args, "output") else ""
+        raise NradivError(f"stdout cannot encode the output{hint}: {exc}") from exc
 
 
 def _occurrence_line(occ) -> str:
@@ -105,7 +110,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         lines = map(_occurrence_line, verdict.occurrences)
         out = "\n".join([f"{args.path}: {verdict.label}", *lines])
-    print(out)  # nothing is printed when a line fails
+    _write_output(out + "\n", args)
     return _VERDICT_EXIT[verdict.label]
 
 
@@ -113,7 +118,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     root = Path(args.directory)
     if not root.is_dir():
         raise NradivError(f"not a directory: {root}")
-    _write_output(render_report(scan_directory(root)), args.output)
+    _write_output(render_report(scan_directory(root)), args)
     return 0
 
 
@@ -175,7 +180,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 rendered = ", ".join(f"{k} = {v}" for k, v in witness.items())
                 notes.append(f"integer witness within {args.bound}: {rendered}")
 
-    _write_output(print_script(out_script), args.output)
+    _write_output(print_script(out_script), args)
     # The output keeps the input's unchanged subterms, so one memo serves
     # both scripts.
     memo: dict = {}

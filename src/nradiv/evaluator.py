@@ -221,16 +221,15 @@ _FOLD_CHUNK = 64
 _NEST_DEPTH = 10
 
 
-def compile_int_body(formula: IntFormula, loops: int = 0) -> Callable:
-    """Compile an integer body to a function over plain `int`s.
+def compile_int_body(formula: IntFormula, loops: int) -> Callable:
+    """Compile the search over an integer body to a function over plain `int`s.
 
-    With `loops` 0 the function takes one `int` per name in
-    `formula.variables`, in order, and returns what `eval_term` returns
-    at that point.  With `loops` k, 0 < k <= `_NEST_DEPTH`, it loops
-    over the last k variables: it takes one `int` per other variable,
-    then one iterable of `int`s per looped variable, and returns the
-    looped values at the first point, in lexicographic order, where the
-    body holds, or None.
+    The function loops over the last `loops` names in `formula.variables`,
+    0 <= `loops` <= `_NEST_DEPTH`: it takes one `int` per other variable,
+    in order, then one iterable of `int`s per looped variable, and
+    returns the looped values at the first point, in lexicographic order,
+    where the body holds, or None.  With `loops` 0 that is `()` or None
+    at the one point given.
 
     The source has one statement per distinct node, so shared subterms
     are computed once, and each statement sits in the outermost loop
@@ -279,11 +278,8 @@ def compile_int_body(formula: IntFormula, loops: int = 0) -> Callable:
             i = first + depth - 1
             source.append(f"{pad[4:]}for v{i} in r{i}:\n")
         source += [f"{pad}{line}\n" for line in lines]
-    if loops:
-        witness = ", ".join(f"v{i}" for i in looped)
-        source.append(f"{pad}if {result}:\n{pad}    return ({witness},)\n")
-    else:
-        source.append(f"{pad}return {result}\n")
+    witness = " ".join(f"v{i}," for i in looped)
+    source.append(f"{pad}if {result}:\n{pad}    return ({witness})\n")
     namespace: dict = {"__builtins__": {}}
     exec(compile("".join(source), "<integer body>", "exec"), namespace)
     return namespace["body"]
@@ -327,11 +323,7 @@ def brute_force_int_sat(
             [range(c, c + 1) for c in stop[:i]] + [range(-bound, stop[i])] + [side] * (n - 1 - i)
             for i in range(n)
         ]
-    if loops:
-        search = compile_int_body(formula, loops)
-    else:  # no variable to loop over: the body at the box's one point
-        body = compile_int_body(formula)
-        search = lambda: () if body() else None
+    search = compile_int_body(formula, loops)
     for box in filter(all, boxes):  # skip a sub-box with an empty range: `product` copies ranges
         for head in product(*box[: n - loops]):
             tail = search(*head, *box[n - loops :])

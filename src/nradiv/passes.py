@@ -305,9 +305,13 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
     its own zero test yields a tautology.  A division under quantifiers
     is universally closed over the bound variables; for an `exists`
     binder this is stronger than necessary, erring toward soundness.
-    The list follows `division_sites`, in its order, under a scope rule
-    whose context is the chain `(outer, guard or None, quantifier or None)`,
-    interned per distinct chain, so each `(not c)` is built once.
+    The chain unrolls in scope order: each run of guards between two
+    binders is one `(=> (and ...) ...)` at its own level, inside the
+    binders above it and around those below it, so a binder captures no
+    guard from outside it.  The list follows `division_sites`, in its
+    order, under a scope rule whose context is the chain `(outer, guard
+    or None, quantifier or None)`, interned per distinct chain, so each
+    `(not c)` is built once.
     """
 
     contexts: dict[tuple[int, int, int], tuple] = {}  # (id(outer), id(node), k) -> context
@@ -321,18 +325,16 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
 
     vcs: list[Term] = []
     for d, context, _ in division_sites(script, scope):
-        guards: list[Term] = []
-        quantifiers: list[Quantifier] = []  # innermost first
+        vc: Term = neg(eq(d.den, const(0, d.den.sort)))
+        guards: list[Term] = []  # the run of guards since the last binder, innermost first
         while context is not None:
             context, guard, q = context
-            if guard is None:
-                quantifiers.append(q)
-            else:
-                guards.append(guard)
-        vc: Term = neg(eq(d.den, const(0, d.den.sort)))
-        if guards:
-            vc = implies(conj(*reversed(guards)), vc)
-        for q in quantifiers:
-            vc = forall(q.bound, vc)
+            if q is not None:
+                vc = forall(q.bound, vc)
+                continue
+            guards.append(guard)
+            if context is None or context[2] is not None:  # the run's outermost guard
+                vc = implies(conj(*reversed(guards)), vc)
+                guards = []
         vcs.append(vc)
     return vcs

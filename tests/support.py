@@ -188,26 +188,33 @@ def per_path_occurrences(script: Script) -> list[DivOccurrence]:
 def per_path_vc_texts(script: Script) -> list[str]:
     """The nonzero-divisor VC of each `per_path_sites` occurrence, as text,
     once per division and chain of `(ite or quantifier, k)` above it, in
-    first-occurrence order."""
+    first-occurrence order.  The chain nests in scope order: each binder
+    closes what lies inside it, and each run of guards between two binders
+    is one implication at its own level."""
 
     out: dict[tuple, str] = {}
     for d, scope in per_path_sites(script):
-        chain, guards, quantifiers = [], [], []
+        chain = []  # (node, k), innermost first
         while scope is not None:
             scope, node, k, _ = scope
-            chain.append((id(node), k))
+            chain.append((node, k))
+        key = (id(d), tuple((id(node), k) for node, k in chain))
+        if key in out:
+            continue
+        vc = neg(eq(d.den, const(0, d.den.sort)))
+        runs = [[]]  # the guards between two binders, outermost first
+        for node, k in reversed(chain):
             if k == 0:
-                quantifiers.append(node)
+                runs.append(node)
+                runs.append([])
             else:
-                guards.append(node.cond if k == 1 else neg(node.cond))
-        key = (id(d), tuple(chain))
-        if key not in out:
-            vc = neg(eq(d.den, const(0, d.den.sort)))
-            if guards:
-                vc = implies(conj(*reversed(guards)), vc)
-            for q in quantifiers:
-                vc = forall(q.bound, vc)
-            out[key] = format_term(vc)
+                runs[-1].append(node.cond if k == 1 else neg(node.cond))
+        for level in reversed(runs):
+            if type(level) is Quantifier:
+                vc = forall(level.bound, vc)
+            elif level:
+                vc = implies(conj(*level), vc)
+        out[key] = format_term(vc)
     return list(out.values())
 
 

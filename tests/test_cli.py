@@ -524,6 +524,16 @@ def test_a_pass_error_on_parsed_input_exits_70(tmp_path, capsys, argv, message):
     assert capsys.readouterr() == ("", message)
 
 
+def run_in_ascii_locale(argv: list[str], **overrides: str) -> subprocess.CompletedProcess:
+    """`nradiv argv` in a child whose stdout encodes ASCII only, with
+    `overrides` added to its environment."""
+
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONPATH=str(REPO / "src"), **overrides)
+    command = [sys.executable, "-X", "utf8=0", "-m", "nradiv.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, timeout=60)
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 def test_transform_of_non_ascii_text_in_an_ascii_locale(tmp_path, to_file):
     """`-o` writes UTF-8, as the input is read; a stdout that cannot encode
@@ -532,12 +542,10 @@ def test_transform_of_non_ascii_text_in_an_ascii_locale(tmp_path, to_file):
     src = tmp_path / "u.smt2"
     src.write_bytes(b"(declare-fun |\xc3\xa9| () Real)\n(assert (> (/ 1 |\xc3\xa9|) 0))\n")
     out = tmp_path / "out.smt2"
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
-    env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONPATH=str(REPO / "src"))
-    argv = [sys.executable, "-X", "utf8=0", "-m", "nradiv.cli", "transform", "totalize", str(src)]
+    argv = ["transform", "totalize", str(src)]
     if to_file:
         argv += ["-o", str(out)]
-    run = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    run = run_in_ascii_locale(argv)
     if to_file:
         assert (run.returncode, run.stdout) == (0, b"")
         assert run.stderr == b"[totalize] nodes 5 -> 10; divisions 1 -> 1\n"
@@ -548,6 +556,26 @@ def test_transform_of_non_ascii_text_in_an_ascii_locale(tmp_path, to_file):
     else:
         assert (run.returncode, run.stdout) == (70, b"")
         assert run.stderr.startswith(b"error: stdout cannot encode the output")
+        assert run.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_classify_of_a_non_ascii_path_in_an_ascii_locale(tmp_path, flags):
+    """The plain report names the path as it is, so a strict ASCII stdout
+    gets nothing and one error line with no `--output` hint, which
+    `classify` lacks; `--json` escapes the path."""
+
+    src = tmp_path / "\u00e9.smt2"
+    src.write_text("(declare-fun x () Real)\n(assert (> (/ 1 x) 0))\n")
+    # In the C locale stdout escapes the undecodable bytes of a path back
+    # as they came; a stdout encoding named in the environment is strict.
+    run = run_in_ascii_locale(["classify", *flags, str(src)], PYTHONIOENCODING="ascii")
+    if flags:
+        assert (run.returncode, run.stderr) == (2, b"")
+        assert json.loads(run.stdout)["verdict"] == "non-constant-division"
+    else:
+        assert (run.returncode, run.stdout) == (70, b"")
+        assert run.stderr.startswith(b"error: stdout cannot encode the output: ")
         assert run.stderr.count(b"\n") == 1
 
 

@@ -241,7 +241,7 @@ def test_every_builtin_takes_what_arity_error_allows(op, n_args):
     why = arity_error(op, n_args)
     if why is None:
         value = eval_term(node, {})
-        assert compile_int_body(IntFormula((), eq(node, const(value, Sort.INT))))() is True
+        assert compile_int_body(IntFormula((), eq(node, const(value, Sort.INT))), 0)() == ()
         assert fold_term(node) == const(value, Sort.INT)
     else:
         with pytest.raises(EvalError, match="cannot take"):
@@ -257,11 +257,10 @@ SMALL_BOX = range(-2, 3)
 
 def assert_compiles_to_interpreter(formula):
     names = formula.variables
-    holds = compile_int_body(formula)
+    search = compile_int_body(formula, 0)
     for point in product(SMALL_BOX, repeat=len(names)):
         want = eval_term(formula.body, {n: Fraction(v) for n, v in zip(names, point)})
-        got = holds(*point)
-        assert type(got) is bool and got == want
+        assert search(*point) == (() if want is True else None)
 
 
 @given(strategies.int_bodies)
@@ -386,8 +385,8 @@ def test_compiled_body_has_no_depth_limit():
     for _ in range(5000):
         t = add(t, const(1, Sort.INT))
     formula = IntFormula(("a",), eq(t, const(5003, Sort.INT)))
-    holds = compile_int_body(formula)
-    assert holds(3) is True and holds(2) is False
+    search = compile_int_body(formula, 0)
+    assert search(3) == () and search(2) is None
     assert brute_force_int_sat(formula, 3) == {"a": 3}
     assert brute_force_int_sat(formula, 2) is None
 
@@ -396,9 +395,9 @@ def test_compiled_body_handles_wide_applications():
     a = var("a", Sort.INT)
     wide = eq(sub(*[a] * 5000), mul(a, const(-4998, Sort.INT)))
     formula = IntFormula(("a",), wide)
-    holds = compile_int_body(formula)
+    search = compile_int_body(formula, 0)
     for x in (-2, 0, 3):
-        assert holds(x) is eval_term(wide, {"a": Fraction(x)}) is True
+        assert eval_term(wide, {"a": Fraction(x)}) is True and search(x) == ()
     assert brute_force_int_sat(formula, 2) == {"a": -2}
 
 
@@ -407,7 +406,8 @@ def test_compiled_body_shares_repeated_subterms():
     t = a
     for _ in range(60):  # a tree of 2^60 nodes, a DAG of 61
         t = add(t, t)
-    assert compile_int_body(IntFormula(("a",), eq(t, const(0, Sort.INT))))(0) is True
+    search = compile_int_body(IntFormula(("a",), eq(t, const(0, Sort.INT))), 0)
+    assert search(0) == ()
 
 
 def test_brute_force_symbol_names_never_reach_the_source():

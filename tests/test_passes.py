@@ -423,6 +423,35 @@ def test_vc_quantified_is_closed():
     assert format_term(vc2) == "(forall ((q Real)) (not (= q 0)))"
 
 
+@pytest.mark.parametrize(
+    "assertion, want",
+    [
+        # A guard outside a binder stays outside it: the bound `x` is not
+        # the `x` that the guard tests.
+        (
+            "(ite (> x 0) (forall ((x Real)) (> (/ 1 x) 0)) true)",
+            "(=> (> x 0) (forall ((x Real)) (not (= x 0))))",
+        ),
+        (
+            "(forall ((x Real)) (ite (> x 0) (> (/ 1 x) 0) true))",
+            "(forall ((x Real)) (=> (> x 0) (not (= x 0))))",
+        ),
+        # Each run of guards is one implication at its own level.
+        (
+            "(forall ((x Real)) (ite (> x 0) (ite (> x 1)"
+            " (forall ((y Real)) (ite (> y 0) (> (/ y x) 0) true)) true) true))",
+            "(forall ((x Real)) (=> (and (> x 0) (> x 1))"
+            " (forall ((y Real)) (=> (> y 0) (not (= x 0))))))",
+        ),
+    ],
+    ids=["guard-outside-binder", "guard-inside-binder", "binder-under-outer-guards"],
+)
+def test_vc_guards_stay_at_their_binder_level(assertion, want):
+    s = parse_script(f"(declare-fun x () Real)(assert {assertion})")
+    (vc,) = emit_nonzero_vcs(s)
+    assert format_term(vc) == want
+
+
 GUARDED_AND_QUANTIFIED = (
     "(declare-fun x () Real)(declare-fun y () Real)(declare-fun c () Bool)"
     "(assert (let ((d (/ x y))) (and (= d (ite c (/ 1 d) d))"

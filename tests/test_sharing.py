@@ -371,8 +371,17 @@ def assert_division_walk_is_per_path_walk_collapsed(script: Script) -> None:
     assert [format_term(vc) for vc in emit_nonzero_vcs(script)] == per_path_vc_texts(script)
 
 
+# Guards outside binders, and a division shared between scopes: the VCs
+# nest each run of guards at its own binder level.
+GUARDS_OUTSIDE_BINDERS = parse_script(
+    "(declare-fun x () Real)(declare-fun c () Bool)"
+    "(assert (let ((d (/ 1 x))) (ite (> x 0) (forall ((x Real)) (ite c (> d x)"
+    " (forall ((y Real)) (ite (> y 0) (> (/ y x) d) true)))) (> d 0))))"
+)
+
+
 def test_division_walk_of_each_shipped_script_is_the_per_path_walk_collapsed():
-    for script in SHIPPED:
+    for script in [*SHIPPED, GUARDS_OUTSIDE_BINDERS]:
         assert_division_walk_is_per_path_walk_collapsed(script)
 
 
