@@ -290,7 +290,10 @@ class _ScriptBuilder:
         self.unsupported: list[Unsupported] = []
         self.check_sat = False
         self.exit_cmd = False
-        self.numbers: dict[str, Fraction] = {}  # literal text -> value
+        # One leaf object per script: each declared name -> its one `Var`,
+        # each (literal text, sort) -> its one `Const`.  Binders are not
+        # here: each is a `Var` of its own, compared by identity.
+        self.leaves: dict[str | tuple[str, Sort], Var | Const] = {}
 
     # -- commands ----------------------------------------------------------
 
@@ -365,7 +368,9 @@ class _ScriptBuilder:
 
     def _declare(self, name: str, params, result) -> None:
         sorts = tuple(_parse_sort(p) for p in params)
-        self.scope[name] = FunDecl(name, sorts, _parse_sort(result))
+        decl = self.scope[name] = FunDecl(name, sorts, _parse_sort(result))
+        if not sorts:
+            self.leaves[name] = Var(name, decl.result)
 
     def _cmd_define_const(self, form: SList, args) -> None:
         self._cmd_define_fun(form, (*args[:1], SList((), form.pos), *args[1:]))
@@ -450,21 +455,22 @@ class _ScriptBuilder:
             return self._quantifier(head, op, sx.items[1:])
         return self._application(sx, op, sx.items[1:])
 
-    def _number(self, sx: str) -> Fraction:
-        value = self.numbers.get(sx)
-        if value is None:
+    def _literal(self, sx: str) -> Const:
+        sort = Sort.REAL if "." in sx else numeral_sort(self.logic)
+        leaf = self.leaves.get((sx, sort))
+        if leaf is None:
             whole, _, frac = sx.partition(".")
             try:  # `int` refuses more digits than `sys.get_int_max_str_digits()`
-                value = self.numbers[sx] = Fraction(int(whole + frac), 10 ** len(frac))
+                value = Fraction(int(whole + frac), 10 ** len(frac))
             except ValueError:
                 limit = sys.get_int_max_str_digits()
                 raise ParseError(f"literal has more than {limit} digits", _pos(sx)) from None
-        return value
+            leaf = self.leaves[sx, sort] = Const(value, sort)
+        return leaf
 
     def _atom_term(self, sx: str) -> Term:
         if sx[0] in _DIGITS:
-            sort = Sort.REAL if "." in sx else numeral_sort(self.logic)
-            return Const(self._number(sx), sort)
+            return self._literal(sx)
         name = _name(sx)
         if name is None:
             raise ParseError("unexpected {} in term position".format(_kind_and_text(sx)[0]), _pos(sx))
@@ -475,7 +481,7 @@ class _ScriptBuilder:
             return meaning
         if meaning.params:
             raise SortError(f"'{name}' expects {len(meaning.params)} arguments", _pos(sx))
-        return Var(name, meaning.result) if type(meaning) is FunDecl else meaning.body
+        return self.leaves[name] if type(meaning) is FunDecl else meaning.body
 
     def _built_args(self, items) -> Generator:
         """The argument terms; an atom is built here, saving a trip through `_build`."""

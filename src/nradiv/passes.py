@@ -111,16 +111,23 @@ def totalize(
     new_decls: list[FunDecl] = list(script.decls)
     defining: list[Term] = []
 
+    zeros: dict[Sort, Const] = {}  # divisor sort -> its one zero
+    values: dict[Sort, Const] = {}  # division sort -> its one guard value
+
     def guard_value(sort: Sort) -> Const:
-        if sort is Sort.INT and div0_value.denominator != 1:
-            raise SortError(f"total-division value {div0_value} is not an integer")
-        return const(div0_value, sort)
+        if sort not in values:
+            if sort is Sort.INT and div0_value.denominator != 1:
+                raise SortError(f"total-division value {div0_value} is not an integer")
+            values[sort] = const(div0_value, sort)
+        return values[sort]
 
     guards: dict[int, Ite] = {}  # id(division) -> its guard, which holds it
 
     def guarded(d: Div) -> Ite:
         if id(d) not in guards:
-            zero = const(0, d.den.sort)
+            zero = zeros.get(d.den.sort)
+            if zero is None:
+                zero = zeros[d.den.sort] = const(0, d.den.sort)
             guards[id(d)] = Ite(eq(d.den, zero), guard_value(d.sort), d, d.sort)
         return guards[id(d)]
 

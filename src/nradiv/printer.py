@@ -146,14 +146,15 @@ def _format_terms(terms, numerals: Sort) -> Iterator[str]:
 
     Text is emitted left to right from an explicit stack, so depth costs
     no recursion, and a piece that cannot be printed raises where it
-    stands in the text.  The text of a node with several parents, within
-    one term or across them, is joined once and reused; other nodes keep
-    no text of their own.
+    stands in the text.  Each distinct leaf is formatted once, at its
+    first place.  The text of a node with several parents, within one
+    term or across them, is joined once and reused; other nodes keep no
+    text of their own.
     """
 
     point = numerals is Sort.INT
     shared = _shared_nodes(terms)
-    texts: dict[int, str] = {}  # id(shared node) -> its text
+    texts: dict[int, str] = {}  # id(leaf or shared node) -> its text
     for term in terms:
         out: list[str] = []
         stack: list = [term]  # text, terms, and (id, start) at the end of a shared node's text
@@ -164,7 +165,10 @@ def _format_terms(terms, numerals: Sort) -> Iterator[str]:
                 out.append(item)
                 continue
             if t is Var or t is Const:
-                out.append(_format_leaf(item, point))
+                text = texts.get(id(item))
+                if text is None:
+                    text = texts[id(item)] = _format_leaf(item, point)
+                out.append(text)
                 continue
             if t is tuple:
                 key, start = item

@@ -729,3 +729,50 @@ def test_a_define_fun_body_keeps_the_logic_of_its_definition():
 def test_a_captured_division_keeps_its_free_divisor():
     script = parse_script("(declare-fun y () Real)(assert (let ((a (/ 1 y))) (exists ((y Real)) (> a y))))")
     assert [format_term(vc) for vc in emit_nonzero_vcs(script)] == ["(forall ((y0 Real)) (not (= y 0)))"]
+
+
+def leaves_of(script: Script) -> list:
+    return [t for a in script.assertions for t in subterms(a) if type(t) in (Var, Const)]
+
+
+def test_a_declared_constant_is_one_var_wherever_it_occurs():
+    script = parse_script(
+        "(declare-fun x () Real)(declare-fun y () Real)"
+        "(define-fun f ((a Real)) Real (+ a x))(define-const c Real (* x y))"
+        "(assert (> (f y) x c))(assert (forall ((q Real)) (= (f q) (* x q y))))"
+    )
+    for name, occurrences in (("x", 5), ("y", 3)):
+        found = [t for t in leaves_of(script) if t == Var(name, Sort.REAL)]
+        assert len(found) == occurrences and all(t is found[0] for t in found)
+
+
+def test_a_literal_is_one_const_per_text_and_sort():
+    script = parse_script(
+        "(declare-fun x () Real)(define-fun f ((a Real)) Real (* 2 a 2.5))"
+        "(assert (> (+ x 2 2.5) (f 2) (f x) 2.50))"
+    )
+    by_key: dict = {}
+    for t in leaves_of(script):
+        if type(t) is Const:
+            by_key.setdefault((t.value, t.sort), []).append(t)
+    twos, halves = by_key[Fraction(2), Sort.REAL], by_key[Fraction(5, 2), Sort.REAL]
+    assert len(twos) == 4 and all(t is twos[0] for t in twos)
+    assert len(halves) == 4 and len({id(t) for t in halves}) == 2  # 2.5 and 2.50 are two texts
+
+
+def test_a_numeral_under_a_define_fun_of_another_logic_has_its_own_const():
+    script = parse_script(
+        "(define-fun f ((p Real)) Real (+ p 1))(set-logic QF_LIA)"
+        "(declare-fun x () Real)(declare-fun n () Int)(assert (and (> (f x) (f 0.5)) (> n 1)))"
+    )
+    ones = [t for t in leaves_of(script) if type(t) is Const and t.value == 1]
+    assert [t.sort for t in ones] == [Sort.REAL, Sort.REAL, Sort.INT]
+    assert ones[0] is ones[1] and ones[1] is not ones[2]
+
+
+def test_a_binder_that_rebinds_a_global_name_keeps_its_own_var():
+    text = "(declare-fun x () Real)(assert (let ((y x)) (forall ((x Real)) (> y x))))"
+    script = parse_script(text)
+    outer, bound = script.assertions[0].body.args
+    assert outer == Var("x", Sort.REAL) and bound == Var("x0", Sort.REAL)
+    assert print_script(script) == "(declare-fun x () Real)\n(assert (forall ((x0 Real)) (> x x0)))\n"

@@ -167,6 +167,12 @@ def test_unprintable_symbols_are_reported_in_text_order():
         format_term(Apply("f|g", (x, add(x, x)), Sort.REAL))
     with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'a\|b'$"):
         format_term(add(x, var("a|b"), var("c|d")))
+    # Each distinct leaf is formatted once, at its first place in the text.
+    bad = var("e|f")
+    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'e\|f'$"):
+        format_term(add(x, bad, x, var("g|h"), bad))
+    with pytest.raises(ValueError, match=r"^symbol cannot be quoted: 'g\|h'$"):
+        format_term(add(x, var("g|h"), x, bad, bad))
 
 
 def test_a_value_too_long_to_print_is_reported_in_text_order():

@@ -541,3 +541,31 @@ def test_dag_fold_calls_fn_once_per_distinct_node():
     calls.clear()
     dag_fold(t, lambda node, below: calls.append(node) or 0, memo=memo)
     assert calls == [t]
+
+
+REPEATED_CALL = "(declare-fun x () Real)\n(define-fun f ((a Real)) Real (/ 1 a))\n(assert (> (f x) (f x)))\n"
+
+
+def test_two_calls_on_one_declared_constant_share_one_expansion(tmp_path, capsys):
+    """`x` is one object, so `(f x)` is expanded once and its division
+    is one node on two paths, as for a `let`-bound argument."""
+
+    lhs, rhs = parse_script(REPEATED_CALL).assertions[0].args
+    assert lhs is rhs
+    path = tmp_path / "repeat.smt2"
+    path.write_text(REPEATED_CALL)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == ["  line 2 col 32: non-constant, on 2 paths"]
+    assert main(["classify", "--json", str(path)]) == 2
+    (listed,) = json.loads(capsys.readouterr().out)["occurrences"]
+    assert (listed["line"], listed["col"], listed["paths"]) == (2, 32, 2)
+    assert [format_term(vc) for vc in emit_nonzero_vcs(parse_script(REPEATED_CALL))] == ["(not (= x 0))"]
+    assert main(["transform", "totalize", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "(assert (> (ite (= x 0) 0 (/ 1 x)) (ite (= x 0) 0 (/ 1 x))))"
+    assert err == "[totalize] nodes 7 -> 17; divisions 2 -> 2\n"
+    assert main(["scan", str(tmp_path)]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["files"]
+    assert record["occurrences"] == record["classes"]["non-constant"] == 2
+    let_bound = REPEATED_CALL.replace("(> (f x) (f x))", "(let ((z x)) (> (f z) (f z)))")
+    assert collect_divisions(parse_script(let_bound)) == collect_divisions(parse_script(REPEATED_CALL))
