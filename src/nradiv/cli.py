@@ -130,10 +130,11 @@ def _size_and_divisions(node, below: list[tuple[int, int]]) -> tuple[int, int]:
     return nodes, divisions
 
 
-def _summary_counts(script: Script, memo: dict) -> tuple[int, int]:
+def _summary_counts(script: Script) -> tuple[int, int]:
     """Tree nodes and division occurrences over the script's assertions, a
     shared node counting once per path."""
 
+    memo: dict = {}
     nodes = divisions = 0
     for assertion in script.assertions:
         n, d = dag_fold(assertion, _size_and_divisions, memo=memo)
@@ -180,12 +181,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 rendered = ", ".join(f"{k} = {v}" for k, v in witness.items())
                 notes.append(f"integer witness within {args.bound}: {rendered}")
 
-    _write_output(print_script(out_script), args)
-    # The output keeps the input's unchanged subterms, so one memo serves
-    # both scripts.
-    memo: dict = {}
-    nodes_in, divisions_in = _summary_counts(script, memo)
-    nodes_out, divisions_out = _summary_counts(out_script, memo)
+    counts: list[int] = []  # the printer counts what it prints
+    _write_output(print_script(out_script, counts), args)
+    nodes_in, divisions_in = _summary_counts(script)
+    nodes_out, divisions_out = counts
     summary = (
         f"[{args.transform_pass}] nodes {nodes_in} -> {nodes_out}; "
         f"divisions {divisions_in} -> {divisions_out}"

@@ -291,9 +291,10 @@ class _ScriptBuilder:
         self.check_sat = False
         self.exit_cmd = False
         # One leaf object per script: each declared name -> its one `Var`,
-        # each (literal text, sort) -> its one `Const`.  Binders are not
-        # here: each is a `Var` of its own, compared by identity.
-        self.leaves: dict[str | tuple[str, Sort], Var | Const] = {}
+        # each (literal text, sort) -> its one `Const`, and each (value,
+        # sort) of a negated literal `(- c)` -> its one `Const`.  Binders
+        # are not here: each is a `Var` of its own, compared by identity.
+        self.leaves: dict[str | tuple[str | Fraction, Sort], Var | Const] = {}
 
     # -- commands ----------------------------------------------------------
 
@@ -543,7 +544,11 @@ class _ScriptBuilder:
                     term = Div(term, arg, sort, loc)
                 return term
             if op == "-" and len(args) == 1 and isinstance(args[0], Const):
-                return neg_literal(args[0])
+                key = (-args[0].value, sort)
+                leaf = self.leaves.get(key)
+                if leaf is None:
+                    leaf = self.leaves[key] = neg_literal(args[0])
+                return leaf
             return Apply(op, args, sort)
 
         meaning = self.scope.get(op)

@@ -330,9 +330,13 @@ def emit_nonzero_vcs(script: Script) -> list[Term]:
             contexts[key] = (outer, guard, None if k else node)
         return contexts[key]
 
+    zeros: dict[Sort, Const] = {}  # divisor sort -> its one zero
     vcs: list[Term] = []
     for d, context, _ in division_sites(script, scope):
-        vc: Term = neg(eq(d.den, const(0, d.den.sort)))
+        zero = zeros.get(d.den.sort)
+        if zero is None:
+            zero = zeros[d.den.sort] = const(0, d.den.sort)
+        vc: Term = neg(eq(d.den, zero))
         guards: list[Term] = []  # the run of guards since the last binder, innermost first
         while context is not None:
             context, guard, q = context

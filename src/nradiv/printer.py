@@ -138,26 +138,32 @@ def format_term(term: Term, numerals: Sort = Sort.REAL) -> str:
     integral value is written `1.0`, so that it reads back as Real.
     """
 
-    return next(_format_terms((term,), numerals))
+    return next(_format_terms((term,), numerals, [0, 0]))
 
 
-def _format_terms(terms, numerals: Sort) -> Iterator[str]:
+def _format_terms(terms, numerals: Sort, tally: list[int]) -> Iterator[str]:
     """The text of each of `terms`, as `format_term` writes it.
 
     Text is emitted left to right from an explicit stack, so depth costs
     no recursion, and a piece that cannot be printed raises where it
-    stands in the text.  Each distinct leaf is formatted once, at its
-    first place.  The text of a node with several parents, within one
-    term or across them, is joined once and reused; other nodes keep no
-    text of their own.
+    stands in the text.  Each distinct leaf and operator head is
+    formatted once, at its first place.  The text of a node with several
+    parents, within one term or across them, is joined once and reused,
+    with the nodes and divisions it holds; other nodes keep no text of
+    their own.  Before each text is yielded, `tally` holds the nodes and
+    the divisions emitted so far, a shared node counting once per path.
     """
 
     point = numerals is Sort.INT
     shared = _shared_nodes(terms)
-    texts: dict[int, str] = {}  # id(leaf or shared node) -> its text
+    texts: dict[int, str] = {}  # id(leaf) -> its text
+    done: dict[int, tuple[str, int, int]] = {}  # id(shared node) -> its text, nodes, divisions
+    heads: dict[str, str] = {}  # operator -> "(op "
+    nodes = divisions = 0
     for term in terms:
         out: list[str] = []
-        stack: list = [term]  # text, terms, and (id, start) at the end of a shared node's text
+        # text, terms, and (id, start, nodes, divisions) at the end of a shared node's text
+        stack: list = [term]
         while stack:
             item = stack.pop()
             t = type(item)
@@ -165,28 +171,38 @@ def _format_terms(terms, numerals: Sort) -> Iterator[str]:
                 out.append(item)
                 continue
             if t is Var or t is Const:
+                nodes += 1
                 text = texts.get(id(item))
                 if text is None:
                     text = texts[id(item)] = _format_leaf(item, point)
                 out.append(text)
                 continue
             if t is tuple:
-                key, start = item
+                key, start, n, d = item
                 text = "".join(out[start:])
                 del out[start:]
                 out.append(text)
-                texts[key] = text
+                done[key] = (text, nodes - n, divisions - d)
                 continue
-            if id(item) in texts:
-                out.append(texts[id(item)])
+            reuse = done.get(id(item))
+            if reuse is not None:
+                text, n, d = reuse
+                out.append(text)
+                nodes += n
+                divisions += d
                 continue
             if id(item) in shared:
-                stack.append((id(item), len(out)))
+                stack.append((id(item), len(out), nodes, divisions))
+            nodes += 1
             stack.append(")")
             if t is Apply:
-                out.append(f"({format_symbol(item.op)} ")
+                head = heads.get(item.op)
+                if head is None:
+                    head = heads[item.op] = f"({format_symbol(item.op)} "
+                out.append(head)
                 args = item.args
             elif t is Div:
+                divisions += 1
                 out.append("(/ ")
                 args = (item.num, item.den)
             elif t is Ite:
@@ -201,6 +217,8 @@ def _format_terms(terms, numerals: Sort) -> Iterator[str]:
                 stack.append(" ")
             if args:
                 stack.append(args[0])
+        tally[0] = nodes
+        tally[1] = divisions
         yield "".join(out)
 
 
@@ -209,8 +227,13 @@ def _format_decl(decl: FunDecl) -> str:
     return f"(declare-fun {format_symbol(decl.name)} ({params}) {decl.result.value})"
 
 
-def print_script(script: Script) -> str:
+def print_script(script: Script, counts: list[int] | None = None) -> str:
+    """The script as SMT-LIB2 text.  When `counts` is a list, the tree
+    nodes and the division occurrences of the assertions, a shared node
+    counting once per path, are appended to it: what was printed."""
+
     lines: list[str] = []
+    tally = [0, 0]
     if script.logic is not None:
         lines.append(f"(set-logic {format_symbol(script.logic)})")
     for key, value in script.metadata:
@@ -219,8 +242,10 @@ def print_script(script: Script) -> str:
         lines.append(u.text)
     for d in script.decls:
         lines.append(_format_decl(d))
-    for text in _format_terms(script.assertions, numeral_sort(script.logic)):
+    for text in _format_terms(script.assertions, numeral_sort(script.logic), tally):
         lines.append(f"(assert {text})")
+    if counts is not None:
+        counts.extend(tally)
     if script.check_sat:
         lines.append("(check-sat)")
     if script.exit_cmd:

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import MALFORMED, REPO
-from nradiv import cli, classify_script, emit_nonzero_vcs, parse_script, print_script
+from nradiv import cli, classify_script, count_nodes, emit_nonzero_vcs, parse_script, print_script, totalize
 from nradiv.cli import main
 from strategies import scripts, shared_scripts
 from support import classify_json_oracle
@@ -413,6 +414,22 @@ def test_transform_fold_prints_what_its_summary_counts(tmp_path, capsys, text, f
     assert print_script(again) == out
     reported = int(re.search(r"divisions \d+ -> (\d+)$", err).group(1))
     assert reported == sum(classify_script(again).counts.values())
+
+
+def test_totalize_summary_counts_a_one_third_guard_value_as_one_literal(tmp_path, capsys):
+    """The guard value 1/3 prints as `(/ 1 3)` but is one `Const`: one
+    node and no division in the summary, as in the library's output."""
+
+    text = "(declare-fun x () Real)(declare-fun y () Real)(assert (= (/ x y) 1))"
+    src = tmp_path / "in.smt2"
+    src.write_text(text)
+    assert main(["transform", "totalize", "--div0-value", "1/3", str(src)]) == 0
+    out, err = capsys.readouterr()
+    assert "(assert (= (ite (= y 0) (/ 1 3) (/ x y)) 1))" in out
+    assert err == "[totalize] nodes 5 -> 10; divisions 1 -> 1\n"
+    result = totalize(parse_script(text), Fraction(1, 3))
+    assert sum(map(count_nodes, result.assertions)) == 10
+    assert sum(classify_script(result).counts.values()) == 1
 
 
 def test_transform_totalize_value_and_style(tmp_path, capsys):

@@ -760,6 +760,13 @@ def test_a_literal_is_one_const_per_text_and_sort():
     assert len(halves) == 4 and len({id(t) for t in halves}) == 2  # 2.5 and 2.50 are two texts
 
 
+def test_a_negated_literal_is_one_const_per_value_and_sort():
+    script = parse_script("(declare-fun x () Real)(assert (> (- 1) x (- 1)))")
+    lhs, _, rhs = script.assertions[0].args
+    assert type(lhs) is Const and lhs.value == -1
+    assert lhs is rhs
+
+
 def test_a_numeral_under_a_define_fun_of_another_logic_has_its_own_const():
     script = parse_script(
         "(define-fun f ((p Real)) Real (+ p 1))(set-logic QF_LIA)"

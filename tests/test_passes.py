@@ -483,6 +483,14 @@ def test_vc_count_and_order_follow_collection(parsed_corpus):
         ]
 
 
+def test_vcs_of_one_divisor_sort_share_one_zero():
+    s = parse_script("(declare-fun x () Real)(declare-fun y () Real)(assert (> (/ x y) (/ y x) (/ 1 x)))")
+    vcs = emit_nonzero_vcs(s)
+    assert [format_term(vc) for vc in vcs] == ["(not (= y 0))", "(not (= x 0))", "(not (= x 0))"]
+    zeros = [vc.args[0].args[1] for vc in vcs]
+    assert all(z is zeros[0] for z in zeros)
+
+
 def test_vcs_of_a_chain_of_guarded_divisions_share_their_guards():
     # (ite c (/ x 2) (ite c (/ x 3) ... x)): VC i has i + 1 hypotheses, so
     # the VCs are quadratic as text, but the `(not c)` of each `ite` is one

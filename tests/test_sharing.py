@@ -19,7 +19,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from nradiv import (
     DivisorKind,
@@ -174,10 +174,15 @@ SUMMARY = re.compile(r"\] nodes (\d+) -> (\d+); divisions (\d+) -> (\d+)")
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(scripts, shared_scripts()))
+@example(parse_script(HEADER + "(assert (forall ((z Real)) (> (/ z y) (/ x (- z 1)))))"))
+@example(parse_script(HEADER + "(assert (> (- 1) x (/ x (- 2)) (- 1)))"))
+@example(parse_script(HEADER + "(define-fun s () Real (+ x (/ x y)))(assert (> s 0))(assert (< s (* s s)))"))
+@example(parse_script(HEADER + "(assert (> (/ 1 (/ x y)) (ite (= y 0) 0 (/ x (/ y x)))))"))
 def test_transform_summary_counts_what_the_library_counts(script):
     """The summary line's tree nodes and division occurrences, for the
     input and the output, are those `count_nodes` and the division census
-    of `classify_script` give on the library's own result."""
+    of `classify_script` give on the library's own result; the output's
+    are counted by the printer as it prints."""
 
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -569,3 +574,22 @@ def test_two_calls_on_one_declared_constant_share_one_expansion(tmp_path, capsys
     assert record["occurrences"] == record["classes"]["non-constant"] == 2
     let_bound = REPEATED_CALL.replace("(> (f x) (f x))", "(let ((z x)) (> (f z) (f z)))")
     assert collect_divisions(parse_script(let_bound)) == collect_divisions(parse_script(REPEATED_CALL))
+
+
+NEGATIVE_CALL = "(declare-fun x () Real)\n(define-fun f ((a Real)) Real (/ 1 a))\n(assert (> (f (- 1)) (f (- 1))))\n"
+
+
+def test_two_calls_on_one_negative_literal_share_one_expansion(tmp_path, capsys):
+    """`(- 1)` is one literal object, so `(f (- 1))` is expanded once and
+    its division is one node on two paths."""
+
+    lhs, rhs = parse_script(NEGATIVE_CALL).assertions[0].args
+    assert lhs is rhs
+    path = tmp_path / "negative.smt2"
+    path.write_text(NEGATIVE_CALL)
+    assert main(["classify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["  line 2 col 32: constant-nonzero (value -1), on 2 paths"]
+    assert main(["transform", "totalize", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "(assert (> (ite (= (- 1) 0) 0 (/ 1 (- 1))) (ite (= (- 1) 0) 0 (/ 1 (- 1)))))"
+    assert err == "[totalize] nodes 7 -> 17; divisions 2 -> 2\n"
