@@ -1,33 +1,37 @@
-"""SMT-LIB2 reader: one-pass scanner and s-expression reader, sort-checking builder.
+"""SMT-LIB2 reader: one-pass scanner and sort-checking term builder.
 
-The reader scans the text with one `findall` and builds s-expressions on
-an explicit stack: a list keeps the offset at which it starts, an atom is
-its token's text, and an error at an atom is located by reading again.
-Numerals are ASCII digits only (SMT-LIB 2.6 section 3.1).
-The term builder keeps its work on an explicit stack too, so depth has no
-limit, and checks builtin sorts with `terms.result_sort`, as constructors do.
+One `findall` scans the text into tokens, and one loop over them builds
+every command.  The loop keeps one frame per open list, with the offset of
+its `(`, and builds a term when that list's `)` arrives: each atom is
+resolved in the scope in force at its token, and a `let` or quantifier
+binds when its binding list closes.  Nothing is built as an s-expression
+first, so depth has no limit, and every error is located at the offset of
+its token.  Numerals are ASCII digits only (SMT-LIB 2.6 section 3.1).
+Builtin sorts are checked with `terms.result_sort`, as constructors do.
 Only the positions that are shown become a line and column (`_loc`): a
 division's, and a parse error's.
 
 Supported commands: set-logic, set-info, declare-fun, declare-const,
 define-fun, define-const, assert, check-sat, exit.  Anything else is preserved
 verbatim as an "unsupported" record and re-emitted on printing; an
-unsupported construct inside an assertion is an error.
+unsupported construct inside an assertion is an error.  A command outside
+the term builder is read as an s-expression (`_ScriptBuilder._read`).
 
 `let` bindings are expanded during parsing, and so is each call of a
-`define-fun`, as a `let` of its parameters, so the resulting AST contains
-neither.  Every name resolves through one scope, in which the innermost
-binder of a name hides everything outside it (SMT-LIB 2.6 section 3.6).
+`define-fun`, whose body's tokens are replayed through the same loop under
+its parameters' bindings, so the resulting AST contains neither.  Every
+name resolves through one scope, in which the innermost binder of a name
+hides everything outside it (SMT-LIB 2.6 section 3.6).
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
-from typing import Generator, Iterator, NamedTuple
+from itertools import accumulate, islice
+from typing import NamedTuple, NoReturn
 
 from .errors import ParseError, ScriptError, SortError, UndeclaredSymbolError
 from .printer import SIMPLE_SYMBOL, SIMPLE_SYMBOL_CHARS, format_symbol
@@ -69,11 +73,7 @@ _KNOWN_UNSUPPORTED_OPS = frozenset(
 class SList(NamedTuple):
     items: tuple  # s-expressions: lists, and atoms, each its token's text
     pos: int  # offset of the "("
-
-
-class _Atom(str):
-    """An atom of a located read: its text, and `pos`, its offset (an
-    attribute: a `str` subclass can hold no slots)."""
+    at: tuple[int, ...]  # the offset of each item
 
 
 # One token per match, blanks and comments included, so that the tokens of
@@ -96,13 +96,14 @@ _TOKEN = re.compile(
     rf"|:[{SIMPLE_SYMBOL_CHARS}]+"
     r'|"[^"]*(?:""[^"]*)*"(?!")'
 )
-_GAP = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*")  # blanks and comments; never fails
+_BLANK = " \t\r\n;"  # the first characters of blanks and comments
 
 # An atom's kind is read from its first character: a digit starts a
 # numeral or a decimal, "|" a quoted symbol, '"' a string and ":" a
 # keyword; any other character starts a simple symbol.
 _DIGITS = "0123456789"
 _NOT_SYMBOL = frozenset(_DIGITS + '":')
+_NOT_SIMPLE = _NOT_SYMBOL | {"|"}  # an atom that is not its own name
 
 
 def _name(sx) -> str | None:
@@ -112,12 +113,6 @@ def _name(sx) -> str | None:
     if type(sx) is SList or sx[0] in _NOT_SYMBOL:
         return None
     return sx[1:-1] if sx[0] == "|" else sx
-
-
-def _pos(sx) -> int | None:
-    """Where `sx` starts: always known for a list, only in a located read for an atom."""
-
-    return getattr(sx, "pos", None)
 
 
 def _kind_and_text(atom: str) -> tuple[str, str]:
@@ -161,43 +156,19 @@ def _scan_error(text: str, pos: int) -> ParseError:
     return ParseError(message, pos)
 
 
-def _read(text: str, located: bool = False) -> list:
-    """Scan and read `text` into top-level s-expressions.
-
-    One `findall` scans the whole text, so a lexical error anywhere is
-    reported before an unbalanced bracket.  Each atom is its token's text;
-    with `located`, an `_Atom` that also keeps its offset.  Errors carry
-    an offset, as lists do.
-    """
+def _scan(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of `text`, blanks and comments included, and the offset
+    at which each starts.  One `findall` scans the whole text, so a lexical
+    error anywhere is reported before any other."""
 
     tokens = _TOKEN.findall(text)
-    if sum(map(len, tokens)) != len(text):  # some character starts no token:
+    starts = list(accumulate(map(len, tokens), initial=0))
+    if starts[-1] != len(text):  # some character starts no token:
         pos = 0  # find the first, token by token
         while (m := _TOKEN.match(text, pos)) is not None:
             pos = m.end()
         raise _scan_error(text, pos)
-    forms: list = []
-    items = forms
-    stack: list[tuple[list, int]] = []  # (enclosing items, offset of the open list)
-    for token, pos in zip(tokens, accumulate(map(len, tokens), initial=0)):
-        c = token[0]
-        if c == "(":
-            stack.append((items, pos))
-            items = []
-        elif c == ")":
-            if not stack:
-                raise ParseError("unmatched ')'", pos)
-            outer, start = stack.pop()
-            outer.append(SList(tuple(items), start))
-            items = outer
-        elif c not in " \t\r\n;":
-            if located:
-                token = _Atom(token)
-                token.pos = pos
-            items.append(token)
-    if stack:
-        raise ParseError("unbalanced '(': input ended inside a list", stack[-1][1])
-    return forms
+    return tokens, starts
 
 
 def _render_atom(atom: str) -> str:
@@ -233,6 +204,9 @@ class _Unsupported(Exception):
 
 
 _SORTS = {s.value: s for s in Sort}
+# The sorts, as module names: reading `Sort.INT` or hashing a `Sort` runs
+# Python code of `Enum` (0.2 to 0.4 µs on CPython 3.11), too slow per literal.
+_REAL, _INT, _BOOL = Sort.REAL, Sort.INT, Sort.BOOL
 
 
 def _parse_sort(sx) -> Sort:
@@ -244,46 +218,69 @@ def _parse_sort(sx) -> Sort:
 
 class _Defined(NamedTuple):
     """A define-fun.  A call binds its parameters to its arguments and
-    builds `body`, its s-expression, under `env`, what each other symbol
-    in the body meant at the definition, and under the definition's
-    `logic`.  `calls` keeps each expansion, with its arguments, by their
-    identities.  A constant's `body` is its term, built once."""
+    replays `body`, its tokens with their offsets and a closing `)`, under
+    `env`, what each other symbol in the body meant at the definition, and
+    under the definition's `logic`.  `calls` keeps each expansion, with its
+    arguments, by their identities.  A constant's `body` is its term, built
+    once."""
 
     names: tuple[str, ...]  # of the parameters
     params: tuple[Sort, ...]  # their sorts, as in a FunDecl
     result: Sort
-    body: str | SList | Term
+    body: tuple[tuple[str, int], ...] | Term
     env: dict
     logic: str | None
     calls: dict
 
 
-def _symbols(sx) -> set[str]:
-    """The name of every symbol that occurs in `sx`."""
+# What an open list is to the term builder: the kind of its frame.  Each
+# item of a frame of a kind below _SPECIAL is a term; a frame of a kind
+# below _SLOTS becomes a term when its list closes.
+_APPLY = 0  # a builtin application; data: the operator
+_CALL = 1  # a call of a declared or defined function; data: (name, meaning)
+_LET = 2  # a let whose bindings are bound; data: what they shadowed
+_QUANT = 3  # a quantifier whose binders are bound; data: (kind, binders, shadowed)
+_REPLAY = 4  # a define-fun body replayed for a call; data: see `_expand`
+_SLOTS = 5
+_PAIR_TERM = 5  # a let binding `(name t)` after its name; data: its `_Binders`
+_ASSERT = 6
+_DEFINE_BODY = 7  # a define-fun or define-const at its body; data: (head, slots, shadowed, body offset)
+_SPECIAL = 8
+_HEAD = 8  # a term whose head has not come
+_BINDS = 9  # a let or quantifier before its binding list; data: the head's name
+_BINDERS = 10  # a list of `(name x)` pairs; data: its `_Binders`
+_PAIR = 11  # a `(name sort)` pair, or a let binding before its name; data: its `_Binders`
+_COMMAND = 12  # a command whose head has not come
+_DEFINE = 13  # a define-fun or define-const before its body; data: (head, slots)
+_TOP = 14  # outside every command
+_NO_HEAD = (_PAIR_TERM, _BINDERS, _PAIR)  # kinds whose first item is an item, not a head
 
-    names, stack = set(), [sx]
-    while stack:
-        x = stack.pop()
-        if type(x) is SList:
-            stack.extend(x.items)
-        else:
-            names.add(_name(x))
-    names.discard(None)
-    return names
+# What a `(name x)` pair is called in errors: the list, its first item,
+# and a name that occurs twice.
+_LET_PAIRS = ("let binding", "a let-bound name", "let binding")
+_BINDER_PAIRS = ("binder", "a bound variable", "bound variable")
+_PARAM_PAIRS = ("parameter list", "a parameter name", "parameter")
+
+
+class _Binders(NamedTuple):
+    words: tuple[str, str, str]  # one of the three above
+    pos: int  # of the list's "("
+    pairs: dict  # each name read so far -> its term or sort
 
 
 class _ScriptBuilder:
     def __init__(self, text: str, line_starts: list[int]) -> None:
-        self.text = text  # for the offset of a division's `/`
         self.line_starts = line_starts  # of the text, for `_loc`
+        self.tokens, self.starts = _scan(text)
         self.logic: str | None = None
+        self.numeral = numeral_sort(None)  # the sort of a numeral under `logic`
         self.metadata: list[tuple[str, str]] = []
         # Each name in scope -> what it means here: its FunDecl, its
         # define-fun, or the term of its innermost let, quantifier or
         # parameter binding; `true` and `false` start bound to their
         # literals.  A binder shadows an entry in place and restores it,
         # so the FunDecls keep declaration order.
-        literals = {"true": Const(True, Sort.BOOL), "false": Const(False, Sort.BOOL)}
+        literals = {"true": Const(True, _BOOL), "false": Const(False, _BOOL)}
         self.scope: dict[str, FunDecl | _Defined | Term] = literals
         self.defining = False  # building a define-fun body with parameters
         self.assertions: list[Term] = []
@@ -291,30 +288,14 @@ class _ScriptBuilder:
         self.check_sat = False
         self.exit_cmd = False
         # One leaf object per script: each declared name -> its one `Var`,
-        # each (literal text, sort) -> its one `Const`, and each (value,
-        # sort) of a negated literal `(- c)` -> its one `Const`.  Binders
-        # are not here: each is a `Var` of its own, compared by identity.
-        self.leaves: dict[str | tuple[str | Fraction, Sort], Var | Const] = {}
+        # each (literal text, whether it is an Int) -> its one `Const`, and
+        # each (value, whether it is an Int) of a negated literal `(- c)` ->
+        # its one `Const`.  Binders are not here: each is a `Var` of its
+        # own, compared by identity.
+        self.leaves: dict[str | tuple[str | Fraction, bool], Var | Const] = {}
 
-    # -- commands ----------------------------------------------------------
-
-    def run(self, forms: list) -> Script:
-        for form in forms:
-            if type(form) is not SList:
-                raise ParseError("expected a command", _pos(form))
-            head = _name(form.items[0]) if form.items else None
-            if head is None:
-                raise ParseError("command must start with a symbol", form.pos)
-            args = form.items[1:]
-            handler = getattr(self, "_cmd_" + head.replace("-", "_"), None)
-            try:
-                if handler is None:
-                    raise _Unsupported()
-                handler(form, args)
-            except _Unsupported:  # kept verbatim
-                self.unsupported.append(Unsupported(render_sexpr(form)))
-            if self.exit_cmd:
-                break
+    def run(self) -> Script:
+        self._build()
         return Script(
             logic=self.logic,
             metadata=tuple(self.metadata),
@@ -325,29 +306,374 @@ class _ScriptBuilder:
             exit_cmd=self.exit_cmd,
         )
 
-    def _symbol(self, sx, what: str) -> str:
-        name = _name(sx)
+    # -- the loop ----------------------------------------------------------
+
+    def _build(self) -> None:
+        """Build every command in one pass over the tokens.
+
+        The open list is a frame of five locals: its kind, its data, the
+        offset of its head, the offset of its `(`, and `args`, its items
+        after the head so far; the frames that enclose it wait on `stack`.
+        A term is built when its `)` arrives and appended to the `args` of
+        the frame below.  A call of a define-fun replays the body's tokens
+        (`sources` keeps the iterators it interrupts)."""
+
+        scope, leaves = self.scope, self.leaves
+        stack: list[tuple] = []
+        sources: list = []
+        kind, data, head, start, args = _TOP, None, 0, 0, []
+        it = zip(self.tokens, self.starts)
+        pos = 0
+        while True:
+            try:
+                for token, pos in it:
+                    c = token[0]
+                    if c in _BLANK:
+                        continue
+                    if c == "(":
+                        if kind < _SPECIAL:
+                            stack.append((kind, data, head, start, args))
+                            kind, data, start, args = _HEAD, None, pos, []
+                        else:
+                            inner = self._open(kind, data, head, start, args, pos)
+                            stack.append((kind, data, head, start, args))
+                            (kind, data), start, args = inner, pos, []
+                    elif c == ")":
+                        if kind == _APPLY:
+                            term = self._application(data, head, start, args)
+                        elif kind == _CALL:
+                            term = self._call(data, head, start, args)
+                            if term is None:  # replay the body in this frame
+                                kind, data, args = _REPLAY, self._expand(data[1], args), []
+                                sources.append(it)
+                                it = iter(data[0].body)
+                                break
+                        elif kind < _SLOTS:
+                            term = self._close_term(kind, data, head, start, args)
+                        else:
+                            if kind == _TOP:
+                                raise ParseError("unmatched ')'", pos)
+                            value = self._close(kind, data, head, start, args, pos)
+                            kind, data, head, start, args = stack.pop()
+                            if value is not None:  # a binding list, to its let, quantifier or define-fun
+                                kind, data = self._bound(kind, data, head, start, args, value)
+                            continue
+                        kind, data, head, start, args = stack.pop()
+                        args.append(term)
+                    elif kind < _SPECIAL:  # an atom in term position
+                        if c in _NOT_SIMPLE:
+                            term = self._literal(token, pos) if c in _DIGITS else self._leaf(token, pos)
+                        else:
+                            term = scope.get(token)
+                            if type(term) is FunDecl and not term.params:
+                                term = leaves[token]
+                            elif term is None or type(term) is FunDecl or type(term) is _Defined:
+                                term = self._leaf(token, pos)
+                        args.append(term)
+                    elif kind == _HEAD:
+                        head = pos
+                        op = None if c in _NOT_SYMBOL else token[1:-1] if c == "|" else token
+                        if op in _SORT_RULE_OPS:
+                            kind, data = _APPLY, op
+                        else:
+                            kind, data = self._head(op, token, pos)
+                    elif kind == _COMMAND:
+                        head = pos
+                        kind, data = self._command(token, start)
+                        if kind == _TOP:  # read and run already: go on after its `)`
+                            end, n = data
+                            next(islice(it, n, n), None)
+                            kind, data, head, start, args = stack.pop()
+                            if self.exit_cmd:
+                                break
+                    else:
+                        kind, data = self._item(kind, data, head, start, args, token, pos)
+                else:
+                    if not sources:
+                        break
+                    it = sources.pop()
+                if self.exit_cmd:
+                    break
+            except _Unsupported:  # in a define-fun's sorts: kept verbatim
+                frames = [f for f in (*stack, (kind, data, head, start, args)) if f[0] != _TOP]
+                (form,), end = self._read(bisect_left(self.starts, frames[0][3]), one=True)
+                try:
+                    self._check_lists(frames, form)
+                except ScriptError as exc:
+                    self._refuse(exc, frames, pos)
+                self.unsupported.append(Unsupported(render_sexpr(form)))
+                n = end - bisect_left(self.starts, pos) - 1  # the tokens up to its `)`
+                next(islice(it, n, n), None)
+                kind, data, head, start, args = stack[0]
+                stack.clear()
+            except ScriptError as exc:
+                self._refuse(exc, [*stack, (kind, data, head, start, args)], pos)
+        if self.exit_cmd:  # what follows is read for its brackets only
+            self._read(end)
+        elif kind != _TOP:
+            raise ParseError("unbalanced '(': input ended inside a list", start)
+
+    # -- the error path ----------------------------------------------------
+
+    def _read(self, i: int, one: bool = False) -> tuple[list, int]:
+        """The s-expressions from token `i` on, and the index of the token
+        after them; with `one`, only the first.  Raises the first bracket
+        error after token `i`.  The commands that hold no term are read
+        here, and so is the command that the builder refused, to see which
+        error comes first (`_refuse`)."""
+
+        tokens, starts = self.tokens, self.starts
+        forms: list = []
+        items, at = forms, []
+        stack: list[tuple[list, list, int]] = []  # (enclosing items, their offsets, offset of the open list)
+        for j in range(i, len(tokens)):
+            token, pos = tokens[j], starts[j]
+            c = token[0]
+            if c == "(":
+                stack.append((items, at, pos))
+                items, at = [], []
+                continue
+            if c == ")":
+                if not stack:
+                    raise ParseError("unmatched ')'", pos)
+                outer, outer_at, start = stack.pop()
+                outer.append(SList(tuple(items), start, tuple(at)))
+                outer_at.append(start)
+                items, at = outer, outer_at
+            elif c in _BLANK:
+                continue
+            else:
+                items.append(token)
+                at.append(pos)
+            if one and not stack:
+                return forms, j + 1
+        if stack:
+            raise ParseError("unbalanced '(': input ended inside a list", stack[-1][2])
+        return forms, len(tokens)
+
+    def _item_pos(self, start: int, k: int) -> int:
+        """Where item `k` (0 is the head) of the list at offset `start` starts."""
+
+        (sx,), _ = self._read(bisect_left(self.starts, start), one=True)
+        return sx.at[k]
+
+    def _check_lists(self, frames: list[tuple], sx: SList) -> None:
+        """Raise the shape error of the outermost of `frames` (open lists,
+        each inside the one before, the first `sx`) that has one."""
+
+        for kind, data, head, start, _ in frames:
+            if kind == _REPLAY:  # the frames after it are in a define-fun's body
+                return
+            if sx.pos != start:
+                sx = next(x for x in sx.items if type(x) is SList and x.pos == start)
+            self._check_shape(kind, data, head, start, len(sx.items) - (kind not in _NO_HEAD))
+
+    def _refuse(self, exc: ScriptError, frames: list[tuple], pos: int) -> NoReturn:
+        """Raise the error that a script refused with `exc` reports.
+
+        The builder learns a list's number of items at its `)`, but that is
+        checked before anything inside the list, and a bracket error
+        anywhere in the text before everything.  So the text is read on
+        from the command that `frames`, the lists open at the error, belong
+        to (or from `pos`, if none is open), and the first of a bracket
+        error, the shape error of the outermost open list that has one,
+        and `exc`, is raised."""
+
+        frames = [f for f in frames if f[0] != _TOP]
+        forms, _ = self._read(bisect_left(self.starts, frames[0][3] if frames else pos))
+        if frames:
+            self._check_lists(frames, forms[0])
+        raise exc
+
+    def _check_shape(self, kind: int, data, head: int, start: int, n: int) -> None:
+        """Raise the error of a list of kind `kind` that has `n` items
+        after its head: the check made before any item of it is built."""
+
+        if kind == _APPLY:
+            why = arity_error(data, n)
+            if why is not None:
+                raise ParseError(why, head)
+        elif kind == _CALL:
+            name, meaning = data
+            if n != len(meaning.params):
+                raise SortError(f"'{name}' expects {len(meaning.params)} arguments, got {n}", head)
+        elif kind == _LET or kind == _QUANT or kind == _BINDS:
+            word = data if kind == _BINDS else "let" if kind == _LET else data[0]
+            if n != 2:
+                raise ParseError(f"malformed {word}", head)
+        elif kind == _PAIR or kind == _PAIR_TERM:
+            if n != 2:
+                raise ParseError(f"malformed {data.words[0]}", data.pos)
+        elif kind == _ASSERT:
+            if n != 1:
+                raise ParseError("assert takes one term", start)
+        elif kind == _DEFINE or kind == _DEFINE_BODY:
+            if n != len(data[1]) + 1:
+                raise ParseError(f"malformed {data[0]}", start)
+
+    def _malformed(self, kind: int, data, head: int, start: int) -> NoReturn:
+        """Raise the shape error of a list that holds an item where no list
+        of its kind can: one of -1 items."""
+
+        self._check_shape(kind, data, head, start, -1)
+        raise AssertionError(f"no shape error for a list of kind {kind}")
+
+    # -- lists whose items are not terms -----------------------------------
+
+    def _open(self, kind: int, data, head: int, start: int, args: list, pos: int) -> tuple[int, object]:
+        """The kind and data of a list that opens at `pos` in a frame whose
+        items are not terms."""
+
+        if kind == _TOP:
+            return _COMMAND, None
+        if kind == _BINDS:
+            return _BINDERS, _Binders(_LET_PAIRS if data == "let" else _BINDER_PAIRS, pos, {})
+        if kind == _BINDERS:
+            return _PAIR, data
+        if kind == _PAIR:
+            if not args:
+                raise ParseError(f"expected {data.words[1]}", pos)
+            if len(args) == 1:  # a list where a sort goes
+                if data.words is _BINDER_PAIRS:
+                    raise ParseError("unsupported sort in binder", pos)
+                raise _Unsupported()
+            self._malformed(kind, data, head, start)
+        if kind == _DEFINE:
+            slot = data[1][len(args)]
+            if slot == "name":
+                self._register(None, pos, "a function name")
+            if slot == "params":
+                return _BINDERS, _Binders(_PARAM_PAIRS, pos, {})
+            raise _Unsupported()  # a list where the result sort goes
+        if kind == _HEAD:
+            raise ParseError("unsupported construct in term position", pos)
+        raise ParseError("command must start with a symbol", start)  # _COMMAND
+
+    def _item(self, kind: int, data, head: int, start: int, args: list, token: str, pos: int) -> tuple[int, object]:
+        """Take atom `token` at `pos` as the next item of a frame whose
+        items are not terms; returns the frame's kind and data after it."""
+
+        if kind == _PAIR:
+            if not args:
+                name = _name(token)
+                if name is None:
+                    raise ParseError(f"expected {data.words[1]}", pos)
+                if name in data.pairs:
+                    raise ParseError(f"duplicate {data.words[2]} '{name}'", pos)
+                args.append(name)
+                return (_PAIR_TERM if data.words is _LET_PAIRS else _PAIR), data
+            if len(args) == 1:
+                sort = _SORTS.get(_name(token))
+                if sort is None:
+                    if data.words is _BINDER_PAIRS:
+                        raise ParseError("unsupported sort in binder", pos)
+                    raise _Unsupported()
+                args.append(sort)
+                return kind, data
+            self._malformed(kind, data, head, start)
+        if kind == _DEFINE:
+            return self._definition_item(data, start, args, token, pos)
+        if kind == _BINDERS:
+            raise ParseError(f"malformed {data.words[0]}", data.pos)
+        if kind == _BINDS:  # not a list
+            self._malformed(kind, data, head, start)
+        raise ParseError("expected a command", pos)  # _TOP
+
+    def _close(self, kind: int, data, head: int, start: int, args: list, pos: int) -> _Binders | None:
+        """Check and finish a list whose items are terms but which is no
+        term, or one whose items are not terms; a binding list is returned
+        to the frame below."""
+
+        if kind == _BINDERS:
+            return data
+        if kind == _HEAD:
+            raise ParseError("empty application", start)
+        if kind == _COMMAND:
+            raise ParseError("command must start with a symbol", start)
+        self._check_shape(kind, data, head, start, len(args))
+        if kind == _PAIR or kind == _PAIR_TERM:
+            data.pairs[args[0]] = args[1]
+        elif kind == _ASSERT:
+            term = args[0]
+            if term.sort is not _BOOL:
+                raise SortError(f"assertion must be Bool, got {term.sort}", self._item_pos(start, 1))
+            self.assertions.append(term)
+        else:  # _DEFINE_BODY: _BINDS and _DEFINE failed their shape check
+            self._define(data, args, pos)
+        return None
+
+    def _bound(self, kind: int, data, head: int, start: int, args: list, binders: _Binders) -> tuple[int, object]:
+        """Give a closed binding list to the frame it is in; returns that
+        frame's kind and data after it."""
+
+        args.append(binders)
+        if kind == _DEFINE:  # its parameters
+            return kind, data
+        if data == "let":
+            return _LET, self._bind(binders.pairs)
+        if not binders.pairs:
+            self._malformed(kind, data, head, start)
+        bound = {name: Var(name, sort) for name, sort in binders.pairs.items()}
+        return _QUANT, (data, bound, self._bind(bound))
+
+    # -- commands ----------------------------------------------------------
+
+    def _command(self, token: str, start: int) -> tuple[int, object]:
+        """Take the head of the command at offset `start`.  A command that
+        holds a term is built by the loop; any other is read and run, and
+        returned as kind _TOP with the index of the token after it and the
+        number of tokens after its head up to its `)`."""
+
+        name = _name(token)
         if name is None:
-            raise ParseError(f"expected {what}", _pos(sx))
-        return name
+            raise ParseError("command must start with a symbol", start)
+        if name == "assert":
+            return _ASSERT, None
+        if name == "define-fun":
+            return _DEFINE, (token, ("name", "params", "sort"))
+        if name == "define-const":
+            return _DEFINE, (token, ("name", "sort"))
+        i = bisect_left(self.starts, start)
+        (form,), end = self._read(i, one=True)
+        head = i + 1
+        while self.tokens[head][0] in _BLANK:
+            head += 1
+        handler = getattr(self, "_cmd_" + name.replace("-", "_"), None)
+        try:
+            if handler is None:
+                raise _Unsupported()
+            handler(form, form.items[1:])
+        except _Unsupported:  # kept verbatim
+            self.unsupported.append(Unsupported(render_sexpr(form)))
+        return _TOP, (end, end - head - 1)
 
-    def _register(self, sx, what: str) -> str:
-        """The name that `sx` declares or defines, checked."""
+    def _register(self, name: str | None, pos: int, what: str) -> str:
+        """`name`, which a command declares or defines, checked."""
 
-        name = self._symbol(sx, what)
+        if name is None:
+            raise ParseError(f"expected {what}", pos)
         if name in _RESERVED:
-            raise ParseError(f"cannot redefine builtin symbol '{name}'", _pos(sx))
+            raise ParseError(f"cannot redefine builtin symbol '{name}'", pos)
         if name in self.scope:
-            raise ParseError(f"symbol '{name}' is already declared", _pos(sx))
+            raise ParseError(f"symbol '{name}' is already declared", pos)
         return name
 
     def _cmd_set_logic(self, form: SList, args) -> None:
         if len(args) != 1:
             raise ParseError("set-logic takes one symbol", form.pos)
-        name = self._symbol(args[0], "a logic name")
+        name = _name(args[0])
+        if name is None:
+            raise ParseError("expected a logic name", form.at[1])
         if self.logic is not None:
             raise ParseError("logic is already set", form.pos)
-        self.logic = name
+        self._enter_logic(name)
+
+    def _enter_logic(self, logic: str | None) -> str | None:
+        """Read numerals by `logic` from here on; returns the logic before."""
+
+        before, self.logic = self.logic, logic
+        self.numeral = numeral_sort(logic)
+        return before
 
     def _cmd_set_info(self, form: SList, args) -> None:
         if not args or type(args[0]) is SList or args[0][0] != ":":
@@ -360,51 +686,19 @@ class _ScriptBuilder:
     def _cmd_declare_fun(self, form: SList, args) -> None:
         if len(args) != 3 or type(args[1]) is not SList:
             raise ParseError("malformed declare-fun", form.pos)
-        self._declare(self._register(args[0], "a function name"), args[1].items, args[2])
+        name = self._register(_name(args[0]), form.at[1], "a function name")
+        self._declare(name, args[1].items, args[2])
 
     def _cmd_declare_const(self, form: SList, args) -> None:
         if len(args) != 2:
             raise ParseError("malformed declare-const", form.pos)
-        self._declare(self._register(args[0], "a constant name"), (), args[1])
+        self._declare(self._register(_name(args[0]), form.at[1], "a constant name"), (), args[1])
 
     def _declare(self, name: str, params, result) -> None:
         sorts = tuple(_parse_sort(p) for p in params)
         decl = self.scope[name] = FunDecl(name, sorts, _parse_sort(result))
         if not sorts:
             self.leaves[name] = Var(name, decl.result)
-
-    def _cmd_define_const(self, form: SList, args) -> None:
-        self._cmd_define_fun(form, (*args[:1], SList((), form.pos), *args[1:]))
-
-    def _cmd_define_fun(self, form: SList, args) -> None:
-        command = form.items[0]  # define-fun, or define-const: one with no parameters
-        if len(args) != 4 or type(args[1]) is not SList:
-            raise ParseError(f"malformed {command}", form.pos)
-        name = self._register(args[0], "a function name")
-        pairs = self._pairs(args[1], "parameter list", "a parameter name", "parameter")
-        params = {p: _parse_sort(sx) for p, sx in pairs}
-        result = _parse_sort(args[2])
-        # Built here for its checks.  With parameters, a call in it is left
-        # unexpanded (`_call`): the body is built again at each call of it.
-        shadowed = self._bind({p: Var(p, sort) for p, sort in params.items()})
-        self.defining = bool(params)
-        body = self._build(args[3])
-        self.defining = False
-        self._unbind(shadowed)
-        if body.sort is not result:
-            raise SortError(f"{command} body has sort {body.sort}, declared {result}", _pos(args[3]))
-        env = {s: self.scope[s] for s in _symbols(args[3]) if s in self.scope}
-        body = args[3] if params else body
-        sorts = tuple(params.values())
-        self.scope[name] = _Defined(tuple(params), sorts, result, body, env, self.logic, {})
-
-    def _cmd_assert(self, form: SList, args) -> None:
-        if len(args) != 1:
-            raise ParseError("assert takes one term", form.pos)
-        term = self._build(args[0])
-        if term.sort is not Sort.BOOL:
-            raise SortError(f"assertion must be Bool, got {term.sort}", _pos(args[0]))
-        self.assertions.append(term)
 
     def _cmd_check_sat(self, form: SList, args) -> None:
         if args:
@@ -416,81 +710,93 @@ class _ScriptBuilder:
             raise ParseError("exit takes no arguments", form.pos)
         self.exit_cmd = True
 
+    # -- define-fun and define-const ---------------------------------------
+
+    def _definition_item(self, data: tuple, start: int, args: list, token: str, pos: int) -> tuple[int, object]:
+        """Take atom `token` as the next item of a definition before its
+        body.  After the result sort comes the body, built with the
+        parameters bound.  With parameters, a call in it is left unexpanded
+        (`_call`): the body is built again at each call of it."""
+
+        slot = data[1][len(args)]
+        if slot == "name":
+            args.append(self._register(_name(token), pos, "a function name"))
+            return _DEFINE, data
+        if slot == "params":  # not a list
+            self._malformed(_DEFINE, data, 0, start)
+        args.append(_parse_sort(token))
+        params = args[1].pairs if len(args) == 3 else {}
+        shadowed = self._bind({p: Var(p, sort) for p, sort in params.items()})
+        self.defining = bool(params)
+        return _DEFINE_BODY, (*data, shadowed, pos + len(token))
+
+    def _define(self, data: tuple, args: list, end: int) -> None:
+        """Finish a definition whose `)` is at offset `end`."""
+
+        command, slots, shadowed, body_at = data
+        self.defining = False
+        self._unbind(shadowed)
+        name, result, body = args[0], args[-2], args[-1]
+        params = args[1].pairs if len(slots) == 3 else {}
+        i, j = bisect_left(self.starts, body_at), bisect_left(self.starts, end)
+        tokens = [(t, p) for t, p in zip(self.tokens[i:j], self.starts[i:j]) if t[0] not in _BLANK]
+        if body.sort is not result:
+            raise SortError(f"{command} body has sort {body.sort}, declared {result}", tokens[0][1])
+        names = {_name(t) for t, _ in tokens if t[0] not in "()"}
+        env = {s: self.scope[s] for s in names if s in self.scope}
+        if params:
+            body = (*tokens, (")", end))
+        self.scope[name] = _Defined(tuple(params), tuple(params.values()), result, body, env, self.logic, {})
+
     # -- terms -------------------------------------------------------------
 
-    def _build(self, sx) -> Term:
-        """The term `sx` denotes under `self.scope`, built without recursion:
-        each `_term` generator yields the s-expression of each subterm it
-        needs, in order, and is sent the term built from it.  They wait on
-        one explicit stack, so every check runs in the order it is written."""
+    def _head(self, op: str | None, token: str, pos: int) -> tuple[int, object]:
+        """The kind and data of a term whose head, `token` at `pos`, is no
+        builtin operator."""
 
-        stack: list[Generator] = []
-        while True:
-            if type(sx) is SList:
-                stack.append(self._term(sx))
-                term = None
-            else:
-                term = self._atom_term(sx)
-            while stack:
-                try:
-                    sx = stack[-1].send(term)
-                    break
-                except StopIteration as done:
-                    stack.pop()
-                    term = done.value
-            else:
-                return term
-
-    def _term(self, sx: SList) -> Generator:
-        if not sx.items:
-            raise ParseError("empty application", sx.pos)
-        head = sx.items[0]
-        if type(head) is SList:
-            raise ParseError("unsupported construct in term position", head.pos)
-        op = _name(head)
         if op is None:
-            raise ParseError("cannot apply {} '{}'".format(*_kind_and_text(head)), _pos(head))
-        if op == "let":
-            return self._let(head, sx.items[1:])
-        if op in ("forall", "exists"):
-            return self._quantifier(head, op, sx.items[1:])
-        return self._application(sx, op, sx.items[1:])
+            raise ParseError("cannot apply {} '{}'".format(*_kind_and_text(token)), pos)
+        if op in ("let", "forall", "exists"):
+            return _BINDS, op
+        meaning = self.scope.get(op)
+        if type(meaning) is FunDecl or type(meaning) is _Defined:
+            if not meaning.params:  # an application has an argument (SMT-LIB 2.6 §3.6)
+                raise ParseError(f"'{op}' is a constant, not a function", pos)
+            return _CALL, (op, meaning)
+        if op in _KNOWN_UNSUPPORTED_OPS:
+            raise ParseError(f"unsupported operator '{op}'", pos)
+        raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", pos)
 
-    def _literal(self, sx: str) -> Const:
-        sort = Sort.REAL if "." in sx else numeral_sort(self.logic)
-        leaf = self.leaves.get((sx, sort))
+    def _literal(self, token: str, pos: int) -> Const:
+        sort = _REAL if "." in token else self.numeral
+        leaf = self.leaves.get((token, sort is _INT))
         if leaf is None:
-            whole, _, frac = sx.partition(".")
+            whole, _, frac = token.partition(".")
             try:  # `int` refuses more digits than `sys.get_int_max_str_digits()`
                 value = Fraction(int(whole + frac), 10 ** len(frac))
             except ValueError:
                 limit = sys.get_int_max_str_digits()
-                raise ParseError(f"literal has more than {limit} digits", _pos(sx)) from None
-            leaf = self.leaves[sx, sort] = Const(value, sort)
+                raise ParseError(f"literal has more than {limit} digits", pos) from None
+            leaf = self.leaves[token, sort is _INT] = Const(value, sort)
         return leaf
 
-    def _atom_term(self, sx: str) -> Term:
-        if sx[0] in _DIGITS:
-            return self._literal(sx)
-        name = _name(sx)
+    def _leaf(self, token: str, pos: int) -> Term:
+        """The term of atom `token` at `pos`, where the loop's lookup of a
+        simple symbol does not settle it."""
+
+        if token[0] in _DIGITS:
+            return self._literal(token, pos)
+        name = _name(token)
         if name is None:
-            raise ParseError("unexpected {} in term position".format(_kind_and_text(sx)[0]), _pos(sx))
+            raise ParseError("unexpected {} in term position".format(_kind_and_text(token)[0]), pos)
         meaning = self.scope.get(name)
         if meaning is None:
-            raise UndeclaredSymbolError(f"undeclared symbol '{name}'", _pos(sx))
+            raise UndeclaredSymbolError(f"undeclared symbol '{name}'", pos)
         if type(meaning) is not FunDecl and type(meaning) is not _Defined:  # a bound name
             return meaning
         if meaning.params:
-            raise SortError(f"'{name}' expects {len(meaning.params)} arguments", _pos(sx))
+            raise SortError(f"'{name}' expects {len(meaning.params)} arguments", pos)
         return self.leaves[name] if type(meaning) is FunDecl else meaning.body
-
-    def _built_args(self, items) -> Generator:
-        """The argument terms; an atom is built here, saving a trip through `_build`."""
-
-        args = []
-        for x in items:
-            args.append((yield x) if type(x) is SList else self._atom_term(x))
-        return tuple(args)
 
     def _bind(self, names: dict[str, Term]) -> list[tuple[str, object]]:
         """Bind `names` over the bindings in scope; returns what `_unbind` restores."""
@@ -506,115 +812,79 @@ class _ScriptBuilder:
             else:
                 self.scope[name] = old
 
-    def _pairs(self, sx: SList, pair: str, what: str, dup: str) -> Iterator[tuple[str, object]]:
-        """The `(name x)` pairs of a binder list, each checked when reached:
-        a list of two, a symbol first, and a name not seen before in `sx`."""
+    def _application(self, op: str, head: int, start: int, args: list) -> Term:
+        try:
+            sort = result_sort(op, args)
+        except SortError as exc:  # a wrong number of arguments, or located at the argument to blame
+            self._check_shape(_APPLY, op, head, start, len(args))
+            at = head if exc.arg is None else self._item_pos(start, exc.arg + 1)
+            raise SortError(exc.args[0], at) from None
+        if op == "ite":
+            return Ite(*args, sort)
+        if op == "/":
+            if sort is _INT and self.numeral is not _INT:
+                raise SortError("'/' on Int arguments outside an integer logic", head)
+            loc = _loc(self.line_starts, head)
+            term = args[0]
+            for arg in args[1:]:  # n-ary division associates to the left
+                term = Div(term, arg, sort, loc)
+            return term
+        if op == "-" and len(args) == 1 and isinstance(args[0], Const):
+            key = (-args[0].value, sort is _INT)
+            leaf = self.leaves.get(key)
+            if leaf is None:
+                leaf = self.leaves[key] = neg_literal(args[0])
+            return leaf
+        return Apply(op, tuple(args), sort)
 
-        seen: set[str] = set()
-        for p in sx.items:
-            if not (type(p) is SList and len(p.items) == 2):
-                raise ParseError(f"malformed {pair}", sx.pos)
-            name = self._symbol(p.items[0], what)
-            if name in seen:
-                raise ParseError(f"duplicate {dup} '{name}'", _pos(p.items[0]))
-            seen.add(name)
-            yield name, p.items[1]
+    def _call(self, data: tuple, head: int, start: int, args: list) -> Term | None:
+        """An application of a declared or a defined function; None where a
+        defined one is to be expanded.  It is expanded like a `let` of its
+        parameters, once per tuple of argument objects, but not while a
+        function with parameters is defined."""
 
-    def _application(self, sx: SList, op: str, items) -> Generator:
-        head = sx.items[0]
-        if op in _SORT_RULE_OPS:
-            why = arity_error(op, len(items))
-            if why is not None:
-                raise ParseError(why, _pos(head))
-            args = yield from self._built_args(items)
-            try:
-                sort = result_sort(op, args)
-            except SortError as exc:  # located at the argument to blame
-                at = head if exc.arg is None else items[exc.arg]
-                raise SortError(exc.args[0], _pos(at)) from None
-            if op == "ite":
-                return Ite(*args, sort)
-            if op == "/":
-                if sort is Sort.INT and numeral_sort(self.logic) is not Sort.INT:
-                    raise SortError("'/' on Int arguments outside an integer logic", _pos(head))
-                # The `/` starts after the `(` and any blanks and comments.
-                loc = _loc(self.line_starts, _GAP.match(self.text, sx.pos + 1).end())
-                term = args[0]
-                for arg in args[1:]:  # n-ary division associates to the left
-                    term = Div(term, arg, sort, loc)
-                return term
-            if op == "-" and len(args) == 1 and isinstance(args[0], Const):
-                key = (-args[0].value, sort)
-                leaf = self.leaves.get(key)
-                if leaf is None:
-                    leaf = self.leaves[key] = neg_literal(args[0])
-                return leaf
-            return Apply(op, args, sort)
-
-        meaning = self.scope.get(op)
-        if type(meaning) is FunDecl or type(meaning) is _Defined:
-            return (yield from self._call(head, op, items, meaning))
-        if op in _KNOWN_UNSUPPORTED_OPS:
-            raise ParseError(f"unsupported operator '{op}'", _pos(head))
-        raise UndeclaredSymbolError(f"undeclared function symbol '{op}'", _pos(head))
-
-    def _call(self, head: str, name: str, items, meaning: FunDecl | _Defined) -> Generator:
-        """An application of a declared or a defined function.  A defined
-        one is expanded like a `let` of its parameters, once per tuple of
-        argument objects, but not while a function with parameters is defined."""
-
+        name, meaning = data
+        self._check_shape(_CALL, data, head, start, len(args))
         declared = type(meaning) is FunDecl
-        if not meaning.params:  # an application has an argument (SMT-LIB 2.6 §3.6)
-            raise ParseError(f"'{name}' is a constant, not a function", _pos(head))
-        sorts = meaning.params
-        if len(items) != len(sorts):
-            raise SortError(f"'{name}' expects {len(sorts)} arguments, got {len(items)}", _pos(head))
-        args = yield from self._built_args(items)
-        for i, (arg, sort) in enumerate(zip(args, sorts)):
+        for i, (arg, sort) in enumerate(zip(args, meaning.params)):
             if arg.sort is not sort:
                 which = i + 1 if declared else f"'{meaning.names[i]}'"
                 raise SortError(
-                    f"argument {which} of '{name}' must be {sort}, got {arg.sort}", _pos(items[i])
+                    f"argument {which} of '{name}' must be {sort}, got {arg.sort}", self._item_pos(start, i + 1)
                 )
         if declared or self.defining:
-            return Apply(name, args, meaning.result)
-        key = tuple(map(id, args))
-        if key not in meaning.calls:
-            shadowed = self._bind(meaning.env | dict(zip(meaning.names, args)))
-            logic, self.logic = self.logic, meaning.logic
-            meaning.calls[key] = (args, (yield meaning.body))
-            self.logic = logic
+            return Apply(name, tuple(args), meaning.result)
+        done = meaning.calls.get(tuple(map(id, args)))
+        return None if done is None else done[1]
+
+    def _expand(self, meaning: _Defined, args: list) -> tuple:
+        """Bind a call's parameters to `args` and the body's other symbols
+        to what they meant at the definition, and enter its logic; returns
+        the data of the frame that replays the body."""
+
+        args = tuple(args)
+        shadowed = self._bind(meaning.env | dict(zip(meaning.names, args)))
+        return meaning, args, shadowed, self._enter_logic(meaning.logic)
+
+    def _close_term(self, kind: int, data, head: int, start: int, args: list) -> Term:
+        """The term of a `let`, quantifier or replayed body, at its `)`."""
+
+        if kind == _REPLAY:
+            meaning, call_args, shadowed, logic = data
+            self._enter_logic(logic)
             self._unbind(shadowed)
-        return meaning.calls[key][1]
-
-    def _let(self, head: str, items) -> Generator:
-        if len(items) != 2 or type(items[0]) is not SList:
-            raise ParseError("malformed let", _pos(head))
-        bindings: dict[str, Term] = {}
-        # Bindings are parallel: right-hand sides see the outer scope.
-        for name, sx in self._pairs(items[0], "let binding", "a let-bound name", "let binding"):
-            bindings[name] = yield sx
-        shadowed = self._bind(bindings)
-        body = yield items[1]
+            meaning.calls[tuple(map(id, call_args))] = (call_args, args[0])
+            return args[0]
+        self._check_shape(kind, data, head, start, len(args))
+        if kind == _LET:
+            self._unbind(data)
+            return args[1]
+        word, binders, shadowed = data
         self._unbind(shadowed)
-        return body
-
-    def _quantifier(self, head: str, kind: str, items) -> Generator:
-        if len(items) != 2 or type(items[0]) is not SList or not items[0].items:
-            raise ParseError(f"malformed {kind}", _pos(head))
-        binders: dict[str, Term] = {}
-        for name, sx in self._pairs(items[0], "binder", "a bound variable", "bound variable"):
-            try:
-                sort = _parse_sort(sx)
-            except _Unsupported:
-                raise ParseError("unsupported sort in binder", _pos(sx))
-            binders[name] = Var(name, sort)
-        shadowed = self._bind(binders)
-        body = yield items[1]
-        self._unbind(shadowed)
-        if body.sort is not Sort.BOOL:
-            raise SortError(f"{kind} body must be Bool, got {body.sort}", _pos(items[1]))
-        q = Quantifier(kind, tuple((n, v.sort) for n, v in binders.items()), body)
+        body = args[1]
+        if body.sort is not _BOOL:
+            raise SortError(f"{word} body must be Bool, got {body.sort}", self._item_pos(start, 2))
+        q = Quantifier(word, tuple((n, v.sort) for n, v in binders.items()), body)
         for name, outer in shadowed:
             if outer is not None and _captures(body, binders[name]):
                 q = _rename_binder(q, binders[name])
@@ -648,21 +918,15 @@ def _rename_binder(q: Quantifier, own: Var) -> Quantifier:
 def parse_script(text: str) -> Script:
     """Parse a whole script; raises a ScriptError subclass with a location.
 
-    The text is first read into s-expressions in one pass, so lexical and
-    bracket errors come before any sort or scope error.  Terms are then
-    built on an explicit stack, so nesting has no depth limit.  Atoms keep
-    no offset: an error at one is raised again from a located read.
+    One pass over the tokens builds every command; an error carries the
+    offset of its token, which becomes a line and column here.  A lexical
+    error comes before any other, and a bracket error before any sort or
+    scope error.
     """
 
     line_starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
     try:
-        try:
-            return _ScriptBuilder(text, line_starts).run(_read(text))
-        except ScriptError as exc:
-            if exc.loc is not None:
-                raise
-        _ScriptBuilder(text, line_starts).run(_read(text, located=True))
-        raise AssertionError("a located read built what an unlocated one refused")
+        return _ScriptBuilder(text, line_starts).run()
     except ScriptError as exc:  # located at an offset until here
         exc.loc = _loc(line_starts, exc.loc)
         raise

@@ -24,7 +24,6 @@ from nradiv import (
     parse_script,
     print_script,
 )
-from nradiv.parser import SList, _read
 from nradiv.terms import Loc
 from support import subterms
 
@@ -217,6 +216,7 @@ def test_exit_stops_processing():
     script = parse_script("(set-logic QF_NRA)(exit)(check-sat)(bogus-command)")
     assert script.exit_cmd and not script.check_sat
     assert script.unsupported == ()
+    assert parse_script("(exit)(assert (+ p 1))").exit_cmd  # read for its brackets, not built
 
 
 def test_multiple_check_sat_collapse():
@@ -382,6 +382,48 @@ def test_shadowing_keeps_declaration_order():
 def test_arity_is_checked_before_the_arguments_are_built():
     with pytest.raises(ParseError, match="^'not' needs exactly 1 argument"):
         parse_script(SORT_HEADER + "(assert (not (+ p p) q))")
+
+
+def _deep(bottom: str) -> str:
+    return "(+ 1 " * 10_000 + bottom + ")" * 10_000
+
+
+@pytest.mark.parametrize(
+    "text, error, message, where",
+    [
+        # an enclosing list is checked before the terms inside it
+        ("(define-fun f ((a Real)) Real a)(declare-fun p () Bool)(assert (= (f (+ p 1) 2) 0))",
+         SortError, "'f' expects 1 arguments, got 2", (1, 68)),
+        ("(declare-fun p () Bool)(declare-fun g (Real) Real)(assert (= (g (+ p 1) 1) 0))",
+         SortError, "'g' expects 1 arguments, got 2", (1, 63)),
+        ("(declare-fun p () Bool)(assert (let ((a (+ p 1))) a p))", ParseError, "malformed let", (1, 33)),
+        ("(declare-fun p () Bool)(assert (forall ((x Real)) (+ p 1) p))", ParseError, "malformed forall", (1, 33)),
+        ("(declare-fun p () Bool)(assert (ite (+ p 1) 1))", ParseError, "'ite' needs exactly 3 arguments", (1, 33)),
+        ("(declare-fun p () Bool)(assert (/ (+ p 1)))", ParseError, "'/' needs at least 2 arguments", (1, 33)),
+        # a bracket error later in the file beats an earlier sort error
+        ("(declare-fun p () Bool)(assert (+ p 1))\n(assert (and",
+         ParseError, "unbalanced '(': input ended inside a list", (2, 9)),
+        ("(declare-fun p () Bool)(assert (+ p 1))\n(check-sat))", ParseError, "unmatched ')'", (2, 12)),
+        # text after (exit) is scanned but not built
+        ("(exit)(assert (", ParseError, "unbalanced '(': input ended inside a list", (1, 15)),
+        # the same, 10,000 deep: the error path stays linear
+        ("(declare-fun p () Bool)\n(assert (not (ite " + _deep("(+ p 1)") + " 1)))",
+         ParseError, "'ite' needs exactly 3 arguments", (2, 15)),
+        ("(declare-fun p () Bool)\n(assert (> " + _deep("(+ p 1)") + " 0))\n(assert (and",
+         ParseError, "unbalanced '(': input ended inside a list", (3, 9)),
+    ],
+    ids=["call", "declared-call", "let", "forall", "ite", "slash", "unbalanced", "unmatched",
+         "after-exit", "deep-ite", "deep-unbalanced"],
+)
+def test_which_error_comes_first(text, error, message, where):
+    """The error a script reports is the first in check order: an
+    enclosing list's number of items before anything inside it, and a
+    bracket error anywhere before any sort or scope error."""
+
+    with pytest.raises(error) as excinfo:
+        parse_script(text)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{message} (line {where[0]}, column {where[1]})"
 
 
 def test_unterminated_tokens():
@@ -603,31 +645,19 @@ def _reader_texts(draw) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(_reader_texts())
-def test_a_located_read_is_the_read_with_offsets(text):
-    """The two reads agree, every located atom and list starts where it
-    says, and every error that leaves `parse_script` has a line and column."""
+def test_every_error_is_located_and_an_undeclared_symbol_at_its_text(text):
+    """Every error that leaves `parse_script` has a line and column, and an
+    undeclared symbol's points at where the text spells that symbol."""
 
-    try:
-        forms = _read(text)
-    except ParseError as fast:
-        with pytest.raises(ParseError) as located:
-            _read(text, located=True)
-        assert (located.value.args, located.value.loc) == (fast.args, fast.loc)
-    else:
-        located = _read(text, located=True)
-        assert forms == located
-        stack = list(located)
-        while stack:
-            x = stack.pop()
-            if type(x) is SList:
-                assert text[x.pos] == "("
-                stack.extend(x.items)
-            else:
-                assert text.startswith(x, x.pos)
     try:
         parse_script(text)
     except ScriptError as exc:
         assert type(exc.loc) is Loc and exc.loc.line >= 1 and exc.loc.col >= 1
+        if type(exc) is UndeclaredSymbolError:
+            name = str(exc).split("'")[1]
+            line_start = sum(len(line) + 1 for line in text.split("\n")[: exc.loc.line - 1])
+            at = text[line_start + exc.loc.col - 1 :]
+            assert at.startswith(name) or at.startswith(f"|{name}|")
 
 
 _SEPARATORS = st.lists(st.sampled_from([" ", "\n", "\r\n", "\t ", " ; note (\n", "\n\n  "]), min_size=1)
