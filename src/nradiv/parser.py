@@ -36,6 +36,9 @@ from typing import NamedTuple, NoReturn
 from .errors import ParseError, ScriptError, SortError, UndeclaredSymbolError
 from .printer import SIMPLE_SYMBOL, SIMPLE_SYMBOL_CHARS, format_symbol
 from .terms import (
+    _BOOL,
+    _INT,
+    _REAL,
     OPS,
     Apply,
     Const,
@@ -204,9 +207,6 @@ class _Unsupported(Exception):
 
 
 _SORTS = {s.value: s for s in Sort}
-# The sorts, as module names: reading `Sort.INT` or hashing a `Sort` runs
-# Python code of `Enum` (0.2 to 0.4 µs on CPython 3.11), too slow per literal.
-_REAL, _INT, _BOOL = Sort.REAL, Sort.INT, Sort.BOOL
 
 
 def _parse_sort(sx) -> Sort:
@@ -638,11 +638,11 @@ class _ScriptBuilder:
         head = i + 1
         while self.tokens[head][0] in _BLANK:
             head += 1
-        handler = getattr(self, "_cmd_" + name.replace("-", "_"), None)
+        handler = self._COMMANDS.get(name)
         try:
             if handler is None:
                 raise _Unsupported()
-            handler(form, form.items[1:])
+            handler(self, form, form.items[1:])
         except _Unsupported:  # kept verbatim
             self.unsupported.append(Unsupported(render_sexpr(form)))
         return _TOP, (end, end - head - 1)
@@ -709,6 +709,16 @@ class _ScriptBuilder:
         if args:
             raise ParseError("exit takes no arguments", form.pos)
         self.exit_cmd = True
+
+    # The commands read and run whole; any other name is kept verbatim.
+    _COMMANDS = {
+        "set-logic": _cmd_set_logic,
+        "set-info": _cmd_set_info,
+        "declare-fun": _cmd_declare_fun,
+        "declare-const": _cmd_declare_const,
+        "check-sat": _cmd_check_sat,
+        "exit": _cmd_exit,
+    }
 
     # -- define-fun and define-const ---------------------------------------
 

@@ -6,7 +6,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from nradiv import (
     Div,
@@ -24,8 +24,9 @@ from nradiv import (
     is_quantifier_free,
     parse_script,
 )
+from nradiv.errors import SortError
 from nradiv.printer import format_value
-from nradiv.terms import Const, Var, conj, const, eq, forall, holds_division, implies, neg
+from nradiv.terms import OPS, Const, Var, arity_error, conj, const, eq, forall, holds_division, implies, neg
 
 DENOMINATOR_CHOICES = (1, 1, 1, 2, 2, 3, 4, 7)
 
@@ -67,6 +68,37 @@ def subterms(term: Term) -> Iterator[Term]:
         t = stack.pop()
         yield t
         stack.extend(reversed(children(t)))
+
+
+def reference_result_sort(op: str, args: Sequence[Term]) -> Sort:
+    """`terms.result_sort` as it was before its accepting path: every check,
+    in order, on the list of argument sorts.  The reference that the
+    exhaustive sort-rule test compares the rule against."""
+
+    why = arity_error(op, len(args))
+    if why is not None:
+        raise SortError(why)
+    kind, result = {"ite": ("ite", "ite"), "/": ("num", "num")}.get(op) or (OPS[op].args, OPS[op].result)
+    sorts = [a.sort for a in args]
+    if kind == "ite":
+        if sorts[0] is not Sort.BOOL:
+            raise SortError("'ite' condition must be Bool", arg=0)
+        if sorts[1] is not sorts[2]:
+            raise SortError(f"'ite' branches disagree: {sorts[1]} vs {sorts[2]}", arg=2)
+        return sorts[1]
+    s0 = sorts[0]
+    same = sorts.count(s0) == len(sorts)
+    if kind == "any":
+        if not same:
+            raise SortError(f"'{op}' mixes sorts {sorted({s.value for s in sorts})}")
+        return Sort.BOOL
+    allowed, name = {"num": ((Sort.REAL, Sort.INT), "numeric"), "bool": ((Sort.BOOL,), "Bool")}[kind]
+    if not (same and s0 in allowed):
+        for i, s in enumerate(sorts):
+            if s not in allowed:
+                raise SortError(f"'{op}' expects {name} arguments, got {s}", arg=i)
+        raise SortError(f"'{op}' mixes Real and Int arguments", arg=0)
+    return s0 if result == "num" else Sort.BOOL
 
 
 def forced_value(x: Fraction) -> Fraction:

@@ -615,6 +615,23 @@ def test_deeply_nested_metadata_and_unsupported_commands_pass_through(tmp_path, 
     assert captured.err == "[totalize] nodes 0 -> 0; divisions 0 -> 0\n"
 
 
+def test_command_names_are_matched_exactly(tmp_path, capsys):
+    """`set_logic`, `declare_fun` and `check_sat` are no SMT-LIB commands:
+    each is kept verbatim as unsupported, so it sets no logic and declares
+    nothing."""
+
+    text = "(set_logic QF_NRA)\n(declare_fun x () Real)\n(check_sat)\n"
+    script = parse_script(text)
+    assert (script.logic, script.decls, script.check_sat) == (None, (), False)
+    path = tmp_path / "underscores.smt2"
+    path.write_text(text)
+    assert main(["transform", "totalize", str(path)]) == 0
+    assert capsys.readouterr().out == text
+    path.write_text("(declare_fun x () Real)\n(assert (> x 0))\n")
+    assert main(["transform", "totalize", str(path)]) == 65
+    assert capsys.readouterr().err == "error: undeclared symbol 'x' (line 2, column 12)\n"
+
+
 # ---------------------------------------------------------------------------
 # One argument parser per process
 

@@ -6,6 +6,7 @@ without recursion, and the constructors' sort rule."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from nradiv import (
     totalize,
 )
 from nradiv.terms import (
+    _SIGNATURES,
     add,
     conj,
     const,
@@ -43,13 +45,14 @@ from nradiv.terms import (
     lt,
     mul,
     neg,
+    result_sort,
     same_term,
     sub,
     var,
 )
 
 from strategies import bool_terms, numeric_terms, shared_scripts
-from support import subterms
+from support import reference_result_sort, subterms
 
 HERE, THERE = Loc(3, 7), Loc(9, 1)
 
@@ -333,6 +336,26 @@ def test_sort_errors_name_the_argument_to_blame():
     with pytest.raises(SortError) as excinfo:
         eq(X, P)
     assert excinfo.value.arg is None
+
+
+@pytest.mark.parametrize("op", sorted(_SIGNATURES))
+def test_sort_rule_agrees_with_the_reference_on_every_short_application(op):
+    """Every tuple of Real, Int and Bool arguments of length 0 to 4 (121 per
+    operator): the same sort, or SortError with the same message and `arg`."""
+
+    sorts = [Sort.REAL, Sort.INT, Sort.BOOL]
+    tuples = [t for n in range(5) for t in itertools.product(sorts, repeat=n)]
+    assert len(tuples) == 121
+    for t in tuples:
+        args = [Var(f"v{i}", s) for i, s in enumerate(t)]
+        try:
+            want = reference_result_sort(op, args)
+        except SortError as exc:
+            with pytest.raises(SortError) as got:
+                result_sort(op, args)
+            assert (str(got.value), got.value.arg) == (str(exc), exc.arg), (op, t)
+        else:
+            assert result_sort(op, args) is want, (op, t)
 
 
 terms = st.one_of(numeric_terms, bool_terms)
