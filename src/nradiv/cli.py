@@ -178,7 +178,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
             if witness is None:
                 notes.append(f"no integer witness with |values| <= {args.bound}")
             else:
-                rendered = ", ".join(f"{k} = {v}" for k, v in witness.items())
+                rendered = ", ".join(f"{k} = {v}" for k, v in witness.items()) or "(no variables)"
                 notes.append(f"integer witness within {args.bound}: {rendered}")
 
     counts: list[int] = []  # the printer counts what it prints

@@ -37,7 +37,6 @@ from .terms import (
     forall,
     fold_node,
     fresh_name,
-    holds_division,
     implies,
     mul,
     neg,
@@ -72,13 +71,6 @@ def _guard_pieces(term: Term) -> tuple[Term, ...]:
     if type(term) is Ite and _is_guard(term):
         return (term.orelse.den, term.orelse.num, term.then)
     return children(term)
-
-
-def _named_pieces(term: Term) -> tuple[Term, ...]:
-    """What the fresh-symbol walk enters: `_guard_pieces`, and nothing below
-    a quantifier, which it rewrites inline."""
-
-    return () if type(term) is Quantifier else _guard_pieces(term)
 
 
 def _rebuild_guard(guard: Ite, den: Term, num: Term, then: Term) -> Ite:
@@ -149,32 +141,43 @@ def totalize(
         assertions = [dag_fold(a, inline, _guard_pieces, memo) for a in script.assertions]
     else:
         # Each occurrence gets its own name, so the walk goes over the tree,
-        # post-order over `_named_pieces`, and leaves each finished rewrite
-        # in `assertions` for its parent.  A quantifier, and a node met
-        # before that holds nothing to name, get their inline rewrite, which
-        # is not the node only where a quantifier below it was rewritten.
-        holds = holds_division(_named_pieces)
-        seen: set[int] = set()  # id(node) of each node entered
+        # post-order over `_guard_pieces`, and leaves each finished rewrite
+        # in `assertions` for its parent.  A quantifier gets its inline
+        # rewrite.  A node below which no name was made has that one rewrite
+        # on every path, kept in `fixed`; one below which a name was made
+        # changes on every path, so an application is rebuilt directly.
+        # `fixed` is not `memo`: a division under a quantifier has its guard
+        # in `memo` but still gets a name where it is reached outside.
+        fixed: dict[int, Term] = {}  # id(node) -> its rewrite, which names nothing
         fell_back = False
         assertions = []
-        waiting: list[tuple[Term, int]] = []  # node, where its pieces start in `assertions`
+        waiting: list[tuple[Term, int, int]] = []  # node, where its pieces start, names made before
         stack: list = list(reversed(script.assertions))
         while stack:
             node = stack.pop()
             if node is None:
-                node, start = waiting.pop()
+                node, start, made = waiting.pop()
                 new = assertions[start:]
                 del assertions[start:]
-                assertions.append((named if type(node) is Div else inline)(node, new))
+                if type(node) is Div:
+                    assertions.append(named(node, new))
+                elif len(new_decls) == made:
+                    assertions.append(inline(node, new))
+                    fixed[id(node)] = assertions[-1]
+                elif type(node) is Apply:
+                    assertions.append(Apply(node.op, tuple(new), node.sort))
+                else:
+                    assertions.append(inline(node, new))
             elif type(node) is Var or type(node) is Const:
                 assertions.append(node)
-            elif type(node) is Quantifier or id(node) in seen and not holds(node):
+            elif id(node) in fixed:
+                assertions.append(fixed[id(node)])
+            elif type(node) is Quantifier:
                 rewrite = dag_fold(node, inline, _guard_pieces, memo)
                 fell_back = fell_back or rewrite is not node
                 assertions.append(rewrite)
             else:
-                seen.add(id(node))
-                waiting.append((node, len(assertions)))
+                waiting.append((node, len(assertions), len(new_decls)))
                 stack.append(None)
                 stack.extend(reversed(_guard_pieces(node)))
         if fell_back:

@@ -222,9 +222,16 @@ def _format_terms(terms, numerals: Sort, tally: list[int]) -> Iterator[str]:
         yield "".join(out)
 
 
-def _format_decl(decl: FunDecl) -> str:
-    params = " ".join(s.value for s in decl.params)
-    return f"(declare-fun {format_symbol(decl.name)} ({params}) {decl.result.value})"
+def _format_decl(decl: FunDecl, tails: dict[tuple, str]) -> str:
+    """`(declare-fun name (params) Result)`; `tails` holds the text after the
+    name per `(params, result)`, built at its first use."""
+
+    key = (decl.params, decl.result)
+    tail = tails.get(key)
+    if tail is None:
+        params = " ".join(s.value for s in decl.params)
+        tail = tails[key] = f" ({params}) {decl.result.value})"
+    return "(declare-fun " + format_symbol(decl.name) + tail
 
 
 def print_script(script: Script, counts: list[int] | None = None) -> str:
@@ -240,8 +247,9 @@ def print_script(script: Script, counts: list[int] | None = None) -> str:
         lines.append(f"(set-info :{key} {value})" if value else f"(set-info :{key})")
     for u in script.unsupported:
         lines.append(u.text)
+    tails: dict[tuple, str] = {}
     for d in script.decls:
-        lines.append(_format_decl(d))
+        lines.append(_format_decl(d, tails))
     for text in _format_terms(script.assertions, numeral_sort(script.logic), tally):
         lines.append(f"(assert {text})")
     if counts is not None:

@@ -221,3 +221,57 @@ def shared_scripts(draw) -> Script:
             bools.append(op(a, b) if op else Apply("or", (a, b), Sort.BOOL))
     assertions = draw(st.lists(st.sampled_from(bools), min_size=1, max_size=3))
     return Script(logic="QF_NRA", decls=_DECLS, assertions=tuple(assertions), check_sat=True)
+
+
+# ---------------------------------------------------------------------------
+# Scripts for fresh-symbol totalization: Real and Int divisions, nodes shared
+# by identity and doubled as nested `let`s double them, guards already in
+# place, and quantifiers that hold a division, reached on several paths and
+# sharing divisions with the terms outside them.
+
+_FRESH_DECLS = (
+    FunDecl("x", (), Sort.REAL),
+    FunDecl("y", (), Sort.REAL),
+    FunDecl("a", (), Sort.INT),
+    FunDecl("b", (), Sort.INT),
+)
+
+
+@st.composite
+def fresh_scripts(draw) -> Script:
+    def pick(pool: list):  # the newest node half the time, so chains grow
+        return pool[-1] if draw(st.booleans()) else pool[draw(st.integers(0, len(pool) - 1))]
+
+    x, y, a, b = (var(d.name, d.result) for d in _FRESH_DECLS)
+    z = var("z")  # bound by every quantifier
+    nums = {Sort.REAL: [x, y, div(x, y)], Sort.INT: [a, b, div(a, b)]}
+    for _ in range(draw(st.integers(1, 8))):
+        pool = nums[draw(st.sampled_from((Sort.REAL, Sort.INT)))]
+        kind = draw(st.sampled_from(("double", "double", "+", "*", "/", "guard")))
+        u, v = pick(pool), pick(pool)
+        if kind == "double":  # `(let ((a1 (+ a0 a0))) ...)`
+            pool.append(add(u, u))
+        elif kind == "guard":  # `(ite (= v 0) c (/ u v))`
+            pool.append(ite(eq(v, const(0, v.sort)), pick(pool), div(u, v)))
+        else:
+            pool.append({"+": add, "*": mul, "/": div}[kind](u, v))
+    real, ints = nums[Sort.REAL], nums[Sort.INT]
+    bools = [lt(pick(real), pick(real)), lt(pick(ints), pick(ints))]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("forall", "forall", "twice", "and", "not", "ite")))
+        if kind == "forall":  # a division by the bound variable, or of terms from outside
+            den = z if draw(st.booleans()) else pick(real)
+            body = lt(div(pick(real), den), pick(real))
+            bools.append(forall((("z", Sort.REAL),), conj(body, pick(bools))))
+        elif kind == "twice":  # one node on two paths
+            p = pick(bools)
+            bools.append(conj(p, p))
+        elif kind == "and":
+            bools.append(conj(pick(bools), pick(bools)))
+        elif kind == "not":
+            bools.append(neg(pick(bools)))
+        else:
+            u = pick(real)
+            bools.append(lt(ite(pick(bools), u, pick(real)), u))
+    assertions = draw(st.lists(st.sampled_from(bools), min_size=1, max_size=4))
+    return Script(logic="ALL", decls=_FRESH_DECLS, assertions=tuple(assertions), check_sat=True)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import warnings
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -25,8 +28,25 @@ from nradiv import (
     parse_script,
 )
 from nradiv.errors import SortError
+from nradiv.passes import _guard_pieces, _is_guard, _rebuild_guard
 from nradiv.printer import format_value
-from nradiv.terms import OPS, Const, Var, arity_error, conj, const, eq, forall, holds_division, implies, neg
+from nradiv.terms import (
+    OPS,
+    Const,
+    FunDecl,
+    Var,
+    arity_error,
+    conj,
+    const,
+    dag_fold,
+    eq,
+    forall,
+    holds_division,
+    implies,
+    neg,
+    var,
+    with_children,
+)
 
 DENOMINATOR_CHOICES = (1, 1, 1, 2, 2, 3, 4, 7)
 
@@ -99,6 +119,87 @@ def reference_result_sort(op: str, args: Sequence[Term]) -> Sort:
                 raise SortError(f"'{op}' expects {name} arguments, got {s}", arg=i)
         raise SortError(f"'{op}' mixes Real and Int arguments", arg=0)
     return s0 if result == "num" else Sort.BOOL
+
+
+def reference_fresh_totalize(script: Script, div0_value: Fraction = Fraction(0)) -> Script:
+    """`totalize(script, div0_value, style=FRESH_SYMBOL)` as it was before
+    the walk kept each node that names nothing: a node seen before is
+    entered again whenever it holds a division outside a quantifier, and
+    every finished node is rebuilt through `inline` or `named`.  The
+    reference that the fresh-style property compares the pass against."""
+
+    taken = {d.name for d in script.decls}
+    fresh_names = (n for n in map("div0.{}".format, count()) if n not in taken)
+    new_decls: list[FunDecl] = list(script.decls)
+    defining: list[Term] = []
+    zeros: dict[Sort, Const] = {}
+    values: dict[Sort, Const] = {}
+
+    def guard_value(sort: Sort) -> Const:
+        if sort not in values:
+            if sort is Sort.INT and div0_value.denominator != 1:
+                raise SortError(f"total-division value {div0_value} is not an integer")
+            values[sort] = const(div0_value, sort)
+        return values[sort]
+
+    guards: dict[int, Ite] = {}
+
+    def guarded(d: Div) -> Ite:
+        if id(d) not in guards:
+            zero = zeros.get(d.den.sort)
+            if zero is None:
+                zero = zeros[d.den.sort] = const(0, d.den.sort)
+            guards[id(d)] = Ite(eq(d.den, zero), guard_value(d.sort), d, d.sort)
+        return guards[id(d)]
+
+    def inline(node: Term, new: list[Term]) -> Term:
+        if type(node) is Ite and _is_guard(node):
+            return _rebuild_guard(node, *new)
+        t = with_children(node, new)
+        return guarded(t) if type(t) is Div else t
+
+    def named(node: Div, new: list[Term]) -> Var:
+        t = with_children(node, new)
+        v = var(next(fresh_names), t.sort)
+        new_decls.append(FunDecl(v.name, (), t.sort))
+        defining.append(eq(v, guarded(t)))
+        return v
+
+    def named_pieces(term: Term) -> tuple[Term, ...]:
+        return () if type(term) is Quantifier else _guard_pieces(term)
+
+    memo: dict[int, Term] = {}
+    holds = holds_division(named_pieces)
+    seen: set[int] = set()
+    fell_back = False
+    assertions: list[Term] = []
+    waiting: list[tuple[Term, int]] = []
+    stack: list = list(reversed(script.assertions))
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node, start = waiting.pop()
+            new = assertions[start:]
+            del assertions[start:]
+            assertions.append((named if type(node) is Div else inline)(node, new))
+        elif type(node) is Var or type(node) is Const:
+            assertions.append(node)
+        elif type(node) is Quantifier or id(node) in seen and not holds(node):
+            rewrite = dag_fold(node, inline, _guard_pieces, memo)
+            fell_back = fell_back or rewrite is not node
+            assertions.append(rewrite)
+        else:
+            seen.add(id(node))
+            waiting.append((node, len(assertions)))
+            stack.append(None)
+            stack.extend(reversed(_guard_pieces(node)))
+    if fell_back:
+        warnings.warn(
+            "fresh-symbol totalization cannot name a division "
+            "under a quantifier; falling back to an inline branch",
+            stacklevel=2,
+        )
+    return dataclasses.replace(script, decls=tuple(new_decls), assertions=(*assertions, *defining))
 
 
 def forced_value(x: Fraction) -> Fraction:

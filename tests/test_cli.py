@@ -521,6 +521,21 @@ def test_transform_encode_no_witness_note(tmp_path, capsys):
     assert "no integer witness with |values| <= 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, note",
+    [
+        ("", "integer witness within 2: (no variables)"),
+        ("(assert (= 1 2))", "no integer witness with |values| <= 2"),
+    ],
+    ids=["true", "false"],
+)
+def test_transform_encode_witness_note_without_variables(tmp_path, capsys, body, note):
+    src = tmp_path / "closed.smt2"
+    src.write_text(f"(set-logic QF_NIA){body}(check-sat)\n")
+    assert main(["transform", "encode-div0", str(src), "--bound", "2"]) == 0
+    assert capsys.readouterr().err.rstrip("\n").endswith(f"; {note}")
+
+
 def test_transform_encode_rejects_real_script(corpus_dir, capsys):
     path = str(corpus_dir / "poly_simple.smt2")
     assert main(["transform", "encode-uf", path]) == 70

@@ -4,7 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
@@ -166,6 +166,26 @@ def test_totalize_fresh_warns_once_at_the_caller():
         totalize(s, style=FRESH)
     assert len(caught) == 1
     assert caught[0].filename == __file__
+
+
+def _fresh_outcome(run) -> tuple:
+    """What a fresh-symbol totalization gives: the printed script, its
+    declarations and its warnings, or the `SortError` it raises."""
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = run()
+        except SortError as exc:
+            return ("SortError", str(exc), exc.arg)
+    return print_script(out), out.decls, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategies.fresh_scripts(), st.sampled_from((Fraction(0), Fraction(1, 2))))
+def test_fresh_totalize_matches_the_reference(script, value):
+    got = _fresh_outcome(lambda: totalize(script, value, style=FRESH))
+    assert got == _fresh_outcome(lambda: support.reference_fresh_totalize(script, value))
 
 
 def test_totalize_int_value_check():
