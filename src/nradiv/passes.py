@@ -145,7 +145,7 @@ def totalize(
         # in `assertions` for its parent.  A quantifier gets its inline
         # rewrite.  A node below which no name was made has that one rewrite
         # on every path, kept in `fixed`; one below which a name was made
-        # changes on every path, so an application is rebuilt directly.
+        # changes on every path, so it is entered on each.
         # `fixed` is not `memo`: a division under a quantifier has its guard
         # in `memo` but still gets a name where it is reached outside.
         fixed: dict[int, Term] = {}  # id(node) -> its rewrite, which names nothing
@@ -161,13 +161,10 @@ def totalize(
                 del assertions[start:]
                 if type(node) is Div:
                     assertions.append(named(node, new))
-                elif len(new_decls) == made:
-                    assertions.append(inline(node, new))
-                    fixed[id(node)] = assertions[-1]
-                elif type(node) is Apply:
-                    assertions.append(Apply(node.op, tuple(new), node.sort))
                 else:
                     assertions.append(inline(node, new))
+                    if len(new_decls) == made:
+                        fixed[id(node)] = assertions[-1]
             elif type(node) is Var or type(node) is Const:
                 assertions.append(node)
             elif id(node) in fixed:

@@ -652,15 +652,15 @@ def distinct_subterms(term: Term) -> Iterator[Term]:
             stack.extend(reversed(children(t)))
 
 
-def holds_division(pieces: Callable = children) -> Callable[[Term], bool]:
-    """A test of whether a node, or one of the nodes a walk enters below it
-    through `pieces`, is a division, folded into a memo once per node."""
+def holds_division() -> Callable[[Term], bool]:
+    """A test of whether a node, or a node below it, is a division, folded
+    into a memo once per node."""
 
     held: dict[int, bool] = {}
 
     def holds(t: Term) -> bool:
         if id(t) not in held:
-            dag_fold(t, lambda node, below: type(node) is Div or True in below, pieces, held)
+            dag_fold(t, lambda node, below: type(node) is Div or True in below, memo=held)
         return held[id(t)]
 
     return holds

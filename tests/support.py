@@ -169,7 +169,13 @@ def reference_fresh_totalize(script: Script, div0_value: Fraction = Fraction(0))
         return () if type(term) is Quantifier else _guard_pieces(term)
 
     memo: dict[int, Term] = {}
-    holds = holds_division(named_pieces)
+    held: dict[int, bool] = {}  # id(node) -> whether a division is below it, quantifiers skipped
+
+    def holds(t: Term) -> bool:
+        if id(t) not in held:
+            dag_fold(t, lambda node, below: type(node) is Div or True in below, named_pieces, held)
+        return held[id(t)]
+
     seen: set[int] = set()
     fell_back = False
     assertions: list[Term] = []
