@@ -28,7 +28,6 @@ from .encoder import (
     encode_integer_formula,
     encode_via_div0,
     floor_axioms,
-    replace_uf_with_div0,
 )
 from .errors import (
     BudgetExceededError,

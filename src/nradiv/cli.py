@@ -195,6 +195,18 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bound(text: str) -> int:
+    """`--bound N`: a whole number N >= 0, for the box `|value| <= N`."""
+
+    try:
+        n = int(text)
+    except ValueError:  # argparse's own wording for a bad `int`
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 # Commands that take `args.script`, parsed by `main` from `args.path`.
 _TAKES_SCRIPT = (cmd_classify, cmd_transform)
 
@@ -241,7 +253,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_transform.add_argument(
         "--bound",
-        type=int,
+        type=_bound,
         help="encode-*: also report a brute-force integer witness within this bound",
     )
     p_transform.add_argument("--output", "-o", help="write the script here, not stdout")

@@ -12,9 +12,9 @@ for how engines treat division by zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import DecodeError, EncodeError, SortError
 from .evaluator import FLOOR, eval_term, floor_oracle
@@ -33,7 +33,6 @@ from .terms import (
     conj,
     const,
     dag_fold,
-    dag_rewrite,
     distinct_subterms,
     eq,
     forall,
@@ -119,11 +118,12 @@ class FloorAxioms:
     base_axiom: Term  # 0 <= x < 1  implies  f(x) = 0
 
 
-def floor_axioms(f_name: str = "f") -> FloorAxioms:
-    """The axioms over `(f_name x)`; `replace_uf_with_div0` respells them
-    over `(/ x 0)`."""
+def floor_axioms(
+    f: Callable[[Term], Term] = lambda t: Apply("f", (t,), Sort.REAL),
+) -> FloorAxioms:
+    """The axioms with `f(t)` as the spelling of the floor of `t`: `(f t)`
+    by default, `(/ t 0)` in the `/0` encoding."""
 
-    f = lambda t: Apply(f_name, (t,), Sort.REAL)
     x = var("x", Sort.REAL)
     one = const(1)
     shift = forall((("x", Sort.REAL),), eq(add(f(x), one), f(add(x, one))))
@@ -154,58 +154,41 @@ def _resort_real(term: Term) -> Term:
     return dag_fold(term, _resorted)
 
 
-def encode_integer_formula(formula: IntFormula) -> EncodedProblem:
-    """Encode with floor as an uninterpreted function symbol (logic UFNRA).
+def _encode(
+    formula: IntFormula, logic: str, decls: tuple[FunDecl, ...], f: Callable[[Term], Term]
+) -> EncodedProblem:
+    """Declare `decls` and one Real constant per variable, then assert the
+    two axioms, one fixpoint `f(v) = v` per variable and the body with
+    every numeric piece sorted Real, where `f(t)` spells the floor of `t`."""
 
-    The symbol is declared first; then come the two axioms, one fixpoint
-    `(= (f v) v)` per variable, and the body with every numeric piece
-    sorted Real.
-    """
-
-    f_name = fresh_name("f", set(formula.variables))
-    axioms = floor_axioms(f_name)
+    axioms = floor_axioms(f)
     variables = [var(v, Sort.REAL) for v in formula.variables]
     script = Script(
-        logic="UFNRA",
-        decls=(FunDecl(f_name, (Sort.REAL,), Sort.REAL),)
-        + tuple(FunDecl(v, (), Sort.REAL) for v in formula.variables),
+        logic=logic,
+        decls=decls + tuple(FunDecl(v, (), Sort.REAL) for v in formula.variables),
         assertions=(axioms.shift_axiom, axioms.base_axiom)
-        + tuple(eq(Apply(f_name, (v,), Sort.REAL), v) for v in variables)
+        + tuple(eq(f(v), v) for v in variables)
         + (_resort_real(formula.body),),
         check_sat=True,
     )
     return EncodedProblem(script, formula)
 
 
+def encode_integer_formula(formula: IntFormula) -> EncodedProblem:
+    """Encode with floor as an uninterpreted function symbol (logic UFNRA),
+    declared first under a name no variable takes."""
+
+    f_name = fresh_name("f", set(formula.variables))
+    decl = FunDecl(f_name, (Sort.REAL,), Sort.REAL)
+    return _encode(formula, "UFNRA", (decl,), lambda t: Apply(f_name, (t,), Sort.REAL))
+
+
 def encode_via_div0(formula: IntFormula) -> EncodedProblem:
-    """Encode with floor spelled `t / 0` (logic NRA, no extra symbols).
+    """Encode with floor spelled `t / 0` (logic NRA, no extra symbols):
+    `encode_integer_formula`'s script with `(/ t 0)` for `(f t)`."""
 
-    This is `encode_integer_formula`'s script with the floor symbol's
-    declaration dropped and every assertion respelled by
-    `replace_uf_with_div0`.
-    """
-
-    uf = encode_integer_formula(formula).script
-    f_name = uf.decls[0].name
-    script = replace(
-        uf,
-        logic="NRA",
-        decls=uf.decls[1:],
-        assertions=tuple(replace_uf_with_div0(a, f_name) for a in uf.assertions),
-    )
-    return EncodedProblem(script, formula)
-
-
-def replace_uf_with_div0(term: Term, f_name: str) -> Term:
-    """Rewrite applications `(f t)` to `(/ t 0)`: the `/0` spelling of the
-    floor encoding."""
-
-    def spell(t: Term) -> Term:
-        if type(t) is Apply and t.op == f_name and len(t.args) == 1:
-            return Div(t.args[0], const(0), Sort.REAL)
-        return t
-
-    return dag_rewrite(term, spell)
+    zero = const(0)
+    return _encode(formula, "NRA", (), lambda t: Div(t, zero, Sort.REAL))
 
 
 def decode_witness(

@@ -103,9 +103,10 @@ _BLANK = " \t\r\n;"  # the first characters of blanks and comments
 
 # An atom's kind is read from its first character: a digit starts a
 # numeral or a decimal, "|" a quoted symbol, '"' a string and ":" a
-# keyword; any other character starts a simple symbol.
+# keyword; any other character starts a simple symbol.  A list where an
+# atom goes is handed to that atom's rule as the token "(", no symbol.
 _DIGITS = "0123456789"
-_NOT_SYMBOL = frozenset(_DIGITS + '":')
+_NOT_SYMBOL = frozenset(_DIGITS + '":(')
 _NOT_SIMPLE = _NOT_SYMBOL | {"|"}  # an atom that is not its own name
 
 
@@ -462,8 +463,6 @@ class _ScriptBuilder:
         each inside the one before, the first `sx`) that has one."""
 
         for kind, data, head, start, _ in frames:
-            if kind == _REPLAY:  # the frames after it are in a define-fun's body
-                return
             if sx.pos != start:
                 sx = next(x for x in sx.items if type(x) is SList and x.pos == start)
             self._check_shape(kind, data, head, start, len(sx.items) - (kind not in _NO_HEAD))
@@ -522,7 +521,8 @@ class _ScriptBuilder:
 
     def _open(self, kind: int, data, head: int, start: int, args: list, pos: int) -> tuple[int, object]:
         """The kind and data of a list that opens at `pos` in a frame whose
-        items are not terms."""
+        items are not terms.  A list where an atom goes is refused by that
+        atom's rule (`_item`)."""
 
         if kind == _TOP:
             return _COMMAND, None
@@ -530,24 +530,14 @@ class _ScriptBuilder:
             return _BINDERS, _Binders(_LET_PAIRS if data == "let" else _BINDER_PAIRS, pos, {})
         if kind == _BINDERS:
             return _PAIR, data
-        if kind == _PAIR:
-            if not args:
-                raise ParseError(f"expected {data.words[1]}", pos)
-            if len(args) == 1:  # a list where a sort goes
-                if data.words is _BINDER_PAIRS:
-                    raise ParseError("unsupported sort in binder", pos)
-                raise _Unsupported()
-            self._malformed(kind, data, head, start)
-        if kind == _DEFINE:
-            slot = data[1][len(args)]
-            if slot == "name":
-                self._register(None, pos, "a function name")
-            if slot == "params":
-                return _BINDERS, _Binders(_PARAM_PAIRS, pos, {})
-            raise _Unsupported()  # a list where the result sort goes
+        if kind == _DEFINE and data[1][len(args)] == "params":
+            return _BINDERS, _Binders(_PARAM_PAIRS, pos, {})
         if kind == _HEAD:
             raise ParseError("unsupported construct in term position", pos)
-        raise ParseError("command must start with a symbol", start)  # _COMMAND
+        if kind == _COMMAND:
+            raise ParseError("command must start with a symbol", start)
+        self._item(kind, data, head, start, args, "(", pos)
+        raise AssertionError(f"a list taken where an atom goes in a list of kind {kind}")
 
     def _item(self, kind: int, data, head: int, start: int, args: list, token: str, pos: int) -> tuple[int, object]:
         """Take atom `token` at `pos` as the next item of a frame whose
@@ -563,12 +553,9 @@ class _ScriptBuilder:
                 args.append(name)
                 return (_PAIR_TERM if data.words is _LET_PAIRS else _PAIR), data
             if len(args) == 1:
-                sort = _SORTS.get(_name(token))
-                if sort is None:
-                    if data.words is _BINDER_PAIRS:
-                        raise ParseError("unsupported sort in binder", pos)
-                    raise _Unsupported()
-                args.append(sort)
+                if data.words is _BINDER_PAIRS and _name(token) not in _SORTS:
+                    raise ParseError("unsupported sort in binder", pos)
+                args.append(_parse_sort(token))  # else a define-fun, kept verbatim
                 return kind, data
             self._malformed(kind, data, head, start)
         if kind == _DEFINE:
@@ -794,8 +781,6 @@ class _ScriptBuilder:
         """The term of atom `token` at `pos`, where the loop's lookup of a
         simple symbol does not settle it."""
 
-        if token[0] in _DIGITS:
-            return self._literal(token, pos)
         name = _name(token)
         if name is None:
             raise ParseError("unexpected {} in term position".format(_kind_and_text(token)[0]), pos)

@@ -32,6 +32,7 @@ from nradiv.passes import _guard_pieces, _is_guard, _rebuild_guard
 from nradiv.printer import format_value
 from nradiv.terms import (
     OPS,
+    Apply,
     Const,
     FunDecl,
     Var,
@@ -39,6 +40,7 @@ from nradiv.terms import (
     conj,
     const,
     dag_fold,
+    dag_rewrite,
     eq,
     forall,
     holds_division,
@@ -206,6 +208,19 @@ def reference_fresh_totalize(script: Script, div0_value: Fraction = Fraction(0))
             stacklevel=2,
         )
     return dataclasses.replace(script, decls=tuple(new_decls), assertions=(*assertions, *defining))
+
+
+def replace_uf_with_div0(term: Term, f_name: str) -> Term:
+    """Rewrite applications `(f_name t)` to `(/ t 0)`: the `/0` spelling of
+    the floor encoding, as a respelling of the UF one.  The reference that
+    the encoder tests compare `encode_via_div0` against."""
+
+    def spell(t: Term) -> Term:
+        if type(t) is Apply and t.op == f_name and len(t.args) == 1:
+            return Div(t.args[0], const(0), Sort.REAL)
+        return t
+
+    return dag_rewrite(term, spell)
 
 
 def forced_value(x: Fraction) -> Fraction:

@@ -512,6 +512,17 @@ def test_transform_encode_with_witness_note(golden_int_path, capsys):
     assert "integer witness within 2: a = -2, b = 0, c = -2" in captured.err
 
 
+def test_transform_encode_bound_must_not_be_negative(golden_int_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:  # argparse refuses it: no box
+        main(["transform", "encode-div0", str(golden_int_path), "--bound", "-1"])
+    assert excinfo.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+    assert main(["transform", "encode-div0", str(golden_int_path), "--bound", "0"]) == 0
+    assert capsys.readouterr().err.rstrip("\n").endswith(
+        "; integer witness within 0: a = 0, b = 0, c = 0"
+    )
+
+
 def test_transform_encode_no_witness_note(tmp_path, capsys):
     src = tmp_path / "twox.smt2"
     src.write_text(

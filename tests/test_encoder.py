@@ -7,6 +7,8 @@ from hypothesis import given, settings
 import strategies
 
 from nradiv import (
+    FLOOR,
+    IDENTITY,
     DecodeError,
     EncodeError,
     EncodedProblem,
@@ -14,7 +16,10 @@ from nradiv import (
     IntFormula,
     Sort,
     brute_force_int_sat,
+    check_axiom_samples,
+    constant_interpretation,
     decode_witness,
+    default_sample_grid,
     encode_integer_formula,
     encode_via_div0,
     eval_term,
@@ -22,9 +27,9 @@ from nradiv import (
     format_term,
     parse_script,
     print_script,
-    replace_uf_with_div0,
 )
 from nradiv.terms import Apply, Const, Div, Ite, add, const, eq, free_vars, var
+from support import replace_uf_with_div0
 
 
 def ivar(name: str):
@@ -64,6 +69,30 @@ def test_div0_axioms_are_uf_axioms_with_division_spelling(cubic_sum_formula):
         replace_uf_with_div0(ax.shift_axiom, "f"),
         replace_uf_with_div0(ax.base_axiom, "f"),
     )
+
+
+@pytest.mark.parametrize(
+    "div", [FLOOR, IDENTITY, constant_interpretation(0)], ids=lambda d: d.name
+)
+@pytest.mark.parametrize(
+    "spelling",
+    [None, lambda t: Div(t, const(0), Sort.REAL)],
+    ids=["uf", "div0"],
+)
+def test_axiom_terms_fail_where_the_sample_check_does(div, spelling):
+    """The floor axioms are stated twice: as terms by `floor_axioms` and in
+    Python by `check_axiom_samples`.  On the default grid, with `f` and
+    `x / 0` read as `div.at_zero`, each axiom body fails at exactly the
+    samples where the check reports that axiom violated."""
+
+    ax = floor_axioms() if spelling is None else floor_axioms(spelling)
+    failing = {
+        (x, name)
+        for x in default_sample_grid()
+        for name, axiom in (("shift", ax.shift_axiom), ("base", ax.base_axiom))
+        if eval_term(axiom.body, {"x": x}, div, {"f": div.at_zero}) is not True
+    }
+    assert failing == {(v.sample, v.axiom) for v in check_axiom_samples(div).violations}
 
 
 def test_encode_uf_structure(cubic_sum_formula):

@@ -426,6 +426,70 @@ def test_which_error_comes_first(text, error, message, where):
     assert str(excinfo.value) == f"{message} (line {where[0]}, column {where[1]})"
 
 
+_XY = "(declare-fun x () Real)(declare-fun y () Real)\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message, where",
+    [
+        # definitions: a list where an atom goes, and a sort kept verbatim
+        ("(define-fun f ((a (Array Int Int)) (b Int)) Int b)(assert (= (f 1 2) 0))",
+         UndeclaredSymbolError, "undeclared function symbol 'f'", (1, 63)),
+        ("(define-fun f ((a (Array Int Int))) Int 0 extra)", ParseError, "malformed define-fun", (1, 1)),
+        ("(define-fun f ((a Int)) (Array Int Int) a extra)", ParseError, "malformed define-fun", (1, 1)),
+        ("(define-fun f ((a (Array Int Int) extra)) Int 0)", ParseError, "malformed parameter list", (1, 15)),
+        ("(define-fun f ((a Int) (a (Array Int Int))) Int 0)", ParseError, "duplicate parameter 'a'", (1, 25)),
+        ("(define-fun f (((a) Int)) Int 0)", ParseError, "expected a parameter name", (1, 17)),
+        ("(define-fun f ((a Int) (b)) Int 0)", ParseError, "malformed parameter list", (1, 15)),
+        ("(define-fun (f) () Int 0)", ParseError, "expected a function name", (1, 13)),
+        ("(define-const (k) Int 0)", ParseError, "expected a function name", (1, 15)),
+        ("(define-fun f x Int 0)", ParseError, "malformed define-fun", (1, 1)),
+        # terms
+        ("(assert (forall ((x (Array Int Int))) true))", ParseError, "unsupported sort in binder", (1, 21)),
+        ("(assert (forall (()) true))", ParseError, "malformed binder", (1, 17)),
+        ("(assert (let (((a) 1)) true))", ParseError, "expected a let-bound name", (1, 16)),
+        ("(assert (let ((a 1 2)) true))", ParseError, "malformed let binding", (1, 14)),
+        ("(assert ((f) 1))", ParseError, "unsupported construct in term position", (1, 10)),
+        ("(assert ())", ParseError, "empty application", (1, 9)),
+        ("(assert (1 2))", ParseError, "cannot apply numeral '1'", (1, 10)),
+        ("(assert (:k 2))", ParseError, "cannot apply keyword 'k'", (1, 10)),
+        (_XY + "(assert (forall ((z Real)) (+ x y)))", SortError, "forall body must be Bool, got Real", (2, 28)),
+        # commands
+        ("((set-logic QF_NRA))", ParseError, "command must start with a symbol", (1, 1)),
+        ("(declare-fun x Real)", ParseError, "malformed declare-fun", (1, 1)),
+        ("(declare-const x)", ParseError, "malformed declare-const", (1, 1)),
+        ("(check-sat 1)", ParseError, "check-sat takes no arguments", (1, 1)),
+        ("(exit 1)", ParseError, "exit takes no arguments", (1, 1)),
+    ],
+)
+def test_refusals_of_lists_and_atoms_out_of_place(text, error, message, where):
+    """Each list or atom where the grammar has no room for it is refused
+    with its own error, at the token to blame."""
+
+    with pytest.raises(error) as excinfo:
+        parse_script(text)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{message} (line {where[0]}, column {where[1]})"
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("(define-fun f ((a (Array Int Int))) Int 0)", None),
+        ("(define-fun f ((a Int)) (Array Int Int) a)", None),
+        ("(define-const k (Array Int Int) 0)", None),
+        ('(define-const k String "a")', None),
+        (_XY + "(assert (let ((a x)) (> |a| 0)))", _XY.replace(")(", ")\n(") + "(assert (> x 0))\n"),
+    ],
+    ids=["param-sort", "result-sort", "const-list-sort", "const-sort", "quoted-bound-name"],
+)
+def test_definitions_over_unsupported_sorts_are_kept_verbatim(text, printed):
+    """A definition with a sort outside the subset is kept as written; a
+    quoted bound name reads its binding."""
+
+    assert print_script(parse_script(text)) == (text + "\n" if printed is None else printed)
+
+
 def test_unterminated_tokens():
     with pytest.raises(ParseError):
         parse_script('(set-info :note "oops)')
