@@ -119,6 +119,13 @@ def _name(sx) -> str | None:
     return sx[1:-1] if sx[0] == "|" else sx
 
 
+def symbols_in(text: str) -> set[str]:
+    """The name of each symbol atom of `text`, a command kept verbatim,
+    read by the reader's own scanner."""
+
+    return {n for t in _TOKEN.findall(text) if t[0] not in _BLANK and t != ")" and (n := _name(t)) is not None}
+
+
 def _kind_and_text(atom: str) -> tuple[str, str]:
     """How an error names a non-symbol atom: its kind and its value's text."""
 

@@ -15,6 +15,7 @@ from itertools import count
 
 from .analyzer import division_sites
 from .errors import SortError
+from .parser import symbols_in
 from .printer import has_literal
 from .terms import (
     Apply,
@@ -81,6 +82,17 @@ def _rebuild_guard(guard: Ite, den: Term, num: Term, then: Term) -> Ite:
     return Ite(Apply("=", (den, zero), Sort.BOOL), then, Div(num, den, d.sort, d.loc), d.sort)
 
 
+def _taken_names(script: Script) -> set[str]:
+    """The names a fresh symbol must avoid: the declared ones, and every
+    symbol of a command kept verbatim, which may define a function
+    (`define-fun-rec`, say) that no declaration names."""
+
+    taken = {d.name for d in script.decls}
+    for u in script.unsupported:
+        taken |= symbols_in(u.text)
+    return taken
+
+
 def totalize(
     script: Script,
     div0_value: Fraction = Fraction(0),
@@ -98,7 +110,7 @@ def totalize(
     either way, and `fold` constant-folds the result.
     """
 
-    taken = {d.name for d in script.decls}
+    taken = _taken_names(script)
     fresh_names = (n for n in map("div0.{}".format, count()) if n not in taken)
     new_decls: list[FunDecl] = list(script.decls)
     defining: list[Term] = []
@@ -129,11 +141,10 @@ def totalize(
         t = with_children(node, new)
         return guarded(t) if type(t) is Div else t
 
-    def named(node: Div, new: list[Term]) -> Var:
-        t = with_children(node, new)
-        v = var(next(fresh_names), t.sort)
-        new_decls.append(FunDecl(v.name, (), t.sort))
-        defining.append(eq(v, guarded(t)))
+    def named(guard: Ite) -> Var:
+        v = var(next(fresh_names), guard.sort)
+        new_decls.append(FunDecl(v.name, (), guard.sort))
+        defining.append(eq(v, guard))
         return v
 
     memo: dict[int, Term] = {}  # id(node) -> its inline rewrite
@@ -142,13 +153,15 @@ def totalize(
     else:
         # Each occurrence gets its own name, so the walk goes over the tree,
         # post-order over `_guard_pieces`, and leaves each finished rewrite
-        # in `assertions` for its parent.  A quantifier gets its inline
-        # rewrite.  A node below which no name was made has that one rewrite
-        # on every path, kept in `fixed`; one below which a name was made
-        # changes on every path, so it is entered on each.
+        # in `assertions` for its parent.  Every node is rewritten by
+        # `inline`, and a division's rewrite, its guard, is then named; a
+        # quantifier gets its inline rewrite whole.  A node below which no
+        # name was made has that one rewrite on every path, kept in `fixed`,
+        # so such a division is only named again; one below which a name
+        # was made changes on every path, so it is entered on each.
         # `fixed` is not `memo`: a division under a quantifier has its guard
         # in `memo` but still gets a name where it is reached outside.
-        fixed: dict[int, Term] = {}  # id(node) -> its rewrite, which names nothing
+        fixed: dict[int, Term] = {}  # id(node) -> its inline rewrite, below which nothing was named
         fell_back = False
         assertions = []
         waiting: list[tuple[Term, int, int]] = []  # node, where its pieces start, names made before
@@ -157,18 +170,16 @@ def totalize(
             node = stack.pop()
             if node is None:
                 node, start, made = waiting.pop()
-                new = assertions[start:]
+                rewrite = inline(node, assertions[start:])
                 del assertions[start:]
-                if type(node) is Div:
-                    assertions.append(named(node, new))
-                else:
-                    assertions.append(inline(node, new))
-                    if len(new_decls) == made:
-                        fixed[id(node)] = assertions[-1]
+                if len(new_decls) == made:
+                    fixed[id(node)] = rewrite
+                assertions.append(named(rewrite) if type(node) is Div else rewrite)
             elif type(node) is Var or type(node) is Const:
                 assertions.append(node)
             elif id(node) in fixed:
-                assertions.append(fixed[id(node)])
+                rewrite = fixed[id(node)]
+                assertions.append(named(rewrite) if type(node) is Div else rewrite)
             elif type(node) is Quantifier:
                 rewrite = dag_fold(node, inline, _guard_pieces, memo)
                 fell_back = fell_back or rewrite is not node
@@ -263,7 +274,8 @@ def lift_to_uf(script: Script) -> UfLiftResult:
 
     The symbol is axiomatized by `division_axiom`, the output's last
     assertion, so models may choose any value at zero divisors.  Its
-    name avoids every declared and every quantifier-bound name.  Scripts
+    name avoids every declared and every quantifier-bound name, and every
+    symbol of a command kept verbatim.  Scripts
     with no division are returned untouched with no symbol and no axiom.
     """
 
@@ -280,7 +292,7 @@ def lift_to_uf(script: Script) -> UfLiftResult:
         if d.sort is not Sort.REAL:
             raise SortError("cannot lift Int-sorted division to a Real function symbol")
 
-    taken = {d.name for d in script.decls}
+    taken = _taken_names(script)
     taken.update(n for t in found if isinstance(t, Quantifier) for n, _ in t.bound)
     name = fresh_name("udiv", taken)
 

@@ -712,7 +712,8 @@ def fresh_name(base: str, taken: set[str]) -> str:
 # Scripts.
 
 
-@dataclass(frozen=True)
+@_direct_init
+@dataclass(frozen=True, slots=True)
 class FunDecl:
     """`(declare-fun name (params) result)`; nullary decls are constants."""
 

@@ -151,6 +151,17 @@ def test_totalize_fresh_skips_taken_names():
     assert [d.name for d in out.decls][-1] == "div0.1"
 
 
+def test_totalize_fresh_skips_names_a_verbatim_command_defines():
+    # Only symbols are taken: not a keyword, nor the text of a string.
+    s = parse_script(
+        "(declare-fun x () Real)(define-fun-rec div0.0 ((n Real)) Real n)"
+        '(set-option :div0.1 true)(echo "div0.2")(assert (> (/ x 2) 0))'
+    )
+    out = totalize(s, style=FRESH)
+    assert [d.name for d in out.decls] == ["x", "div0.1"]
+    assert "(declare-fun div0.0 " not in print_script(out)
+
+
 def test_totalize_fresh_warns_under_quantifier():
     s = parse_script("(assert (forall ((q Real)) (= (/ q q) 1)))")
     with pytest.warns(UserWarning, match="under a quantifier"):
@@ -325,6 +336,16 @@ def test_lift_avoids_name_collision():
     )
     result = lift_to_uf(s)
     assert result.div_symbol == "udiv0"
+
+
+def test_lift_avoids_names_a_verbatim_command_defines():
+    s = parse_script(
+        "(declare-fun x () Real)(define-fun-rec udiv ((a Real) (b Real)) Real a)"
+        "(assert (> (/ x 2) 0))"
+    )
+    result = lift_to_uf(s)
+    assert result.div_symbol == "udiv0"
+    assert "(declare-fun udiv " not in print_script(result.script)
 
 
 def test_lift_avoids_bound_names():

@@ -40,9 +40,10 @@ from nradiv import (
     print_script,
     totalize,
 )
+from nradiv import passes
 from nradiv.analyzer import division_sites
 from nradiv.cli import main
-from nradiv.terms import add, const, dag_fold, distinct_subterms, div, eq, lt, numeral_sort, var
+from nradiv.terms import Div, add, const, dag_fold, distinct_subterms, div, eq, lt, numeral_sort, var
 
 from conftest import MALFORMED, REPO
 from strategies import scripts, shared_scripts
@@ -356,6 +357,24 @@ def test_fresh_totalize_enters_a_shared_quantifier_once():
     assert len(caught) == 1 and "under a quantifier" in str(caught[0].message)
     assert out.assertions == totalize(script).assertions
     assert out.decls == script.decls
+
+
+def test_fresh_totalize_enters_a_settled_division_once(monkeypatch):
+    entered = 0
+    guard_pieces = passes._guard_pieces
+
+    def counting(term: Term) -> tuple[Term, ...]:
+        nonlocal entered
+        entered += type(term) is Div
+        return guard_pieces(term)
+
+    monkeypatch.setattr(passes, "_guard_pieces", counting)
+    script = parse_script(HEADER + f"(assert {doubling_lets(11)})")  # 12 lets, 2^11 paths
+    out = totalize(script, style=TotalizeStyle.FRESH_SYMBOL)
+    assert entered == 1
+    assert [d.name for d in out.decls] == ["x", "y", *(f"div0.{i}" for i in range(2048))]
+    first, *rest = out.assertions[1:]
+    assert len(rest) == 2047 and all(a.args[1] is first.args[1] for a in rest)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from nradiv import (
     Apply,
     Const,
     Div,
+    FunDecl,
     Ite,
     Loc,
     Quantifier,
@@ -95,6 +96,21 @@ def test_nodes_are_frozen(node):
         node.extra = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         del node.extra
+
+
+def test_declarations_are_slotted_frozen_values():
+    f = FunDecl("f", (Sort.REAL, Sort.INT), Sort.BOOL)
+    assert not hasattr(f, "__dict__")
+    for name in [*(g.name for g in dataclasses.fields(f)), "extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(f, name)
+    same = FunDecl("f", (Sort.REAL, Sort.INT), Sort.BOOL)
+    assert f is not same and f == same and hash(f) == hash(same)
+    assert f != FunDecl("f", (Sort.REAL,), Sort.BOOL)
+    g = dataclasses.replace(f, name="g")
+    assert (g.name, g.params, g.result) == ("g", f.params, f.result) and f.name == "f"
 
 
 @pytest.mark.parametrize("a, b", zip(samples(HERE), samples(THERE)), ids=map(class_name, samples(HERE)))
